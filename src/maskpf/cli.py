@@ -10,11 +10,10 @@ Subcommands:
   degrade  apply a surrogate-degradation preset to clean WAV files
 
 Every command writes its outputs plus a run_header.json (the resolved
-arguments, package version, and kernel backend; no timestamps) into
---out-dir. A JSON file passed as --config supplies defaults for the
-optional flags of the chosen subcommand; flags given on the command line
-win. Exit codes: 0 ok, 2 bad configuration or arguments, 3 bad data,
-4 numeric failure.
+arguments and package version; no timestamps) into --out-dir. A JSON
+file passed as --config supplies defaults for the optional flags of the
+chosen subcommand; flags given on the command line win. Exit codes: 0
+ok, 2 bad configuration or arguments, 3 bad data, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from .mask import (
 )
 from .metrics import log_spectral_distance, lsd_from_mags, segmental_snr
 from .nn.io import load_model, save_model
-from .nn.kernels import active_backend
 from .nn.models import MODEL_KINDS
 from .nn.train import TrainConfig, train_model
 
@@ -68,7 +66,6 @@ def _write_header(out_dir: str, command: str, args: argparse.Namespace) -> None:
         "command": command,
         "args": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "package_version": __version__,
-        "kernel_backend": active_backend(),
     }
     with open(os.path.join(out_dir, "run_header.json"), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)

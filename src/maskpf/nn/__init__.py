@@ -2,9 +2,8 @@
 
 Everything is numpy float64 end to end: layers, recurrent cells, the
 convolutional encoder-decoder, the Adam optimizer, and the training loop.
-The convolution primitives in `kernels` have two interchangeable backends
-(numba-compiled loops and pure numpy) selected by the MASKPF_BACKEND
-environment variable.
+The convolution primitives in `kernels` have one path: an im2col copy and
+one BLAS matrix product per call, on channels-last memory.
 """
 
 from .models import REFERENCE_PARAM_COUNTS, Model, build_model

@@ -1,7 +1,10 @@
 """Adam optimizer with the standard bias-corrected moment estimates.
 
 Parameters are updated in place, so the optimizer holds the same arrays
-the model layers own.
+the model layers own. The update runs through two scratch buffers sized to
+the largest parameter, in the operation order of
+`p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)`, so it allocates nothing
+per step and gives the same bits as that expression.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        size = max((v.size for v in params.values()), default=0)
+        self._scratch = (np.empty(size), np.empty(size))
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         if set(grads) != set(self.params):
@@ -43,8 +48,18 @@ class Adam:
             g = grads[key]
             m = self.m[key]
             v = self.v[key]
+            step, denom = (buf[: p.size].reshape(p.shape) for buf in self._scratch)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(1.0 - self.beta1, g, out=step)
+            m += step
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            np.multiply(1.0 - self.beta2, g, out=step)
+            step *= g
+            v += step
+            np.divide(m, bc1, out=step)
+            np.multiply(self.lr, step, out=step)
+            np.divide(v, bc2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            p -= step

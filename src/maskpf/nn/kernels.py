@@ -1,4 +1,4 @@
-"""Convolution primitives with switchable numba / numpy backends.
+"""Convolution primitives: one im2col / col2im path over BLAS matrix products.
 
 Three index patterns cover every operation the conv and transposed-conv
 layers need, in both directions:
@@ -13,229 +13,77 @@ both weight gradients are the third pattern. All arrays are float64 and
 padding is always "valid" (the higher layers do any zero padding
 themselves).
 
-Backend choice: MASKPF_BACKEND=auto|numba|numpy (default auto, which takes
-numba when it imports). `set_backend` overrides at runtime for tests and
-benchmarks.
+Every image argument and result has the logical shape (N, C, H, W), but the
+work happens channels-last. `gather` and `weight_grad` copy the strided
+windows of the source once into an (N*OH*OW, KH*KW*A) matrix and make one
+matrix product with the weights or the small tensor; `scatter` makes one
+matrix product into (N*OH*OW, KH*KW*B) columns and adds them back tap by
+tap. Results are (N, H, W, C) buffers returned as (N, C, H, W) views, so a
+chain of layers that passes such views along never copies an image to
+change its layout. Contiguous (N, C, H, W) inputs give the same results,
+only with a strided copy on the way in.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ConfigError
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - depends on the environment
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap if not (len(args) == 1 and callable(args[0])) else args[0]
+def _nhwc(x: np.ndarray) -> np.ndarray:
+    """The channels-last view of a logical (N, C, H, W) array."""
+    return np.asarray(x, dtype=np.float64).transpose(0, 2, 3, 1)
 
 
-_VALID = ("auto", "numba", "numpy")
-_backend: str | None = None
+def _taps_last(w: np.ndarray) -> np.ndarray:
+    """(X, Y, KH, KW) weights as the (X, KH*KW*Y) matrix that matches _im2col."""
+    w = np.asarray(w, dtype=np.float64)
+    return w.transpose(0, 2, 3, 1).reshape(w.shape[0], -1)
 
 
-def set_backend(name: str | None) -> None:
-    """Force a backend ("numba" or "numpy"), or None to re-read the env."""
-    global _backend
-    if name is None:
-        _backend = None
-        return
-    if name not in ("numba", "numpy"):
-        raise ConfigError(f"backend must be 'numba' or 'numpy', got {name!r}")
-    if name == "numba" and not HAS_NUMBA:
-        raise ConfigError("numba backend requested but numba is not importable")
-    _backend = name
-
-
-def active_backend() -> str:
-    """The backend in effect: an explicit override, else the env setting."""
-    global _backend
-    if _backend is None:
-        requested = os.environ.get("MASKPF_BACKEND", "auto").lower()
-        if requested not in _VALID:
-            raise ConfigError(
-                f"MASKPF_BACKEND must be one of {_VALID}, got {requested!r}"
-            )
-        if requested == "auto":
-            _backend = "numba" if HAS_NUMBA else "numpy"
-        else:
-            if requested == "numba" and not HAS_NUMBA:
-                raise ConfigError("MASKPF_BACKEND=numba but numba is not importable")
-            _backend = requested
-    return _backend
-
-
-# ---------------------------------------------------------------- numba ---
-#
-# The compiled kernels work on channels-last scratch copies so the inner
-# loop always runs over a contiguous axis, which LLVM turns into SIMD code.
-# Summation order is fixed (serial loops, no fastmath), so results are
-# reproducible bit for bit.
-
-
-@njit(cache=True)
-def _gather_nb(src_t, w_t, sh, sw, out_t):
-    # src_t (N,H,W,A), w_t (B,KH,KW,A), out_t (N,OH,OW,B)
-    n_batch, oh_len, ow_len, n_b = out_t.shape
-    _, kh_len, kw_len, n_a = w_t.shape
-    for n in range(n_batch):
-        for oh in range(oh_len):
-            for ow in range(ow_len):
-                for b in range(n_b):
-                    acc = 0.0
-                    for kh in range(kh_len):
-                        for kw in range(kw_len):
-                            srow = src_t[n, sh * oh + kh, sw * ow + kw]
-                            wrow = w_t[b, kh, kw]
-                            for a in range(n_a):
-                                acc += srow[a] * wrow[a]
-                    out_t[n, oh, ow, b] = acc
-
-
-@njit(cache=True)
-def _scatter_nb(src_t, w_t, sh, sw, out_t):
-    # src_t (N,OH,OW,A), w_t (A,KH,KW,B), out_t (N,H,W,B)
-    n_batch, oh_len, ow_len, n_a = src_t.shape
-    _, kh_len, kw_len, n_b = w_t.shape
-    for n in range(n_batch):
-        for oh in range(oh_len):
-            for ow in range(ow_len):
-                for a in range(n_a):
-                    v = src_t[n, oh, ow, a]
-                    for kh in range(kh_len):
-                        for kw in range(kw_len):
-                            orow = out_t[n, sh * oh + kh, sw * ow + kw]
-                            wrow = w_t[a, kh, kw]
-                            for b in range(n_b):
-                                orow[b] += v * wrow[b]
-
-
-@njit(cache=True)
-def _weight_grad_nb(big_t, small_t, sh, sw, out_t):
-    # big_t (N,H,W,A), small_t (N,OH,OW,B), out_t (KH,KW,A,B)
-    n_batch, oh_len, ow_len, n_b = small_t.shape
-    kh_len, kw_len, n_a, _ = out_t.shape
-    for n in range(n_batch):
-        for oh in range(oh_len):
-            for ow in range(ow_len):
-                srow = small_t[n, oh, ow]
-                for kh in range(kh_len):
-                    for kw in range(kw_len):
-                        brow = big_t[n, sh * oh + kh, sw * ow + kw]
-                        block = out_t[kh, kw]
-                        for a in range(n_a):
-                            v = brow[a]
-                            for b in range(n_b):
-                                block[a, b] += v * srow[b]
-
-
-def _to_nhwc(x: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(x.transpose(0, 2, 3, 1))
-
-
-def _gather_numba(src, w, sh, sw, out):
-    out_t = np.zeros(out.transpose(0, 2, 3, 1).shape)
-    _gather_nb(_to_nhwc(src), np.ascontiguousarray(w.transpose(0, 2, 3, 1)),
-               sh, sw, out_t)
-    out += out_t.transpose(0, 3, 1, 2)
-
-
-def _scatter_numba(src, w, sh, sw, out):
-    out_t = np.zeros(out.transpose(0, 2, 3, 1).shape)
-    _scatter_nb(_to_nhwc(src), np.ascontiguousarray(w.transpose(0, 2, 3, 1)),
-                sh, sw, out_t)
-    out += out_t.transpose(0, 3, 1, 2)
-
-
-def _weight_grad_numba(big, small, sh, sw, out):
-    out_t = np.zeros((out.shape[2], out.shape[3], out.shape[1], out.shape[0]))
-    _weight_grad_nb(_to_nhwc(big), _to_nhwc(small), sh, sw, out_t)
-    out += out_t.transpose(3, 2, 0, 1)
-
-
-# ---------------------------------------------------------------- numpy ---
-
-
-def _gather_np(src, w, sh, sw, out):
-    _, _, kh_len, kw_len = w.shape
-    _, _, oh_len, ow_len = out.shape
-    for kh in range(kh_len):
-        for kw in range(kw_len):
-            sl = src[:, :, kh : kh + sh * oh_len : sh, kw : kw + sw * ow_len : sw]
-            out += np.einsum("nahw,ba->nbhw", sl, w[:, :, kh, kw], optimize=True)
-
-
-def _scatter_np(src, w, sh, sw, out):
-    _, _, kh_len, kw_len = w.shape
-    _, _, oh_len, ow_len = src.shape
-    for kh in range(kh_len):
-        for kw in range(kw_len):
-            contrib = np.einsum("nahw,ab->nbhw", src, w[:, :, kh, kw], optimize=True)
-            out[:, :, kh : kh + sh * oh_len : sh, kw : kw + sw * ow_len : sw] += contrib
-
-
-def _weight_grad_np(big, small, sh, sw, out):
-    _, _, kh_len, kw_len = out.shape
-    _, _, oh_len, ow_len = small.shape
-    for kh in range(kh_len):
-        for kw in range(kw_len):
-            sl = big[:, :, kh : kh + sh * oh_len : sh, kw : kw + sw * ow_len : sw]
-            out[:, :, kh, kw] = np.einsum("nahw,nbhw->ba", sl, small, optimize=True)
-
-
-# ------------------------------------------------------------- dispatch ---
-
-
-def _as_c64(x: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(x, dtype=np.float64)
+def _im2col(src: np.ndarray, k_hw: tuple[int, int], stride: tuple[int, int],
+            out_hw: tuple[int, int]) -> np.ndarray:
+    """Windows of an (N, H, W, A) array as an (N*OH*OW, KH*KW*A) matrix."""
+    (kh, kw), (sh, sw), (oh, ow) = k_hw, stride, out_hw
+    win = sliding_window_view(src, (kh, kw), axis=(1, 2))  # (N, H', W', A, KH, KW)
+    win = win[:, : sh * oh : sh, : sw * ow : sw].transpose(0, 1, 2, 4, 5, 3)
+    return np.ascontiguousarray(win).reshape(-1, kh * kw * src.shape[3])
 
 
 def gather(src: np.ndarray, w: np.ndarray, stride: tuple[int, int]) -> np.ndarray:
     """Strided gather; conv2d forward and deconv2d input gradient."""
-    src, w = _as_c64(src), _as_c64(w)
+    src_t = _nhwc(src)
     sh, sw = stride
-    n, _, h, wd = src.shape
+    n, h, wd, _ = src_t.shape
     b, _, kh, kw = w.shape
     oh = (h - kh) // sh + 1
     ow = (wd - kw) // sw + 1
     if oh < 1 or ow < 1:
         raise ConfigError(f"kernel {kh}x{kw} does not fit input {h}x{wd}")
-    out = np.zeros((n, b, oh, ow))
-    if active_backend() == "numba":
-        _gather_numba(src, w, sh, sw, out)
-    else:
-        _gather_np(src, w, sh, sw, out)
-    return out
+    cols = _im2col(src_t, (kh, kw), stride, (oh, ow))
+    return (cols @ _taps_last(w).T).reshape(n, oh, ow, b).transpose(0, 3, 1, 2)
 
 
 def scatter(
     src: np.ndarray, w: np.ndarray, stride: tuple[int, int], out_hw: tuple[int, int]
 ) -> np.ndarray:
     """Strided scatter-add; deconv2d forward and conv2d input gradient."""
-    src, w = _as_c64(src), _as_c64(w)
+    src_t = _nhwc(src)
     sh, sw = stride
-    n, _, oh, ow = src.shape
+    n, oh, ow, n_a = src_t.shape
     _, b, kh, kw = w.shape
     min_h = sh * (oh - 1) + kh
     min_w = sw * (ow - 1) + kw
     if out_hw[0] < min_h or out_hw[1] < min_w:
         raise ConfigError(f"output {out_hw} too small for scatter ({min_h},{min_w})")
-    out = np.zeros((n, b, out_hw[0], out_hw[1]))
-    if active_backend() == "numba":
-        _scatter_numba(src, w, sh, sw, out)
-    else:
-        _scatter_np(src, w, sh, sw, out)
-    return out
+    cols = (src_t.reshape(-1, n_a) @ _taps_last(w)).reshape(n, oh, ow, kh, kw, b)
+    out = np.zeros((n, out_hw[0], out_hw[1], b))
+    for i in range(kh):
+        for j in range(kw):
+            out[:, i : i + sh * oh : sh, j : j + sw * ow : sw] += cols[:, :, :, i, j]
+    return out.transpose(0, 3, 1, 2)
 
 
 def weight_grad(
@@ -245,15 +93,11 @@ def weight_grad(
     k_hw: tuple[int, int],
 ) -> np.ndarray:
     """Kernel gradient; serves conv2d and deconv2d weight updates."""
-    big, small = _as_c64(big), _as_c64(small)
-    _, n_a, _, _ = big.shape
-    _, n_b, _, _ = small.shape
-    out = np.zeros((n_b, n_a, k_hw[0], k_hw[1]))
-    if active_backend() == "numba":
-        _weight_grad_numba(big, small, stride[0], stride[1], out)
-    else:
-        _weight_grad_np(big, small, stride[0], stride[1], out)
-    return out
+    big_t, small_t = _nhwc(big), _nhwc(small)
+    n_a, n_b = big_t.shape[3], small_t.shape[3]
+    cols = _im2col(big_t, k_hw, stride, small_t.shape[1:3])
+    out = small_t.reshape(-1, n_b).T @ cols
+    return out.reshape(n_b, k_hw[0], k_hw[1], n_a).transpose(0, 3, 1, 2)
 
 
 # ------------------------------------------------------- layer-facing API ---

@@ -7,7 +7,14 @@ carry. Stochastic layers draw from a numpy Generator that can be replaced
 through `reseed`, which keeps gradient checking and reruns deterministic.
 
 Shapes follow two conventions: feature tensors (N, D) and image tensors
-(N, C, H, W) with H the time axis and W the frequency axis.
+(N, C, H, W) with H the time axis and W the frequency axis. Image layers
+accept any memory layout; the conv kernels return channels-last buffers
+viewed as (N, C, H, W), and batch norm and padding keep that layout, so a
+chain of image layers never copies to change it.
+
+A layer never writes into an array its caller passed in, except an Elu
+built with `inplace=True` by a caller that owns the buffers it feeds it.
+Eval-mode forwards keep nothing for a backward pass.
 """
 
 from __future__ import annotations
@@ -80,15 +87,30 @@ class Relu(Layer):
 
 
 class Elu(Layer):
-    """Exponential linear unit, alpha fixed at 1."""
+    """Exponential linear unit, alpha fixed at 1.
+
+    With `inplace` the output overwrites the input array. The backward pass
+    needs only the output: the slope is 1 where it is positive and y + 1
+    elsewhere, that is min(y + 1, 1).
+    """
+
+    def __init__(self, inplace: bool = False):
+        self.inplace = inplace
+        self._y: np.ndarray | None = None
 
     def forward(self, x, train=False):
-        self._neg = x <= 0.0
-        self._expm1 = np.expm1(np.minimum(x, 0.0))
-        return np.where(self._neg, self._expm1, x)
+        neg = np.minimum(x, 0.0)
+        np.expm1(neg, out=neg)
+        y = np.maximum(x, 0.0, out=x if self.inplace else None)
+        y += neg
+        self._y = y if train else None
+        return y
 
     def backward(self, gy):
-        return np.where(self._neg, gy * (self._expm1 + 1.0), gy)
+        slope = self._y + 1.0
+        np.minimum(slope, 1.0, out=slope)
+        slope *= gy
+        return slope
 
 
 class ScaledSigmoid(Layer):
@@ -133,9 +155,11 @@ class Dropout(Layer):
 class BatchNorm(Layer):
     """Batch normalization over every axis except the channel axis.
 
-    Works on (N, C) and (N, C, H, W) alike. Running statistics are updated
-    with exponential smoothing during training and used verbatim at eval
-    time; they travel with the model file but receive no gradient.
+    Works on (N, C) and (N, C, H, W) alike, always on the (M, C) matrix of
+    channel vectors; that matrix is a view of channels-last input and a
+    copy of any other. Running statistics are updated with exponential
+    smoothing during training and used verbatim at eval time; they travel
+    with the model file but receive no gradient.
     """
 
     def __init__(self, n_channels: int, momentum: float = 0.99, eps: float = 1e-3):
@@ -158,40 +182,46 @@ class BatchNorm(Layer):
         return {"gamma": self.gamma, "beta": self.beta,
                 "run_mean": self.run_mean, "run_var": self.run_var}
 
-    def _bshape(self, ndim: int) -> tuple[int, ...]:
-        return (1, -1) + (1,) * (ndim - 2)
-
     def forward(self, x, train=False):
-        axes = (0,) + tuple(range(2, x.ndim))
-        bs = self._bshape(x.ndim)
+        moved = np.moveaxis(x, 1, -1)
+        rows = moved.reshape(-1, x.shape[1])
         if train:
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            m = rows.shape[0]
+            # einsum reduces narrow rows several times faster than .sum(axis=0)
+            mean = np.einsum("mc->c", rows) / m
+            xhat = rows - mean
+            var = np.einsum("mc,mc->c", xhat, xhat) / m
             self.run_mean[...] = self.momentum * self.run_mean + (1 - self.momentum) * mean
             self.run_var[...] = self.momentum * self.run_var + (1 - self.momentum) * var
-            self._axes = axes
-            self._m = x.size // x.shape[1]
-            self._xc = x - mean.reshape(bs)
-            self._inv_std = 1.0 / np.sqrt(var + self.eps).reshape(bs)
-            self._xhat = self._xc * self._inv_std
-            return self.gamma.reshape(bs) * self._xhat + self.beta.reshape(bs)
-        xhat = (x - self.run_mean.reshape(bs)) / np.sqrt(
-            self.run_var.reshape(bs) + self.eps)
-        self._xhat = None
-        return self.gamma.reshape(bs) * xhat + self.beta.reshape(bs)
+            self._inv_std = 1.0 / np.sqrt(var + self.eps)
+            xhat *= self._inv_std
+            self._xhat = xhat
+            y = xhat * self.gamma
+            y += self.beta
+        else:
+            self._xhat = None
+            scale = self.gamma / np.sqrt(self.run_var + self.eps)
+            y = rows * scale
+            y += self.beta - self.run_mean * scale
+        return np.moveaxis(y.reshape(moved.shape), -1, 1)
 
     def backward(self, gy):
         if self._xhat is None:
             raise ConfigError("backward through batch norm requires a train-mode forward")
-        axes = self._axes
-        bs = self._bshape(gy.ndim)
-        m = self._m
-        self.ggamma += (gy * self._xhat).sum(axis=axes)
-        self.gbeta += gy.sum(axis=axes)
-        gxhat = gy * self.gamma.reshape(bs)
-        term_mean = gxhat.sum(axis=axes).reshape(bs) / m
-        term_proj = (gxhat * self._xhat).sum(axis=axes).reshape(bs) / m
-        return self._inv_std * (gxhat - term_mean - self._xhat * term_proj)
+        moved = np.moveaxis(gy, 1, -1)
+        rows = moved.reshape(-1, gy.shape[1])
+        xhat = self._xhat
+        m = rows.shape[0]
+        gbeta = np.einsum("mc->c", rows)
+        ggamma = np.einsum("mc,mc->c", rows, xhat)
+        self.ggamma += ggamma
+        self.gbeta += gbeta
+        # d/dx of gamma * (x - mean) * inv_std + beta, batch statistics included
+        gx = xhat * (-ggamma / m)
+        gx += rows
+        gx -= gbeta / m
+        gx *= self.gamma * self._inv_std
+        return np.moveaxis(gx.reshape(moved.shape), -1, 1)
 
 
 class Conv2d(Layer):
@@ -215,14 +245,15 @@ class Conv2d(Layer):
         return {"w": self.gw, "b": self.gb}
 
     def forward(self, x, train=False):
-        self._x = x
+        self._x = x if train else None
         y = kernels.conv2d(x, self.w, self.stride)
-        return y + self.b.reshape(1, -1, 1, 1)
+        y += self.b.reshape(1, -1, 1, 1)
+        return y
 
     def backward(self, gy):
         self.gw += kernels.conv2d_grad_weights(
             self._x, gy, self.stride, self.w.shape[2:])
-        self.gb += gy.sum(axis=(0, 2, 3))
+        self.gb += np.einsum("nchw->c", gy)
         return kernels.conv2d_grad_input(
             gy, self.w, self.stride, self._x.shape[2:])
 
@@ -248,14 +279,15 @@ class Deconv2d(Layer):
         return {"w": self.gw, "b": self.gb}
 
     def forward(self, x, train=False):
-        self._x = x
+        self._x = x if train else None
         y = kernels.deconv2d(x, self.w, self.stride)
-        return y + self.b.reshape(1, -1, 1, 1)
+        y += self.b.reshape(1, -1, 1, 1)
+        return y
 
     def backward(self, gy):
         self.gw += kernels.deconv2d_grad_weights(
             self._x, gy, self.stride, self.w.shape[2:])
-        self.gb += gy.sum(axis=(0, 2, 3))
+        self.gb += np.einsum("nchw->c", gy)
         return kernels.deconv2d_grad_input(gy, self.w, self.stride)
 
 
@@ -273,11 +305,20 @@ class PadHighFreq(Layer):
         self._in_width = x.shape[-1]
         if pad == 0:
             return x
-        spec = [(0, 0)] * (x.ndim - 1) + [(0, pad)]
-        return np.pad(x, spec)
+        out = np.zeros_like(x, shape=x.shape[:-1] + (self.target_width,))
+        out[..., : self._in_width] = x
+        return out
 
     def backward(self, gy):
         return gy[..., : self._in_width]
+
+
+def collect(named_layers: list[tuple[str, Layer]],
+            method: str) -> dict[str, np.ndarray]:
+    """Merge each layer's params(), grads() or state() under "name.key"."""
+    return {f"{name}.{key}": arr
+            for name, layer in named_layers
+            for key, arr in getattr(layer, method)().items()}
 
 
 class Sequential(Layer):
@@ -286,21 +327,14 @@ class Sequential(Layer):
     def __init__(self, named_layers: list[tuple[str, Layer]]):
         self.named_layers = named_layers
 
-    def _collect(self, getter) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for name, layer in self.named_layers:
-            for key, arr in getter(layer).items():
-                out[f"{name}.{key}"] = arr
-        return out
-
     def params(self):
-        return self._collect(lambda l: l.params())
+        return collect(self.named_layers, "params")
 
     def grads(self):
-        return self._collect(lambda l: l.grads())
+        return collect(self.named_layers, "grads")
 
     def state(self):
-        return self._collect(lambda l: l.state())
+        return collect(self.named_layers, "state")
 
     def reseed(self, rng):
         for _, layer in self.named_layers:

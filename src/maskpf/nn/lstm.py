@@ -72,7 +72,7 @@ class Lstm(Layer):
         else:
             mh = None
         self._mx, self._mh = mx, mh
-        self._steps = []
+        self._steps = [] if train else None
         h_t = np.zeros((n, h))
         c_t = np.zeros((n, h))
         out = np.empty((n, t_len, h))
@@ -89,7 +89,8 @@ class Lstm(Layer):
             tc = np.tanh(c_t)
             h_t = go * tc
             out[:, t] = h_t
-            self._steps.append((xt, hp, gi, gf, gc, go, c_prev, tc))
+            if train:
+                self._steps.append((xt, hp, gi, gf, gc, go, c_prev, tc))
         return out
 
     def backward(self, gy):

@@ -37,6 +37,7 @@ from .layers import (
     Relu,
     ScaledSigmoid,
     Sequential,
+    collect,
     zero_grads,
 )
 from .lstm import Lstm
@@ -60,21 +61,14 @@ class Model:
     def _layers(self) -> list[tuple[str, Layer]]:
         raise NotImplementedError
 
-    def _collect(self, getter) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for name, layer in self._layers():
-            for key, arr in getter(layer).items():
-                out[f"{name}.{key}"] = arr
-        return out
-
     def params(self) -> dict[str, np.ndarray]:
-        return self._collect(lambda l: l.params())
+        return collect(self._layers(), "params")
 
     def grads(self) -> dict[str, np.ndarray]:
-        return self._collect(lambda l: l.grads())
+        return collect(self._layers(), "grads")
 
     def state(self) -> dict[str, np.ndarray]:
-        return self._collect(lambda l: l.state())
+        return collect(self._layers(), "state")
 
     def load_state(self, values: dict[str, np.ndarray]) -> None:
         state = self.state()
@@ -189,6 +183,10 @@ class CedModel(Model):
     stage upsamples back, zero-pads the high-frequency edge to its
     encoder partner's width, and concatenates [decoder, encoder] along
     channels. A final 6x1 conv collapses the time axis.
+
+    Activations live in channels-last (N, H, W, C) buffers passed between
+    layers as (N, C, H, W) views; every buffer after the first conv is one
+    this model allocated, so its ELUs run in place.
     """
 
     kind = "ced"
@@ -198,11 +196,11 @@ class CedModel(Model):
         self.enc = []
         for i, (ci, co) in enumerate([(1, 16), (16, 32), (32, 64), (64, 128)], 1):
             self.enc.append((f"enc{i}", Conv2d(ci, co, k, s, rng),
-                             BatchNorm(co), Elu()))
+                             BatchNorm(co), Elu(inplace=True)))
         self.dec = []
         for i, (ci, co) in enumerate([(128, 64), (128, 32), (64, 16), (32, 1)], 1):
             self.dec.append((f"dec{i}", Deconv2d(ci, co, k, s, rng),
-                             BatchNorm(co), Elu()))
+                             BatchNorm(co), Elu(inplace=True)))
         self.pads = [PadHighFreq(0) for _ in range(3)]  # widths set per forward
         self.head = Conv2d(1, 1, (CONTEXT_FRAMES["ced"], 1), (1, 1), rng)
         self.sig = ScaledSigmoid(MASK_SCALE)
@@ -234,7 +232,9 @@ class CedModel(Model):
                 self.pads[i].target_width = partner.shape[-1]
                 h = self.pads[i].forward(h, train)
                 self._skip_channels.append(h.shape[1])
-                h = np.concatenate([h, partner], axis=1)
+                h = np.concatenate([h.transpose(0, 2, 3, 1),
+                                    partner.transpose(0, 2, 3, 1)],
+                                   axis=3).transpose(0, 3, 1, 2)
         y = self.head.forward(h, train)
         n = y.shape[0]
         return self.sig.forward(y.reshape(n, -1), train)
@@ -254,7 +254,7 @@ class CedModel(Model):
         for i in range(3, -1, -1):
             _, conv, bn, act = self.enc[i]
             if i < 3:
-                g = g + skip_grads[i]
+                g += skip_grads[i]  # g is the fresh output of a conv backward
             g = conv.backward(bn.backward(act.backward(g)))
         return g
 

@@ -62,7 +62,6 @@ def test_stats_csv_and_header(tmp_path, manifest_path, capsys):
     header = read_header(out)
     assert header["command"] == "stats"
     assert header["args"]["split"] == "train"
-    assert header["kernel_backend"] in ("numba", "numpy")
     assert not any("time" in k or "date" in k for k in header)
 
 

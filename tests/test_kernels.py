@@ -1,8 +1,9 @@
-"""Convolution kernels: loop oracles, adjointness, and backend parity."""
+"""Convolution kernels: loop oracles and adjointness, on both memory layouts.
 
-import os
-import subprocess
-import sys
+The kernels take logical (N, C, H, W) arrays. Each test runs on plain
+C-ordered numpy arrays (`numpy`) and on (N, C, H, W) views of channels-last
+buffers (`nhwc`), the layout the conv estimator passes between its layers.
+"""
 
 import numpy as np
 import pytest
@@ -10,24 +11,26 @@ import pytest
 from maskpf.errors import ConfigError
 from maskpf.nn import kernels
 from maskpf.nn.kernels import (
-    HAS_NUMBA,
-    active_backend,
     conv2d,
     conv2d_grad_input,
     conv2d_grad_weights,
     deconv2d,
     deconv2d_grad_input,
     deconv2d_grad_weights,
-    set_backend,
 )
 
-BACKENDS = ["numpy"] + (["numba"] if HAS_NUMBA else [])
+LAYOUTS = ["numpy", "nhwc"]
+
+# The conv estimator's decoder stages: (c_in, c_out, input height, width).
+DECODER_SHAPES = [(128, 64, 2, 11), (128, 32, 3, 24), (64, 16, 4, 50),
+                  (32, 1, 5, 102)]
 
 
-@pytest.fixture(autouse=True)
-def restore_backend():
-    yield
-    set_backend(None)
+def in_layout(x, layout):
+    """x with the same logical shape and values, stored in `layout`."""
+    if layout == "numpy":
+        return np.ascontiguousarray(x)
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
 
 def conv2d_loops(x, w, stride):
@@ -62,65 +65,102 @@ def deconv2d_loops(x, w, stride):
     return out
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("stride", [(1, 1), (1, 2), (2, 3)])
-def test_conv2d_matches_loop_oracle(backend, stride):
-    set_backend(backend)
+def test_conv2d_matches_loop_oracle(layout, stride):
     rng = np.random.default_rng(90)
     x = rng.standard_normal((2, 3, 9, 11))
     w = rng.standard_normal((4, 3, 2, 3))
-    got = conv2d(x, w, stride)
+    got = conv2d(in_layout(x, layout), w, stride)
     assert np.allclose(got, conv2d_loops(x, w, stride), atol=1e-12)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("stride", [(1, 1), (1, 2), (2, 2)])
-def test_deconv2d_matches_loop_oracle(backend, stride):
-    set_backend(backend)
+def test_deconv2d_matches_loop_oracle(layout, stride):
     rng = np.random.default_rng(91)
     x = rng.standard_normal((2, 4, 5, 6))
     w = rng.standard_normal((4, 3, 2, 3))
-    got = deconv2d(x, w, stride)
+    got = deconv2d(in_layout(x, layout), w, stride)
     assert np.allclose(got, deconv2d_loops(x, w, stride), atol=1e-12)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_conv_adjointness(backend):
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("shape", DECODER_SHAPES)
+def test_decoder_shapes_match_loop_oracles(layout, shape):
+    """Each decoder stage's deconv forward, and the conv forward that serves
+    as its input gradient, at the stage's own channel counts."""
+    c_in, c_out, h, wd = shape
+    rng = np.random.default_rng(96)
+    stride = (1, 2)
+    x = rng.standard_normal((2, c_in, h, wd))
+    w = rng.standard_normal((c_in, c_out, 2, 3))
+    y = deconv2d(in_layout(x, layout), w, stride)
+    assert np.allclose(y, deconv2d_loops(x, w, stride), atol=1e-11)
+    gy = rng.standard_normal(y.shape)
+    gx = deconv2d_grad_input(in_layout(gy, layout), w, stride)
+    assert np.allclose(gx, conv2d_loops(gy, w, stride), atol=1e-11)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_conv_adjointness(layout):
     """<conv(x), gy> must equal <x, grad_input(gy)>: the backward pass is the
     exact adjoint of the forward map, not an approximation of it."""
-    set_backend(backend)
     rng = np.random.default_rng(92)
     stride = (1, 2)
     x = rng.standard_normal((3, 2, 7, 12))
     w = rng.standard_normal((5, 2, 2, 3))
-    y = conv2d(x, w, stride)
+    y = conv2d(in_layout(x, layout), w, stride)
     gy = rng.standard_normal(y.shape)
-    gx = conv2d_grad_input(gy, w, stride, (7, 12))
+    gx = conv2d_grad_input(in_layout(gy, layout), w, stride, (7, 12))
     assert np.allclose(np.sum(y * gy), np.sum(x * gx), rtol=1e-12)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_deconv_adjointness(backend):
-    set_backend(backend)
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_deconv_adjointness(layout):
     rng = np.random.default_rng(93)
     stride = (1, 2)
     x = rng.standard_normal((2, 4, 6, 5))
     w = rng.standard_normal((4, 3, 2, 3))
-    y = deconv2d(x, w, stride)
+    y = deconv2d(in_layout(x, layout), w, stride)
     gy = rng.standard_normal(y.shape)
-    gx = deconv2d_grad_input(gy, w, stride)
+    gx = deconv2d_grad_input(in_layout(gy, layout), w, stride)
     assert np.allclose(np.sum(y * gy), np.sum(x * gx), rtol=1e-12)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_weight_grad_matches_finite_difference_direction(backend):
-    set_backend(backend)
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("shape", DECODER_SHAPES)
+def test_decoder_shapes_adjointness(layout, shape):
+    """Both maps of a decoder stage are linear in the input and in the
+    weights, so each gradient is an exact adjoint: <deconv(x, w), gy> equals
+    <x, grad_input(gy)> and, for a weight direction d, <deconv(x, d), gy>
+    equals <grad_weights(x, gy), d>."""
+    c_in, c_out, h, wd = shape
+    rng = np.random.default_rng(97)
+    stride = (1, 2)
+    x = rng.standard_normal((3, c_in, h, wd))
+    w = rng.standard_normal((c_in, c_out, 2, 3))
+    y = deconv2d(in_layout(x, layout), w, stride)
+    gy = rng.standard_normal(y.shape)
+    gx = deconv2d_grad_input(in_layout(gy, layout), w, stride)
+    assert np.isclose(np.sum(y * gy), np.sum(x * gx), rtol=1e-12)
+    d = rng.standard_normal(w.shape)
+    gw = deconv2d_grad_weights(in_layout(x, layout), in_layout(gy, layout),
+                               stride, (2, 3))
+    assert gw.shape == w.shape
+    assert np.isclose(np.sum(deconv2d(x, d, stride) * gy), np.sum(gw * d),
+                      rtol=1e-12)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_weight_grad_matches_finite_difference_direction(layout):
     rng = np.random.default_rng(94)
     stride = (1, 2)
     x = rng.standard_normal((2, 3, 6, 9))
     w = rng.standard_normal((4, 3, 2, 3))
     gy = rng.standard_normal(conv2d(x, w, stride).shape)
-    gw = conv2d_grad_weights(x, gy, stride, (2, 3))
+    gw = conv2d_grad_weights(in_layout(x, layout), in_layout(gy, layout),
+                             stride, (2, 3))
     direction = rng.standard_normal(w.shape)
     h = 1e-6
     lhs = (np.sum(conv2d(x, w + h * direction, stride) * gy)
@@ -128,43 +168,21 @@ def test_weight_grad_matches_finite_difference_direction(backend):
     assert np.isclose(lhs, np.sum(gw * direction), rtol=1e-6)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_deconv_weight_grad_direction(backend):
-    set_backend(backend)
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_deconv_weight_grad_direction(layout):
     rng = np.random.default_rng(95)
     stride = (1, 2)
     x = rng.standard_normal((2, 4, 5, 6))
     w = rng.standard_normal((4, 3, 2, 3))
     gy = rng.standard_normal(deconv2d(x, w, stride).shape)
-    gw = deconv2d_grad_weights(x, gy, stride, (2, 3))
+    gw = deconv2d_grad_weights(in_layout(x, layout), in_layout(gy, layout),
+                               stride, (2, 3))
     assert gw.shape == w.shape
     direction = rng.standard_normal(w.shape)
     h = 1e-6
     lhs = (np.sum(deconv2d(x, w + h * direction, stride) * gy)
            - np.sum(deconv2d(x, w - h * direction, stride) * gy)) / (2 * h)
     assert np.isclose(lhs, np.sum(gw * direction), rtol=1e-6)
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-def test_backends_agree_on_ced_sized_shapes():
-    rng = np.random.default_rng(96)
-    cases = [
-        ((4, 1, 6, 205), (16, 1, 2, 3), (1, 2)),
-        ((4, 16, 5, 102), (32, 16, 2, 3), (1, 2)),
-        ((4, 64, 3, 24), (128, 64, 2, 3), (1, 2)),
-    ]
-    for xs, ws, stride in cases:
-        x = rng.standard_normal(xs)
-        w = rng.standard_normal(ws)
-        set_backend("numpy")
-        ref = conv2d(x, w, stride)
-        gy = rng.standard_normal(ref.shape)
-        ref_gx = conv2d_grad_input(gy, w, stride, xs[2:])
-        ref_gw = conv2d_grad_weights(x, gy, stride, ws[2:])
-        set_backend("numba")
-        assert np.allclose(conv2d(x, w, stride), ref, atol=1e-9)
-        assert np.allclose(conv2d_grad_input(gy, w, stride, xs[2:]), ref_gx, atol=1e-9)
-        assert np.allclose(conv2d_grad_weights(x, gy, stride, ws[2:]), ref_gw, atol=1e-9)
 
 
 def test_kernel_too_large_rejected():
@@ -179,24 +197,3 @@ def test_scatter_output_too_small_rejected():
     w = np.zeros((1, 1, 2, 2))
     with pytest.raises(ConfigError):
         kernels.scatter(x, w, (2, 2), (4, 4))
-
-
-def test_set_backend_validation():
-    with pytest.raises(ConfigError):
-        set_backend("fortran")
-    set_backend("numpy")
-    assert active_backend() == "numpy"
-
-
-def test_env_flag_selects_backend():
-    code = (
-        "from maskpf.nn.kernels import active_backend; print(active_backend())"
-    )
-    env = dict(os.environ, MASKPF_BACKEND="numpy")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env)
-    assert out.stdout.strip() == "numpy"
-    env = dict(os.environ, MASKPF_BACKEND="bogus")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env)
-    assert out.returncode != 0

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from maskpf.errors import ConfigError
-from maskpf.nn.kernels import set_backend
 from maskpf.nn.layers import (
     BatchNorm,
     Conv2d,
@@ -23,13 +22,6 @@ from maskpf.nn.layers import (
     Sequential,
     zero_grads,
 )
-
-
-@pytest.fixture(autouse=True)
-def numpy_backend():
-    set_backend("numpy")
-    yield
-    set_backend(None)
 
 
 def numeric_input_grad(layer, x, gy, train=True, h=1e-6, reseed=None):
@@ -111,6 +103,29 @@ def test_relu_and_elu_pointwise():
     rng = np.random.default_rng(102)
     check_input_grad(Relu(), rng.standard_normal((3, 7)) + 0.1, seed=3)
     check_input_grad(Elu(), rng.standard_normal((3, 7)), seed=4)
+
+
+def test_elu_and_batchnorm_leave_the_callers_array_unchanged():
+    rng = np.random.default_rng(111)
+    x4 = rng.standard_normal((3, 2, 4, 5))
+    nhwc = np.ascontiguousarray(x4.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    for x in (x4, nhwc, rng.standard_normal((6, 2))):
+        before = x.copy()
+        for layer in (Elu(), BatchNorm(2)):
+            layer.forward(x, train=False)
+            layer.forward(x, train=True)
+            layer.backward(x)
+            assert np.array_equal(x, before), type(layer).__name__
+
+
+def test_inplace_elu_matches_and_overwrites_its_input():
+    rng = np.random.default_rng(112)
+    x = rng.standard_normal((3, 2, 4, 5))
+    want = Elu().forward(x)
+    buf = x.copy()
+    got = Elu(inplace=True).forward(buf, train=True)
+    assert got is buf
+    assert np.array_equal(got, want)
 
 
 def test_scaled_sigmoid_range_and_grad():

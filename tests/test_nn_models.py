@@ -5,7 +5,6 @@ import pytest
 
 from helpers_grad import model_grad_check
 from maskpf.errors import ConfigError, DataError
-from maskpf.nn.kernels import set_backend
 from maskpf.nn.models import (
     MASK_SCALE,
     MODEL_KINDS,
@@ -13,16 +12,6 @@ from maskpf.nn.models import (
     CedModel,
     build_model,
 )
-
-pytestmark = pytest.mark.usefixtures("numpy_backend")
-
-
-@pytest.fixture
-def numpy_backend():
-    set_backend("numpy")
-    yield
-    set_backend(None)
-
 
 def test_fcnn_parameter_count_is_exact():
     """840704 + 4096 + 1049600 + 4096 + 210125, batch norm counted as four
@@ -63,6 +52,17 @@ def test_ced_encoder_shape_chain():
         assert h.shape == shape, name
     out = model.forward(x, train=False)
     assert out.shape == (3, 205)
+
+
+def test_ced_eval_output_does_not_depend_on_infer_batch_size():
+    rng = np.random.default_rng(136)
+    model = build_model("ced", seed=13)
+    # give batch norm non-trivial running statistics
+    model.forward(rng.standard_normal((8, 1, 6, 205)), train=True)
+    x = rng.standard_normal((300, 1, 6, 205))
+    ref = model.infer(x, batch_size=256)
+    for batch_size in (1, 32):
+        assert np.array_equal(model.infer(x, batch_size=batch_size), ref), batch_size
 
 
 def test_outputs_live_inside_mask_range():

@@ -5,7 +5,6 @@ import pytest
 
 from maskpf.errors import ConfigError, DataError, NumericError
 from maskpf.nn.adam import Adam
-from maskpf.nn.kernels import set_backend
 from maskpf.nn.loss import LOSS_EPS, logmag_mse
 from maskpf.nn.models import build_model
 from maskpf.nn.train import (
@@ -14,13 +13,6 @@ from maskpf.nn.train import (
     TrainConfig,
     train_model,
 )
-
-
-@pytest.fixture(autouse=True)
-def numpy_backend():
-    set_backend("numpy")
-    yield
-    set_backend(None)
 
 
 def test_loss_zero_when_masks_agree():
@@ -110,6 +102,34 @@ def test_adam_two_steps_match_reference_formula():
         v_hat = v / (1 - 0.999**t)
         ref -= 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
     assert np.allclose(p, ref, atol=1e-12)
+
+
+def test_adam_in_place_update_is_bit_identical_to_expression_form():
+    """The scratch-buffer update performs the operations of the textbook
+    expression in the same order, so several steps on a 2-D tensor, and a
+    smaller tensor sharing the scratch buffers, give the same bits."""
+    rng = np.random.default_rng(144)
+    params = {"w": rng.standard_normal((7, 5)), "b": rng.standard_normal(3)}
+    start = {k: v.copy() for k, v in params.items()}
+    opt = Adam(params, lr=3e-3, beta1=0.8, beta2=0.99, eps=1e-6)
+    grads = [{k: rng.standard_normal(v.shape) for k, v in params.items()}
+             for _ in range(4)]
+    for g in grads:
+        opt.step(g)
+
+    for key, p in start.items():
+        m = np.zeros_like(p)
+        v = np.zeros_like(p)
+        for t, g in enumerate(grads, 1):
+            gk = g[key]
+            m *= 0.8
+            m += (1.0 - 0.8) * gk
+            v *= 0.99
+            v += (1.0 - 0.99) * gk * gk
+            bc1 = 1.0 - 0.8**t
+            bc2 = 1.0 - 0.99**t
+            p -= 3e-3 * (m / bc1) / (np.sqrt(v / bc2) + 1e-6)
+        assert np.array_equal(params[key], p), key
 
 
 def test_adam_validation():
