@@ -40,7 +40,14 @@ from .degrade import (
     split_entries,
     surrogate_code,
 )
-from .dsp import AudioBuffer, band_limit, istft, level_normalize, stft
+from .dsp import (
+    DEFAULT_STFT,
+    AudioBuffer,
+    band_limit,
+    frame_count,
+    level_normalize,
+    stft_filter,
+)
 from .errors import ConfigError, DataError, MaskpfError
 from .features import analyze_pair, build_dataset, infer_mask, input_stats
 from .mask import (
@@ -274,16 +281,11 @@ def _analyze_worker(job):
 # ---------------------------------------------------------------- enhance --
 
 
-_WORKER_MODEL = None
-
-
 def _enhance_one(model, stats, coded: AudioBuffer) -> AudioBuffer:
-    spec = stft(coded)
-    mask = infer_mask(model, stats, spec)
-    out = istft(apply_mask(spec, mask))
-    padded = np.zeros(len(coded))
-    padded[: len(out)] = out.samples
-    return AudioBuffer(padded, label="enhanced")
+    def enhance(spec):
+        return apply_mask(spec, infer_mask(model, stats, spec))
+
+    return stft_filter(coded, enhance, label="enhanced")
 
 
 def _enhance_worker(job) -> str:
@@ -322,19 +324,24 @@ def cmd_enhance(args) -> int:
 
 
 def _eval_worker(job) -> list:
+    """Scores the samples that the utterance's full analysis frames cover,
+    the span an unpadded istft of them would return."""
     entry, manifest_dir, model_path = job
     model, stats, _ = load_model(model_path)
     clean, coded = resolve_pair(entry, manifest_dir)
-    pair = analyze_pair(clean, coded)
-    mask = infer_mask(model, stats, pair.coded_spec)
-    enhanced = istft(apply_mask(pair.coded_spec, mask))
-    n = len(enhanced)
-    clean_t = AudioBuffer(clean.samples[:n])
-    coded_t = AudioBuffer(coded.samples[:n])
+    n = min(len(clean), len(coded))
+    n_frames = frame_count(n)
+    if n_frames < 1:
+        raise DataError(f"signal too short for analysis: {n} samples")
+    scored = (n_frames - 1) * DEFAULT_STFT.hop + DEFAULT_STFT.frame_len
+    enhanced = _enhance_one(model, stats, AudioBuffer(coded.samples[:n]))
+    clean_t = AudioBuffer(clean.samples[:scored])
+    coded_t = AudioBuffer(coded.samples[:scored])
+    enhanced_t = AudioBuffer(enhanced.samples[:scored])
     lsd_coded = log_spectral_distance(clean_t, coded_t)
-    lsd_enh = log_spectral_distance(clean_t, enhanced)
+    lsd_enh = log_spectral_distance(clean_t, enhanced_t)
     seg_coded = segmental_snr(clean_t, coded_t)
-    seg_enh = segmental_snr(clean_t, enhanced)
+    seg_enh = segmental_snr(clean_t, enhanced_t)
     return [entry.clean, lsd_coded, lsd_enh, lsd_coded - lsd_enh,
             seg_coded, seg_enh]
 

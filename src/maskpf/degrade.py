@@ -31,13 +31,11 @@ from .dsp import (
     Spectrogram,
     StftConfig,
     band_limit,
-    istft,
     level_normalize,
-    stft,
+    stft_filter,
 )
 from .errors import ConfigError, DataError
 
-_PAD = 512
 _TILT_EDGE_HZ = 6400.0
 
 
@@ -115,31 +113,24 @@ def surrogate_code(buf: AudioBuffer, profile: DegradeProfile,
                    cfg: StftConfig = DEFAULT_STFT) -> AudioBuffer:
     """Apply the surrogate degradation; output matches the input length.
 
-    The signal is zero-padded by a frame on both sides before analysis so
-    every real sample sits under complete window overlap, then cropped back.
+    The coding runs through `stft_filter`, so every real sample sits under
+    complete window overlap.
     """
-    x = buf.samples
-    padded = AudioBuffer(np.concatenate([np.zeros(_PAD), x, np.zeros(_PAD)]),
-                         label=buf.label)
-    spec = stft(padded, cfg)
-    mags = np.abs(spec.frames)
-    log_mag = np.log(np.maximum(mags, LOG_FLOOR))
-
+    rng = _content_seed(profile, buf.samples)
     freqs = np.fft.rfftfreq(cfg.fft_len, 1.0 / SAMPLE_RATE)
     growth = 1.0 + profile.step_slope * freqs / freqs[-1]
     step = profile.step_base * growth
-    quantized = np.round(log_mag / step) * step
-
     hf_span = max(_TILT_EDGE_HZ - profile.hf_start_hz, 1.0)
     atten = profile.hf_max * np.clip((freqs - profile.hf_start_hz) / hf_span, 0.0, 1.0)
 
-    rng = _content_seed(profile, x)
-    jitter = rng.standard_normal(log_mag.shape) * (profile.jitter_sigma * growth)
+    def code(spec: Spectrogram) -> Spectrogram:
+        log_mag = np.log(np.maximum(np.abs(spec.frames), LOG_FLOOR))
+        quantized = np.round(log_mag / step) * step
+        jitter = rng.standard_normal(log_mag.shape) * (profile.jitter_sigma * growth)
+        gain = np.exp(quantized - atten + jitter - log_mag)
+        return Spectrogram(spec.frames * gain, cfg)
 
-    gain = np.exp(quantized - atten + jitter - log_mag)
-    out = istft(Spectrogram(spec.frames * gain, cfg), cfg)
-    y = out.samples[_PAD : _PAD + len(x)]
-    return AudioBuffer(y, label="coded")
+    return stft_filter(buf, code, cfg, label="coded")
 
 
 def align_pair(clean: AudioBuffer, coded: AudioBuffer,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import firwin
+from scipy.signal import firwin, oaconvolve
 
 from .errors import ConfigError, DataError
 
@@ -194,6 +194,24 @@ def istft(spec: Spectrogram, cfg: StftConfig = DEFAULT_STFT) -> AudioBuffer:
     return AudioBuffer(out, label="enhanced")
 
 
+def stft_filter(buf: AudioBuffer, modify, cfg: StftConfig = DEFAULT_STFT,
+                label: str | None = None) -> AudioBuffer:
+    """Analyze, modify and resynthesize a signal, edge to edge.
+
+    The signal is zero-padded by one frame on both sides before `stft`, so
+    every real sample sits under complete window overlap, and the `istft`
+    of `modify(spectrogram)` is cropped back to the input's span: a
+    `modify` that returns its argument reproduces the input at every
+    sample. The label defaults to the input's.
+    """
+    pad = np.zeros(cfg.frame_len)
+    padded = AudioBuffer(np.concatenate([pad, buf.samples, pad]),
+                         buf.sample_rate, buf.label)
+    out = istft(modify(stft(padded, cfg)), cfg)
+    y = out.samples[cfg.frame_len : cfg.frame_len + len(buf)]
+    return AudioBuffer(y, buf.sample_rate, buf.label if label is None else label)
+
+
 def log_magnitude(
     spec: Spectrogram, floor_eps: float = LOG_FLOOR, n_bins: int | None = None
 ) -> FeatureMatrix:
@@ -276,7 +294,7 @@ def band_limit(buf: AudioBuffer, cutoff_hz: float = 7000.0) -> AudioBuffer:
         raise ConfigError("only the 7 kHz speech band is supported")
     h = _band_limit_filter(*_BAND_LIMIT_EDGES, _BAND_LIMIT_TAPS)
     delay = (len(h) - 1) // 2
-    y = np.convolve(buf.samples, h)[delay : delay + len(buf)]
+    y = oaconvolve(buf.samples, h)[delay : delay + len(buf)]
     return AudioBuffer(y, label=buf.label)
 
 

@@ -5,6 +5,11 @@ estimator sees a causal context ending at the frame being predicted: the
 dense net a flat stack of 4 frames, the recurrent net a 10-step sequence,
 the conv net a 6-frame image. Frames before the start of the utterance
 are filled by repeating the first frame.
+
+Training data holds one window per frame (`model_inputs`, `build_dataset`).
+Inference takes the frames themselves (`infer_mask`): `Model.infer` builds
+the same windows block by block with the same builder, and the conv net
+computes its encoder once per frame rather than once per window.
 """
 
 from __future__ import annotations
@@ -26,7 +31,13 @@ from .dsp import (
 )
 from .errors import ConfigError, DataError
 from .mask import MaskConfig, MaskMatrix, compute_irm, modified_mask
-from .nn.models import CONTEXT_FRAMES, MODEL_KINDS
+from .nn.models import (
+    CONTEXT_FRAMES,
+    MODEL_KINDS,
+    context_windows,
+    pad_context,
+    window_inputs,
+)
 from .nn.train import Dataset
 
 
@@ -38,22 +49,14 @@ def context_history(features: np.ndarray, n_frames: int) -> np.ndarray:
     """
     if n_frames < 1:
         raise ConfigError("context must cover at least one frame")
-    t_len = features.shape[0]
-    idx = np.arange(t_len)[:, None] + np.arange(-n_frames + 1, 1)[None, :]
-    return features[np.maximum(idx, 0)]
+    return context_windows(pad_context(features, n_frames), n_frames)
 
 
 def model_inputs(kind: str, features: np.ndarray) -> np.ndarray:
     """Window normalized features into the shape one estimator consumes."""
     if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown estimator kind {kind!r}")
-    hist = context_history(features, CONTEXT_FRAMES[kind])
-    t_len = hist.shape[0]
-    if kind == "fcnn":
-        return hist.reshape(t_len, -1)
-    if kind == "lstm":
-        return hist
-    return hist[:, None, :, :]  # (T, 1, frames, bins)
+    return window_inputs(kind, pad_context(features, CONTEXT_FRAMES[kind]))
 
 
 @dataclass
@@ -112,8 +115,12 @@ def build_dataset(
 
 
 def infer_mask(model, stats: NormStats, coded_spec: Spectrogram,
-               batch_size: int = 256) -> MaskMatrix:
-    """Run one estimator over an utterance's degraded spectrogram."""
+               batch_size: int | None = None) -> MaskMatrix:
+    """Run one estimator over an utterance's degraded spectrogram.
+
+    The normalized frames go straight to `model.infer`, which builds the
+    context windows block by block; `batch_size` overrides the model's own
+    block size.
+    """
     feats = normalize(log_magnitude(coded_spec), stats).frames
-    x = model_inputs(model.kind, feats)
-    return MaskMatrix(model.infer(x, batch_size=batch_size))
+    return MaskMatrix(model.infer(feats, batch_size=batch_size))

@@ -72,14 +72,25 @@ class Lstm(Layer):
         else:
             mh = None
         self._mx, self._mh = mx, mh
-        self._steps = [] if train else None
+        # Time-major input, dropped out once; its projection is one GEMM and
+        # only the recurrent product h @ wh stays inside the time loop.
+        xs = x.transpose(1, 0, 2) if mx is None else x.transpose(1, 0, 2) * mx
+        xs = np.ascontiguousarray(xs)
+        ax = (xs.reshape(-1, d) @ self.wx).reshape(t_len, n, 4 * h)
+        ax += self.b
+        if train:
+            self._xs = xs
+            self._hps = np.empty((t_len, n, h))
+            self._steps = []
+        else:
+            self._xs = self._hps = self._steps = None
         h_t = np.zeros((n, h))
         c_t = np.zeros((n, h))
         out = np.empty((n, t_len, h))
         for t in range(t_len):
-            xt = x[:, t] if mx is None else x[:, t] * mx
             hp = h_t if mh is None else h_t * mh
-            a = xt @ self.wx + hp @ self.wh + self.b
+            a = hp @ self.wh
+            a += ax[t]
             gi = _sigmoid(a[:, :h])
             gf = _sigmoid(a[:, h : 2 * h])
             gc = np.tanh(a[:, 2 * h : 3 * h])
@@ -90,29 +101,33 @@ class Lstm(Layer):
             h_t = go * tc
             out[:, t] = h_t
             if train:
-                self._steps.append((xt, hp, gi, gf, gc, go, c_prev, tc))
+                self._hps[t] = hp
+                self._steps.append((gi, gf, gc, go, c_prev, tc))
         return out
 
     def backward(self, gy):
         n, t_len, h = gy.shape
-        gx = np.empty((n, t_len, self.n_in))
+        # Gate gradients of every step; the weight and input gradients are
+        # one GEMM each over all of them after the loop.
+        da = np.empty((t_len, n, 4 * h))
         dh_next = np.zeros((n, h))
         dc_next = np.zeros((n, h))
         for t in range(t_len - 1, -1, -1):
-            xt, hp, gi, gf, gc, go, c_prev, tc = self._steps[t]
+            gi, gf, gc, go, c_prev, tc = self._steps[t]
             dh = gy[:, t] + dh_next
-            dgo = dh * tc * go * (1.0 - go)
             dc = dh * go * (1.0 - tc * tc) + dc_next
-            dgf = dc * c_prev * gf * (1.0 - gf)
-            dgi = dc * gc * gi * (1.0 - gi)
-            dgc = dc * gi * (1.0 - gc * gc)
-            da = np.concatenate([dgi, dgf, dgc, dgo], axis=1)
-            self.gwx += xt.T @ da
-            self.gwh += hp.T @ da
-            self.gb += da.sum(axis=0)
-            dxt = da @ self.wx.T
-            gx[:, t] = dxt if self._mx is None else dxt * self._mx
-            dhp = da @ self.wh.T
+            da[t, :, :h] = dc * gc * gi * (1.0 - gi)
+            da[t, :, h : 2 * h] = dc * c_prev * gf * (1.0 - gf)
+            da[t, :, 2 * h : 3 * h] = dc * gi * (1.0 - gc * gc)
+            da[t, :, 3 * h :] = dh * tc * go * (1.0 - go)
+            dhp = da[t] @ self.wh.T
             dh_next = dhp if self._mh is None else dhp * self._mh
             dc_next = dc * gf
-        return gx
+        da_rows = da.reshape(-1, 4 * h)
+        self.gwx += self._xs.reshape(-1, self.n_in).T @ da_rows
+        self.gwh += self._hps.reshape(-1, h).T @ da_rows
+        self.gb += np.einsum("mg->g", da_rows)
+        gx = (da_rows @ self.wx.T).reshape(t_len, n, self.n_in)
+        if self._mx is not None:
+            gx *= self._mx
+        return gx.transpose(1, 0, 2)

@@ -22,6 +22,7 @@ reconstructible from the layer shapes alone).
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..dsp import DEFAULT_STFT
 from ..errors import ConfigError, DataError
@@ -53,10 +54,42 @@ MASK_SCALE = 2.0
 REFERENCE_PARAM_COUNTS = {"fcnn": 2_108_621, "lstm": 1_468_120, "ced": 147_292}
 
 
+def pad_context(frames: np.ndarray, n_frames: int) -> np.ndarray:
+    """Left-pad (T, K) frames with n_frames - 1 copies of frame 0."""
+    return np.concatenate([np.repeat(frames[:1], n_frames - 1, axis=0), frames])
+
+
+def context_windows(rows: np.ndarray, n_frames: int) -> np.ndarray:
+    """Every window of n_frames consecutive rows, shape (R - n_frames + 1,
+    n_frames, K), oldest first."""
+    idx = np.arange(rows.shape[0] - n_frames + 1)[:, None] + np.arange(n_frames)
+    return rows[idx]
+
+
+def window_inputs(kind: str, rows: np.ndarray) -> np.ndarray:
+    """The inputs one estimator consumes, one per context window of
+    left-padded rows: a flat stack, a sequence, or a 1-channel image."""
+    hist = context_windows(rows, CONTEXT_FRAMES[kind])
+    if kind == "fcnn":
+        return hist.reshape(hist.shape[0], -1)
+    if kind == "lstm":
+        return hist
+    return hist[:, None, :, :]  # (T, 1, frames, bins)
+
+
+def _time_windows(h: np.ndarray, n_rows: int) -> np.ndarray:
+    """Every run of n_rows consecutive time rows of a (1, C, R, W) image as a
+    (R - n_rows + 1, C, n_rows, W) view of a fresh channels-last buffer."""
+    win = sliding_window_view(h[0].transpose(1, 2, 0), n_rows, axis=0)
+    return np.ascontiguousarray(win.transpose(0, 3, 1, 2)).transpose(0, 3, 1, 2)
+
+
 class Model:
-    """Shared plumbing: parameter namespaces, reseeding, counting."""
+    """Shared plumbing: parameter namespaces, reseeding, counting, and
+    block-wise inference."""
 
     kind: str = ""
+    infer_batch = 256  # frames per inference block
 
     def _layers(self) -> list[tuple[str, Layer]]:
         raise NotImplementedError
@@ -105,11 +138,32 @@ class Model:
     def backward(self, gy: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def infer(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Eval-mode forward in batches; returns stacked mask frames."""
-        outs = [self.forward(x[i : i + batch_size], train=False)
-                for i in range(0, x.shape[0], batch_size)]
-        return np.concatenate(outs, axis=0)
+    def infer(self, frames: np.ndarray, batch_size: int | None = None) -> np.ndarray:
+        """Eval-mode masks (T, bins) for one utterance's normalized (T, bins)
+        features.
+
+        Frame t's mask comes from the causal window of `context_frames`
+        frames ending at t, with frame 0 repeated before the start, as
+        `window_inputs` builds it for training. The frames are walked in
+        blocks of `batch_size` (default `infer_batch`); each block's
+        `batch_size + context_frames - 1` padded rows go to `_infer_rows`,
+        so working memory is bounded by the block, not the utterance.
+        """
+        if batch_size is None:
+            batch_size = self.infer_batch
+        if batch_size < 1:
+            raise ConfigError("infer batch size must be at least 1")
+        frames = np.asarray(frames, dtype=np.float64)
+        if frames.ndim != 2 or frames.shape[0] < 1:
+            raise ConfigError("infer expects (T, bins) frames with T >= 1")
+        span = batch_size + self.context_frames - 1
+        rows = pad_context(frames, self.context_frames)
+        return np.concatenate([self._infer_rows(rows[i : i + span])
+                               for i in range(0, frames.shape[0], batch_size)])
+
+    def _infer_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Masks for every full context window of consecutive padded rows."""
+        return self.forward(window_inputs(self.kind, rows), train=False)
 
 
 class FcnnModel(Model):
@@ -187,9 +241,15 @@ class CedModel(Model):
     Activations live in channels-last (N, H, W, C) buffers passed between
     layers as (N, C, H, W) views; every buffer after the first conv is one
     this model allocated, so its ELUs run in place.
+
+    Inference shares the encoder across overlapping windows (see
+    `_infer_rows`); its blocks are smaller than the other kinds' because
+    the decoder's channels-last activations and im2col matrices outgrow
+    the cache at the default 256 windows.
     """
 
     kind = "ced"
+    infer_batch = 32
 
     def __init__(self, rng: np.random.Generator, n_bins: int = N_BINS):
         k, s = (2, 3), (1, 2)
@@ -218,11 +278,20 @@ class CedModel(Model):
     def forward(self, x, train=False):
         if x.ndim != 4 or x.shape[1] != 1:
             raise ConfigError("conv estimator expects (N, 1, T, F) input")
-        skips = []
+        enc = self._encode(x, train)
+        return self._decode(enc[3], enc[:3], train)
+
+    def _encode(self, x, train):
+        """The four encoder outputs, enc1 first."""
+        outs = []
         h = x
         for _, conv, bn, act in self.enc:
             h = act.forward(bn.forward(conv.forward(h, train), train), train)
-            skips.append(h)
+            outs.append(h)
+        return outs
+
+    def _decode(self, h, skips, train):
+        """Decoder, skip concatenation and head from the enc4 output."""
         # decoder pairs with encoder outputs 3, 2, 1 (0-indexed 2, 1, 0)
         self._skip_channels = []
         for i, (_, conv, bn, act) in enumerate(self.dec):
@@ -238,6 +307,20 @@ class CedModel(Model):
         y = self.head.forward(h, train)
         n = y.shape[0]
         return self.sig.forward(y.reshape(n, -1), train)
+
+    def _infer_rows(self, rows):
+        """The encoder runs once over all rows, the decoder once per window.
+
+        The encoder convs have time stride 1 and a 2-row kernel, and in eval
+        mode batch norm and ELU act row by row, so the enc-k output of
+        window j is rows j .. j + 5 - k of the enc-k output of the whole
+        (1, 1, R, bins) image: each row is computed once instead of once
+        per window that holds it.
+        """
+        n = rows.shape[0] - self.context_frames + 1
+        enc = self._encode(rows[None, None], False)
+        wins = [_time_windows(h, h.shape[2] - n + 1) for h in enc]
+        return self._decode(wins[3], wins[:3], False)
 
     def backward(self, gy):
         n = gy.shape[0]

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from maskpf.audio_io import read_wav
-from maskpf.cli import main
+from maskpf.cli import _enhance_one, main
+from maskpf.degrade import load_manifest, resolve_pair, split_entries
+from maskpf.dsp import AudioBuffer, NormStats
+from maskpf.metrics import log_spectral_distance, segmental_snr
+from maskpf.nn.io import save_model
+from maskpf.nn.models import MODEL_KINDS, N_BINS, build_model
+from maskpf.nn.train import TrainConfig
 
 
 def read_rows(path):
@@ -211,6 +217,57 @@ def test_eval_reports(tmp_path, manifest_path, trained_dir, capsys):
                - per_utt[:, 2].mean()) < 1e-5
     for r in rows[1:]:
         assert abs(float(r[2]) - float(r[3]) - float(r[4])) < 2e-6
+
+
+def identity_model(kind):
+    """A model whose last layer is zero: the scaled sigmoid outputs exactly
+    1, so the mask is the identity."""
+    model = build_model(kind, seed=0)
+    params = model.params()
+    last = list(params)[-1].rsplit(".", 1)[0]
+    for name, arr in params.items():
+        if name.rsplit(".", 1)[0] == last:
+            arr[...] = 0.0
+    return model, NormStats(np.zeros(N_BINS), np.ones(N_BINS))
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_identity_mask_enhance_reproduces_every_sample(kind):
+    """Noise with energy at both ends, lengths off the 256-sample hop grid."""
+    model, stats = identity_model(kind)
+    rng = np.random.default_rng(40)
+    for n in (1000, 16100):
+        x = rng.standard_normal(n) * 0.3
+        out = _enhance_one(model, stats, AudioBuffer(x, label="coded"))
+        assert out.label == "enhanced"
+        assert out.samples.shape == (n,)
+        np.testing.assert_allclose(out.samples, x, rtol=0, atol=1e-9)
+
+
+def test_identity_mask_eval_credits_nothing(tmp_path, manifest_path):
+    """Eval scores the span the full frames cover; the coded-side figures
+    are those of that span, and an identity filter improves on them by
+    nothing."""
+    model, stats = identity_model("fcnn")
+    path = str(tmp_path / "identity.mpf1")
+    save_model(path, model, stats, TrainConfig(kind="fcnn", seed=0))
+    out = tmp_path / "eval"
+    assert main(["eval", "--manifest", manifest_path, "--out-dir", str(out),
+                 "--split", "val", "--model", path]) == 0
+    rows = read_rows(out / "eval_utterances.csv")[1:]
+    entries = split_entries(load_manifest(manifest_path), "val")
+    assert len(rows) == len(entries) == 2
+    for row, entry in zip(rows, entries):
+        clean, coded = resolve_pair(entry, os.path.dirname(manifest_path))
+        n = min(len(clean), len(coded))
+        span = ((n - 512) // 256) * 256 + 512
+        ref = AudioBuffer(clean.samples[:span])
+        deg = AudioBuffer(coded.samples[:span])
+        assert float(row[2]) == pytest.approx(log_spectral_distance(ref, deg), abs=1e-6)
+        assert float(row[5]) == pytest.approx(segmental_snr(ref, deg), abs=1e-6)
+        assert float(row[3]) == pytest.approx(float(row[2]), abs=1e-6)
+        assert float(row[4]) == 0.0
+        assert float(row[6]) == pytest.approx(float(row[5]), abs=1e-6)
 
 
 def test_eval_jobs_parity(tmp_path, manifest_path, trained_dir):

@@ -24,6 +24,7 @@ from maskpf.dsp import (
     real_cepstrum,
     sqrt_hann,
     stft,
+    stft_filter,
 )
 from maskpf.errors import ConfigError, DataError
 
@@ -171,6 +172,35 @@ def test_band_limit_preserves_length_and_alignment():
     body = slice(1600, -1600)
     lag = np.argmax(np.correlate(twice.samples[body], out.samples[body], "full"))
     assert lag == len(out.samples[body]) - 1
+
+
+def test_band_limit_matches_direct_convolution():
+    """Overlap-add convolution against the direct full convolution, same
+    group-delay crop."""
+    from maskpf.dsp import _BAND_LIMIT_EDGES, _BAND_LIMIT_TAPS, _band_limit_filter
+
+    rng = np.random.default_rng(9)
+    h = _band_limit_filter(*_BAND_LIMIT_EDGES, _BAND_LIMIT_TAPS)
+    delay = (len(h) - 1) // 2
+    for n in (100, 1537, 16100):
+        x = rng.standard_normal(n) * 0.3
+        ref = np.convolve(x, h)[delay : delay + n]
+        out = band_limit(AudioBuffer(x)).samples
+        assert out.shape == (n,)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+
+
+def test_stft_filter_identity_reproduces_every_sample():
+    """Noise with full energy up to both edges, lengths off the hop grid."""
+    rng = np.random.default_rng(10)
+    for n in (300, 513, 1001, 16100):
+        x = rng.standard_normal(n) * 0.3
+        out = stft_filter(AudioBuffer(x, label="coded"), lambda spec: spec)
+        assert out.label == "coded"
+        assert out.samples.shape == (n,)
+        np.testing.assert_allclose(out.samples, x, rtol=0, atol=1e-9)
+    relabeled = stft_filter(AudioBuffer(x), lambda spec: spec, label="enhanced")
+    assert relabeled.label == "enhanced"
 
 
 def test_level_normalize_hits_target():

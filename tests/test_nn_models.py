@@ -5,12 +5,16 @@ import pytest
 
 from helpers_grad import model_grad_check
 from maskpf.errors import ConfigError, DataError
+from maskpf.features import model_inputs
+from maskpf.nn.lstm import Lstm
 from maskpf.nn.models import (
+    CONTEXT_FRAMES,
     MASK_SCALE,
     MODEL_KINDS,
     REFERENCE_PARAM_COUNTS,
     CedModel,
     build_model,
+    window_inputs,
 )
 
 def test_fcnn_parameter_count_is_exact():
@@ -54,15 +58,100 @@ def test_ced_encoder_shape_chain():
     assert out.shape == (3, 205)
 
 
-def test_ced_eval_output_does_not_depend_on_infer_batch_size():
-    rng = np.random.default_rng(136)
-    model = build_model("ced", seed=13)
-    # give batch norm non-trivial running statistics
-    model.forward(rng.standard_normal((8, 1, 6, 205)), train=True)
-    x = rng.standard_normal((300, 1, 6, 205))
-    ref = model.infer(x, batch_size=256)
+def _with_running_stats(kind, seed, rng):
+    """A model whose batch norms hold non-trivial running statistics."""
+    model = build_model(kind, seed=seed)
+    if kind != "lstm":
+        x = window_inputs(kind, rng.standard_normal((8 + CONTEXT_FRAMES[kind] - 1, 205)))
+        model.forward(x * 1.5 + 0.3, train=True)
+    return model
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_infer_on_frames_matches_forward_on_windows(kind):
+    rng = np.random.default_rng(137)
+    model = _with_running_stats(kind, 14, rng)
+    for t_len in (1, 5, 33, 300):
+        frames = rng.standard_normal((t_len, 205))
+        ref = model.forward(model_inputs(kind, frames), train=False)
+        got = model.infer(frames)
+        assert got.shape == (t_len, 205)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12, err_msg=str(t_len))
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_infer_block_size_does_not_change_masks(kind):
+    rng = np.random.default_rng(138)
+    model = _with_running_stats(kind, 15, rng)
+    frames = rng.standard_normal((300, 205))
+    ref = model.infer(frames, batch_size=256)
     for batch_size in (1, 32):
-        assert np.array_equal(model.infer(x, batch_size=batch_size), ref), batch_size
+        np.testing.assert_allclose(model.infer(frames, batch_size=batch_size), ref,
+                                   rtol=0, atol=1e-12, err_msg=str(batch_size))
+
+
+def test_ced_eval_output_does_not_depend_on_infer_batch_size():
+    """Bit-identical for every block size; the shared encoder sees one
+    image per block, the decoder one batch of windows."""
+    rng = np.random.default_rng(136)
+    model = _with_running_stats("ced", 13, rng)
+    frames = rng.standard_normal((300, 205))
+    ref = model.infer(frames, batch_size=256)
+    for batch_size in (1, 32, 300, 1000):
+        assert np.array_equal(model.infer(frames, batch_size=batch_size), ref), batch_size
+
+
+def test_infer_rejects_windows_and_empty_input():
+    model = build_model("fcnn", seed=16)
+    with pytest.raises(ConfigError):
+        model.infer(np.zeros((4, 6, 205)))
+    with pytest.raises(ConfigError):
+        model.infer(np.zeros((0, 205)))
+    with pytest.raises(ConfigError):
+        model.infer(np.zeros((4, 205)), batch_size=0)
+
+
+def test_lstm_matches_a_step_by_step_reference():
+    """The hoisted input projection and the after-the-loop weight GEMMs give
+    the per-step recurrence's outputs and gradients (no dropout)."""
+    rng = np.random.default_rng(139)
+    layer = Lstm(7, 5, rng)
+    x = rng.standard_normal((3, 4, 7))
+    gy = rng.standard_normal((3, 4, 5))
+    y = layer.forward(x, train=True)
+    layer.gwx[...] = layer.gwh[...] = layer.gb[...] = 0.0
+    gx = layer.backward(gy)
+
+    def sig(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    h, c = np.zeros((3, 5)), np.zeros((3, 5))
+    steps, ref_y = [], np.empty_like(y)
+    for t in range(4):
+        a = x[:, t] @ layer.wx + h @ layer.wh + layer.b
+        gi, gf, gc, go = sig(a[:, :5]), sig(a[:, 5:10]), np.tanh(a[:, 10:15]), sig(a[:, 15:])
+        steps.append((h, c, gi, gf, gc, go))
+        c = gf * c + gi * gc
+        h = go * np.tanh(c)
+        ref_y[:, t] = h
+    np.testing.assert_allclose(y, ref_y, rtol=0, atol=1e-14)
+    gwx, gwh, gb = np.zeros_like(layer.wx), np.zeros_like(layer.wh), np.zeros_like(layer.b)
+    ref_gx = np.empty_like(x)
+    dh_next, dc_next = np.zeros((3, 5)), np.zeros((3, 5))
+    for t in range(3, -1, -1):
+        hp, c_prev, gi, gf, gc, go = steps[t]
+        tc = np.tanh(gf * c_prev + gi * gc)
+        dh = gy[:, t] + dh_next
+        dc = dh * go * (1 - tc**2) + dc_next
+        da = np.concatenate([dc * gc * gi * (1 - gi), dc * c_prev * gf * (1 - gf),
+                             dc * gi * (1 - gc**2), dh * tc * go * (1 - go)], axis=1)
+        gwx += x[:, t].T @ da
+        gwh += hp.T @ da
+        gb += da.sum(axis=0)
+        ref_gx[:, t] = da @ layer.wx.T
+        dh_next, dc_next = da @ layer.wh.T, dc * gf
+    for got, ref in ((gx, ref_gx), (layer.gwx, gwx), (layer.gwh, gwh), (layer.gb, gb)):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13)
 
 
 def test_outputs_live_inside_mask_range():
