@@ -14,6 +14,11 @@ arguments and package version; no timestamps) into --out-dir. A JSON
 file passed as --config supplies defaults for the optional flags of the
 chosen subcommand; flags given on the command line win. Exit codes: 0
 ok, 2 bad configuration or arguments, 3 bad data, 4 numeric failure.
+
+Every command sends its per-file work through `_map_ordered`, with one
+worker function at every --jobs value. `enhance` and `eval` load the
+model once per process, in the parent first, so a bad model file fails
+with its own error before any worker starts.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -32,29 +38,24 @@ from . import __version__
 from .audio_io import read_wav, write_wav
 from .degrade import (
     PRESETS,
-    SURROGATE_PREFIX,
     ManifestEntry,
     get_profile,
+    load_clean,
     load_manifest,
     resolve_pair,
     split_entries,
     surrogate_code,
 )
-from .dsp import (
-    DEFAULT_STFT,
-    AudioBuffer,
-    band_limit,
-    frame_count,
-    level_normalize,
-    stft_filter,
-)
+from .dsp import DEFAULT_STFT, AudioBuffer, band_limit, frame_count, stft_filter
 from .errors import ConfigError, DataError, MaskpfError
 from .features import analyze_pair, build_dataset, infer_mask, input_stats
 from .mask import (
+    HISTOGRAM_LABELS,
     apply_mask,
     compute_irm,
     envelope_mask,
     mask_histogram,
+    oracle_sweep,
     time_domain_frames,
 )
 from .metrics import log_spectral_distance, lsd_from_mags, segmental_snr
@@ -68,15 +69,18 @@ def _ensure_out(path: str) -> str:
     return path
 
 
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def _write_header(out_dir: str, command: str, args: argparse.Namespace) -> None:
-    payload = {
+    _write_json(os.path.join(out_dir, "run_header.json"), {
         "command": command,
         "args": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "package_version": __version__,
-    }
-    with open(os.path.join(out_dir, "run_header.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    })
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -90,52 +94,65 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def _map_ordered(fn, items: list, jobs: int) -> list:
-    """Apply fn to items, optionally across processes; results keep the
-    input order regardless of completion order."""
-    if jobs <= 1 or len(items) <= 1:
+def _map_ordered(fn, items: list, jobs: int, init=None) -> list:
+    """Apply fn to items across at most `jobs` processes, in input order.
+
+    `init` runs once per process before fn: here first, so its errors
+    surface as themselves, then in each pool worker (an exception in a
+    pool initializer would only break the pool).
+    """
+    if init is not None:
+        init()
+    if jobs == 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items)),
+                             initializer=init) as pool:
         return list(pool.map(fn, items))
 
 
-def _load_split(args) -> tuple[list[ManifestEntry], str]:
-    entries = load_manifest(args.manifest)
-    selected = split_entries(entries, args.split)
+# The (model, stats) of the running enhance or eval command in this
+# process: `_use_model` sets it before any worker reads it, and `main`
+# empties it when the command returns, so no later command sees or keeps it.
+_MODEL = None
+
+
+def _use_model(path: str | None) -> None:
+    """Load the model file at path into this process's slot; None empties it."""
+    global _MODEL
+    _MODEL = None if path is None else load_model(path)[:2]
+
+
+def _load_split(args, split: str) -> tuple[list[ManifestEntry], str]:
+    selected = split_entries(load_manifest(args.manifest), split)
     if not selected:
-        raise DataError(f"manifest has no entries in split {args.split!r}")
+        raise DataError(f"manifest has no entries in split {split!r}")
     return selected, os.path.dirname(os.path.abspath(args.manifest))
+
+
+def _analyze_worker(job):
+    """Resolve and analyze the pair of an (entry, manifest_dir, ...) job."""
+    clean, coded = resolve_pair(job[0], job[1])
+    return clean, coded, analyze_pair(clean, coded)
 
 
 # ------------------------------------------------------------------ stats --
 
 
 def _stats_worker(job: tuple[ManifestEntry, str]) -> np.ndarray:
-    entry, manifest_dir = job
-    clean, coded = resolve_pair(entry, manifest_dir)
-    pair = analyze_pair(clean, coded)
+    _, _, pair = _analyze_worker(job)
     hist = mask_histogram([compute_irm(pair.clean_spec, pair.coded_spec)])
     return np.append(hist.counts, hist.total)
 
 
-def _source_key(entry: ManifestEntry) -> str:
-    """Group label for a pair: the surrogate preset name, or "file"."""
-    if entry.coded.startswith(SURROGATE_PREFIX):
-        return entry.coded[len(SURROGATE_PREFIX):]
-    return "file"
-
-
 def cmd_stats(args) -> int:
-    entries, manifest_dir = _load_split(args)
+    entries, manifest_dir = _load_split(args, args.split)
     out_dir = _ensure_out(args.out_dir)
     results = _map_ordered(
         _stats_worker, [(e, manifest_dir) for e in entries], args.jobs)
-    from .mask import HISTOGRAM_LABELS
-
     groups: dict[str, np.ndarray] = {}
     members: dict[str, int] = {}
     for entry, result in zip(entries, results):
-        key = _source_key(entry)
+        key = entry.surrogate_preset() if entry.uses_surrogate() else "file"
         groups[key] = groups.get(key, 0) + result
         members[key] = members.get(key, 0) + 1
     rows = []
@@ -173,11 +190,11 @@ def _parse_bounds(text: str) -> list[float]:
 
 
 def cmd_oracle(args) -> int:
-    entries, manifest_dir = _load_split(args)
+    entries, manifest_dir = _load_split(args, args.split)
     bounds = _parse_bounds(args.bounds)
     out_dir = _ensure_out(args.out_dir)
     jobs = [(e, manifest_dir, bounds, args.envelope) for e in entries]
-    results = _map_ordered(_oracle_worker_full, jobs, args.jobs)
+    results = _map_ordered(_oracle_worker, jobs, args.jobs)
     stacked = np.array(results)
     means = stacked.mean(axis=0)
     labels = [("inf" if np.isinf(b) else f"{b:g}") for b in bounds]
@@ -191,19 +208,15 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _oracle_worker_full(job) -> list[float]:
-    entry, manifest_dir, bounds, with_envelope = job
-    clean, coded = resolve_pair(entry, manifest_dir)
-    pair = analyze_pair(clean, coded)
-    from .mask import oracle_sweep
-
+def _oracle_worker(job) -> list[float]:
+    _, _, bounds, with_envelope = job
+    clean, coded, pair = _analyze_worker(job)
     sweep = oracle_sweep(pair.clean_spec, pair.coded_spec, tuple(bounds))
     values = [lsd for _, lsd in sweep]
     if with_envelope:
         n = pair.coded_spec.config.n_processed
-        length = min(len(clean), len(coded))
-        clean_td = time_domain_frames(clean.samples[:length])
-        coded_td = time_domain_frames(coded.samples[:length])
+        clean_td = time_domain_frames(clean.samples)
+        coded_td = time_domain_frames(coded.samples)
         emask = envelope_mask(
             pair.clean_spec, pair.coded_spec, clean_td, coded_td)
         enhanced = emask.values * pair.coded_spec.magnitudes(n)
@@ -216,19 +229,13 @@ def _oracle_worker_full(job) -> list[float]:
 
 
 def cmd_train(args) -> int:
-    entries = load_manifest(args.manifest)
-    train_entries = split_entries(entries, "train")
-    val_entries = split_entries(entries, "val")
-    if not train_entries or not val_entries:
-        raise DataError("training requires non-empty train and val splits")
-    manifest_dir = os.path.dirname(os.path.abspath(args.manifest))
+    train_entries, manifest_dir = _load_split(args, "train")
+    val_entries, _ = _load_split(args, "val")
     out_dir = _ensure_out(args.out_dir)
-    train_pairs = _map_ordered(_analyze_worker,
-                               [(e, manifest_dir) for e in train_entries],
-                               args.jobs)
-    val_pairs = _map_ordered(_analyze_worker,
-                             [(e, manifest_dir) for e in val_entries],
-                             args.jobs)
+    train_pairs, val_pairs = (
+        [pair for _, _, pair in _map_ordered(
+            _analyze_worker, [(e, manifest_dir) for e in entries], args.jobs)]
+        for entries in (train_entries, val_entries))
     stats = input_stats(train_pairs)
     config = TrainConfig(
         kind=args.kind,
@@ -262,20 +269,11 @@ def cmd_train(args) -> int:
         "train_examples": len(train_data),
         "val_examples": len(val_data),
     }
-    with open(os.path.join(out_dir, "train_summary.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "train_summary.json"), summary)
     _write_header(out_dir, "train", args)
     print(f"train: best epoch {result.best_epoch} "
           f"val_loss {result.best_val_loss:.6f} -> {model_path}")
     return 0
-
-
-def _analyze_worker(job):
-    entry, manifest_dir = job
-    clean, coded = resolve_pair(entry, manifest_dir)
-    return analyze_pair(clean, coded)
 
 
 # ---------------------------------------------------------------- enhance --
@@ -289,10 +287,9 @@ def _enhance_one(model, stats, coded: AudioBuffer) -> AudioBuffer:
 
 
 def _enhance_worker(job) -> str:
-    in_path, out_dir, model_path, fmt = job
-    model, stats, _ = load_model(model_path)
+    in_path, out_dir, fmt = job
     coded = band_limit(read_wav(in_path, label="coded"))
-    enhanced = _enhance_one(model, stats, coded)
+    enhanced = _enhance_one(*_MODEL, coded)
     stem = os.path.splitext(os.path.basename(in_path))[0]
     out_path = os.path.join(out_dir, f"{stem}.enhanced.wav")
     write_wav(out_path, enhanced, fmt)
@@ -301,19 +298,9 @@ def _enhance_worker(job) -> str:
 
 def cmd_enhance(args) -> int:
     out_dir = _ensure_out(args.out_dir)
-    jobs = [(p, out_dir, args.model, args.format) for p in args.inputs]
-    if args.jobs <= 1:
-        model, stats, _ = load_model(args.model)
-        written = []
-        for in_path in args.inputs:
-            coded = band_limit(read_wav(in_path, label="coded"))
-            enhanced = _enhance_one(model, stats, coded)
-            stem = os.path.splitext(os.path.basename(in_path))[0]
-            out_path = os.path.join(out_dir, f"{stem}.enhanced.wav")
-            write_wav(out_path, enhanced, args.format)
-            written.append(out_path)
-    else:
-        written = _map_ordered(_enhance_worker, jobs, args.jobs)
+    jobs = [(p, out_dir, args.format) for p in args.inputs]
+    written = _map_ordered(_enhance_worker, jobs, args.jobs,
+                           partial(_use_model, args.model))
     _write_header(out_dir, "enhance", args)
     for path in written:
         print(path)
@@ -323,18 +310,20 @@ def cmd_enhance(args) -> int:
 # ------------------------------------------------------------------- eval --
 
 
+EVAL_COLUMNS = ("lsd_coded_db", "lsd_enhanced_db", "lsd_improvement_db",
+                "segsnr_coded_db", "segsnr_enhanced_db")
+
+
 def _eval_worker(job) -> list:
     """Scores the samples that the utterance's full analysis frames cover,
     the span an unpadded istft of them would return."""
-    entry, manifest_dir, model_path = job
-    model, stats, _ = load_model(model_path)
+    entry, manifest_dir = job
     clean, coded = resolve_pair(entry, manifest_dir)
-    n = min(len(clean), len(coded))
-    n_frames = frame_count(n)
+    n_frames = frame_count(len(coded))
     if n_frames < 1:
-        raise DataError(f"signal too short for analysis: {n} samples")
+        raise DataError(f"signal too short for analysis: {len(coded)} samples")
     scored = (n_frames - 1) * DEFAULT_STFT.hop + DEFAULT_STFT.frame_len
-    enhanced = _enhance_one(model, stats, AudioBuffer(coded.samples[:n]))
+    enhanced = _enhance_one(*_MODEL, coded)
     clean_t = AudioBuffer(clean.samples[:scored])
     coded_t = AudioBuffer(coded.samples[:scored])
     enhanced_t = AudioBuffer(enhanced.samples[:scored])
@@ -347,29 +336,20 @@ def _eval_worker(job) -> list:
 
 
 def cmd_eval(args) -> int:
-    entries, manifest_dir = _load_split(args)
+    entries, manifest_dir = _load_split(args, args.split)
     out_dir = _ensure_out(args.out_dir)
-    jobs = [(e, manifest_dir, args.model) for e in entries]
-    rows = _map_ordered(_eval_worker, jobs, args.jobs)
+    rows = _map_ordered(_eval_worker, [(e, manifest_dir) for e in entries],
+                        args.jobs, partial(_use_model, args.model))
     table = [
         [i, r[0]] + [_fmt(v) for v in r[1:]] for i, r in enumerate(rows)
     ]
-    _write_csv(
-        os.path.join(out_dir, "eval_utterances.csv"),
-        ["index", "clean", "lsd_coded_db", "lsd_enhanced_db",
-         "lsd_improvement_db", "segsnr_coded_db", "segsnr_enhanced_db"],
-        table,
-    )
+    _write_csv(os.path.join(out_dir, "eval_utterances.csv"),
+               ["index", "clean", *EVAL_COLUMNS], table)
     values = np.array([r[1:] for r in rows], dtype=np.float64)
     means = values.mean(axis=0)
-    summary_rows = [
-        ["mean_lsd_coded_db", _fmt(means[0])],
-        ["mean_lsd_enhanced_db", _fmt(means[1])],
-        ["mean_lsd_improvement_db", _fmt(means[2])],
-        ["mean_segsnr_coded_db", _fmt(means[3])],
-        ["mean_segsnr_enhanced_db", _fmt(means[4])],
-        ["utterances", str(len(rows))],
-    ]
+    summary_rows = [[f"mean_{name}", _fmt(v)]
+                    for name, v in zip(EVAL_COLUMNS, means)]
+    summary_rows.append(["utterances", str(len(rows))])
     _write_csv(os.path.join(out_dir, "eval_summary.csv"),
                ["metric", "value"], summary_rows)
     _write_header(out_dir, "eval", args)
@@ -382,14 +362,8 @@ def cmd_eval(args) -> int:
 
 
 def _degrade_worker(job) -> str:
-    in_path, out_dir, preset, fmt, seed_offset = job
-    profile = get_profile(preset)
-    if seed_offset:
-        profile = replace(profile, seed=profile.seed + seed_offset)
-    clean = read_wav(in_path, label="clean")
-    clean = band_limit(clean)
-    clean, _ = level_normalize(clean)
-    coded = surrogate_code(clean, profile)
+    in_path, out_dir, profile, fmt = job
+    coded = surrogate_code(load_clean(in_path), profile)
     stem = os.path.splitext(os.path.basename(in_path))[0]
     out_path = os.path.join(out_dir, f"{stem}.coded.wav")
     write_wav(out_path, coded, fmt)
@@ -397,10 +371,10 @@ def _degrade_worker(job) -> str:
 
 
 def cmd_degrade(args) -> int:
-    get_profile(args.preset)
+    profile = get_profile(args.preset)
+    profile = replace(profile, seed=profile.seed + args.seed)
     out_dir = _ensure_out(args.out_dir)
-    jobs = [(p, out_dir, args.preset, args.format, args.seed)
-            for p in args.inputs]
+    jobs = [(p, out_dir, profile, args.format) for p in args.inputs]
     written = _map_ordered(_degrade_worker, jobs, args.jobs)
     _write_header(out_dir, "degrade", args)
     for path in written:
@@ -544,10 +518,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "config", None):
             _apply_config(args, raw_argv)
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
     except MaskpfError as exc:
         print(f"maskpf {args.command}: error: {exc}", file=sys.stderr)
         return exc.exit_code
+    finally:
+        _use_model(None)
 
 
 if __name__ == "__main__":

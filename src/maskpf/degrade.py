@@ -18,7 +18,7 @@ import json
 import os
 import warnings
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -242,29 +242,26 @@ def split_entries(entries: list[ManifestEntry], split: str) -> list[ManifestEntr
     return [e for e in entries if e.split == split]
 
 
-def resolve_pair(entry: ManifestEntry, manifest_dir: str,
-                 seed_offset: int = 0) -> tuple[AudioBuffer, AudioBuffer]:
+def load_clean(path: str) -> AudioBuffer:
+    """Read a clean WAV, band-limit it to the speech band and scale it to
+    the standard active level: the input of every surrogate coding."""
+    clean = band_limit(read_wav(path, label="clean"))
+    clean, _ = level_normalize(clean)
+    return clean
+
+
+def resolve_pair(entry: ManifestEntry,
+                 manifest_dir: str) -> tuple[AudioBuffer, AudioBuffer]:
     """Load and preprocess one manifest pair.
 
-    The clean side is band-limited to the speech band and scaled to the
-    standard active level. A surrogate coded side is generated from that
-    preprocessed clean signal; a file-based coded side is band-limited and
-    cross-correlation aligned instead. Both sides come back equal length.
-
-    `seed_offset` is mixed into the surrogate's seed so distinct dataset
-    copies can be produced from the same manifest when needed.
+    The clean side goes through `load_clean`. A surrogate coded side is
+    generated from that preprocessed clean signal; a file-based coded side
+    is band-limited and cross-correlation aligned instead. Both sides come
+    back equal length.
     """
-    clean_path = os.path.join(manifest_dir, entry.clean)
-    clean = read_wav(clean_path, label="clean")
-    clean = band_limit(clean)
-    clean, _ = level_normalize(clean)
+    clean = load_clean(os.path.join(manifest_dir, entry.clean))
     if entry.uses_surrogate():
         profile = get_profile(entry.surrogate_preset())
-        if seed_offset:
-            profile = replace(profile, seed=profile.seed + seed_offset)
-        coded = surrogate_code(clean, profile)
-        return clean, coded
-    coded_path = os.path.join(manifest_dir, entry.coded)
-    coded = read_wav(coded_path, label="coded")
-    coded = band_limit(coded)
-    return align_pair(clean, coded)
+        return clean, surrogate_code(clean, profile)
+    coded = read_wav(os.path.join(manifest_dir, entry.coded), label="coded")
+    return align_pair(clean, band_limit(coded))

@@ -14,14 +14,15 @@ for inference and keeps files half the size.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
 import numpy as np
 
 from ..dsp import NormStats
-from ..errors import DataError
-from .models import Model, build_model
+from ..errors import ConfigError, DataError
+from .models import MODEL_KINDS, N_BINS, Model, build_model
 from .train import TrainConfig
 
 MAGIC = b"MPF1"
@@ -52,7 +53,9 @@ def save_model(path: str, model: Model, stats: NormStats,
 
 
 def load_model(path: str) -> tuple[Model, NormStats, dict]:
-    """Rebuild the estimator, its weights, and its feature stats."""
+    """Rebuild the estimator, its weights, and its feature stats. Any
+    malformed file (header schema, kind, tensor shapes or values) raises
+    DataError."""
     if not os.path.isfile(path):
         raise DataError(f"no such model file: {path}")
     with open(path, "rb") as fh:
@@ -66,33 +69,52 @@ def load_model(path: str) -> tuple[Model, NormStats, dict]:
         raise DataError(f"{path}: truncated header")
     try:
         header = json.loads(raw[8 : 8 + hlen].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"{path}: unreadable header: {exc}") from exc
-    if header.get("format_version") != FORMAT_VERSION:
+    if not isinstance(header, dict) or header.get("format_version") != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported format version")
+    kind, decls = header.get("kind"), header.get("tensors")
+    if kind not in MODEL_KINDS:
+        raise DataError(f"{path}: unknown estimator kind {kind!r}")
+    try:
+        config = TrainConfig(**header.get("train_config"))
+    except (TypeError, ConfigError) as exc:
+        raise DataError(f"{path}: bad train_config: {exc}") from exc
+    if config.kind != kind:
+        raise DataError(f"{path}: train_config kind {config.kind!r} "
+                        f"does not match the model kind {kind!r}")
+    if type(config.seed) is not int or config.seed < 0:
+        raise DataError(f"{path}: train_config seed must be an int >= 0")
+    if not isinstance(decls, list):
+        raise DataError(f"{path}: header has no tensor list")
 
     offset = 8 + hlen
     values: dict[str, np.ndarray] = {}
-    for decl in header["tensors"]:
+    for decl in decls:
+        if not (isinstance(decl, dict) and isinstance(decl.get("name"), str)
+                and isinstance(decl.get("shape"), list)
+                and all(type(d) is int and d >= 0 for d in decl["shape"])):
+            raise DataError(f"{path}: bad tensor declaration {decl!r}")
         shape = tuple(decl["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         nbytes = 4 * count
         if offset + nbytes > len(raw):
             raise DataError(f"{path}: payload shorter than declared tensors")
         flat = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
+        if not np.all(np.isfinite(flat)):
+            raise DataError(f"{path}: tensor {decl['name']} is not finite")
         values[decl["name"]] = flat.astype(np.float64).reshape(shape)
         offset += nbytes
     if offset != len(raw):
         raise DataError(f"{path}: {len(raw) - offset} trailing bytes")
 
-    try:
-        config = TrainConfig(**header["train_config"])
-    except TypeError as exc:
-        raise DataError(f"{path}: bad train_config: {exc}") from exc
-    model = build_model(header["kind"], config.seed)
     mean = values.pop("norm.mean", None)
     std = values.pop("norm.std", None)
     if mean is None or std is None:
         raise DataError(f"{path}: missing normalization tensors")
+    if mean.shape != (N_BINS,) or std.shape != (N_BINS,) or np.any(std <= 0):
+        raise DataError(f"{path}: normalization tensors must hold {N_BINS} "
+                        "values each, with a positive scale")
+    model = build_model(kind, config.seed)
     model.load_state(values)
     return model, NormStats(mean, std), header

@@ -3,16 +3,18 @@
 import csv
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
-from maskpf.audio_io import read_wav
+from maskpf import cli
+from maskpf.audio_io import read_wav, write_wav
 from maskpf.cli import _enhance_one, main
 from maskpf.degrade import load_manifest, resolve_pair, split_entries
-from maskpf.dsp import AudioBuffer, NormStats
+from maskpf.dsp import AudioBuffer, NormStats, band_limit
 from maskpf.metrics import log_spectral_distance, segmental_snr
-from maskpf.nn.io import save_model
+from maskpf.nn.io import load_model, save_model
 from maskpf.nn.models import MODEL_KINDS, N_BINS, build_model
 from maskpf.nn.train import TrainConfig
 
@@ -363,6 +365,7 @@ def test_config_rejects_bad_values(tmp_path, manifest_path, capsys):
         {"split": "nope"},     # fails the choices check
         {"jobs": "three"},     # wrong type
         {"jobs": 2.5},         # not an integer
+        {"jobs": 0},           # fewer than one worker
         ["split", "val"],      # not an object
     ]
     for i, payload in enumerate(cases):
@@ -391,3 +394,214 @@ def test_degrade_seed_offsets_jitter(tmp_path, corpus_dir):
     assert outs["plain"] == outs["zero"]
     assert outs["five"] == outs["five2"]
     assert outs["five"] != outs["plain"]
+
+
+def clean_wavs(corpus_dir, n=3):
+    return [os.path.join(corpus_dir, "wav", f"utt0{i}.wav") for i in range(n)]
+
+
+def test_enhance_and_degrade_jobs_parity(tmp_path, corpus_dir, trained_dir):
+    model = os.path.join(trained_dir, "model.mpf1")
+    outputs = {}
+    for jobs in ("1", "2"):
+        deg = tmp_path / f"deg{jobs}"
+        assert main(["degrade", "--out-dir", str(deg), "--preset", "q_high",
+                     "--jobs", jobs, *clean_wavs(corpus_dir)]) == 0
+        coded = sorted(str(p) for p in deg.glob("*.wav"))
+        enh = tmp_path / f"enh{jobs}"
+        assert main(["enhance", "--out-dir", str(enh), "--model", model,
+                     "--jobs", jobs, *coded]) == 0
+        outputs[jobs] = {f"{step}/{p.name}": p.read_bytes()
+                         for step, d in (("degrade", deg), ("enhance", enh))
+                         for p in d.glob("*.wav")}
+    assert len(outputs["1"]) == 6
+    assert outputs["1"] == outputs["2"]
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+
+    max_workers: list = []
+
+    def __init__(self, max_workers, initializer=None):
+        self.max_workers.append(max_workers)
+        self.initializer = initializer
+
+    def __enter__(self):
+        if self.initializer is not None:
+            self.initializer()
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_jobs_caps_workers_at_items_and_rejects_zero(tmp_path, corpus_dir,
+                                                     monkeypatch, capsys):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "max_workers", [])
+    wavs = clean_wavs(corpus_dir)
+    for jobs, n_files in (("8", 2), ("2", 3), ("3", 3)):
+        assert main(["degrade", "--out-dir", str(tmp_path / jobs),
+                     "--preset", "q_low", "--jobs", jobs,
+                     *wavs[:n_files]]) == 0
+    assert RecordingPool.max_workers == [2, 2, 3]
+    for jobs in ("0", "-1"):
+        assert main(["degrade", "--out-dir", str(tmp_path / "x"),
+                     "--preset", "q_low", "--jobs", jobs, *wavs]) == 2
+    assert RecordingPool.max_workers == [2, 2, 3]
+    assert "--jobs" in capsys.readouterr().err
+
+
+def count_model_loads(monkeypatch) -> list:
+    calls = []
+    real = cli.load_model
+
+    def counted(path):
+        calls.append(path)
+        return real(path)
+
+    monkeypatch.setattr(cli, "load_model", counted)
+    return calls
+
+
+def test_model_loads_once_per_command(tmp_path, manifest_path, corpus_dir,
+                                      trained_dir, monkeypatch):
+    model = os.path.join(trained_dir, "model.mpf1")
+    calls = count_model_loads(monkeypatch)
+    assert main(["eval", "--manifest", manifest_path, "--out-dir",
+                 str(tmp_path / "eval"), "--split", "train", "--model", model,
+                 "--jobs", "1"]) == 0
+    assert len(read_rows(tmp_path / "eval" / "eval_utterances.csv")) == 4
+    assert calls == [model]
+    calls.clear()
+    assert main(["enhance", "--out-dir", str(tmp_path / "enh"), "--model",
+                 model, "--jobs", "1", *clean_wavs(corpus_dir)]) == 0
+    assert len(list((tmp_path / "enh").glob("*.wav"))) == 3
+    assert calls == [model]
+    assert cli._MODEL is None
+
+
+def test_back_to_back_enhance_uses_each_model(tmp_path, corpus_dir,
+                                              trained_dir):
+    """Two in-process enhance runs with different models: each output is
+    that model's own result, so the per-process model slot never goes
+    stale."""
+    identity = str(tmp_path / "identity.mpf1")
+    model, stats = identity_model("ced")
+    save_model(identity, model, stats, TrainConfig(kind="ced", seed=0))
+    in_path = clean_wavs(corpus_dir, 1)[0]
+    for tag, path in (("trained", os.path.join(trained_dir, "model.mpf1")),
+                      ("identity", identity)):
+        out = tmp_path / tag
+        assert main(["enhance", "--out-dir", str(out), "--model", path,
+                     "--format", "float32", in_path]) == 0
+        model, stats, _ = load_model(path)
+        expected = _enhance_one(model, stats,
+                                band_limit(read_wav(in_path, label="coded")))
+        ref = tmp_path / f"{tag}.ref.wav"
+        write_wav(str(ref), expected, "float32")
+        assert (out / "utt00.enhanced.wav").read_bytes() == ref.read_bytes()
+    trained = read_wav(str(tmp_path / "trained" / "utt00.enhanced.wav"))
+    same = read_wav(str(tmp_path / "identity" / "utt00.enhanced.wav"))
+    assert not np.array_equal(trained.samples, same.samples)
+
+
+def rewrite_model(src, dst, edit_header=None, edit_payload=None):
+    """Copy a model file, passing its parsed header and its payload bytes
+    through the given edits."""
+    raw = open(src, "rb").read()
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8:8 + hlen])
+    payload = bytearray(raw[8 + hlen:])
+    if edit_header is not None:
+        header = edit_header(header)
+    if edit_payload is not None:
+        edit_payload(payload)
+    blob = json.dumps(header).encode()
+    with open(dst, "wb") as fh:
+        fh.write(raw[:4] + struct.pack("<I", len(blob)) + blob + payload)
+
+
+def _with(key, value):
+    def edit(header):
+        header[key] = value
+        return header
+    return edit
+
+
+def _without(key):
+    def edit(header):
+        del header[key]
+        return header
+    return edit
+
+
+def _train_field(field, value):
+    def edit(header):
+        header["train_config"][field] = value
+        return header
+    return edit
+
+
+def _first_tensor(field, value):
+    def edit(header):
+        header["tensors"][0][field] = value
+        return header
+    return edit
+
+
+def _set_value(index, x):
+    """Set one float32 of the payload; -1 is the last value of norm.std."""
+    def edit(payload):
+        values = np.frombuffer(payload, dtype="<f4").copy()
+        values[index] = x
+        payload[:] = values.tobytes()
+    return edit
+
+
+MALFORMED_MODELS = {
+    "header_not_object": (lambda h: [h], None),
+    "no_tensors": (_without("tensors"), None),
+    "tensors_not_list": (_with("tensors", {"a": 1}), None),
+    "tensor_not_dict": (_with("tensors", ["enc1.w"]), None),
+    "tensor_without_shape": (_first_tensor("shape", None), None),
+    "tensor_float_dim": (_first_tensor("shape", [1.5]), None),
+    "tensor_negative_dim": (_first_tensor("shape", [-1]), None),
+    "tensor_name_not_str": (_first_tensor("name", 7), None),
+    "unknown_kind": (_with("kind", "gru"), None),
+    "no_train_config": (_without("train_config"), None),
+    "train_config_not_object": (_with("train_config", "ced"), None),
+    "train_config_unknown_kind": (_train_field("kind", "gru"), None),
+    "train_config_kind_mismatch": (_train_field("kind", "fcnn"), None),
+    "train_config_bad_seed": (_train_field("seed", "x"), None),
+    "nan_weight": (None, _set_value(0, np.nan)),
+    "inf_weight": (None, _set_value(0, -np.inf)),
+    "zero_norm_scale": (None, _set_value(-1, 0.0)),
+}
+
+
+def test_malformed_model_files_exit_3(tmp_path, manifest_path, corpus_dir,
+                                      capsys):
+    """Every malformed model file is a data error (exit 3) in both
+    model-loading commands, at --jobs 1 and --jobs 2."""
+    good = str(tmp_path / "good.mpf1")
+    model, stats = identity_model("ced")
+    save_model(good, model, stats, TrainConfig(kind="ced", seed=0))
+    for name, (edit_header, edit_payload) in MALFORMED_MODELS.items():
+        bad = str(tmp_path / f"{name}.mpf1")
+        rewrite_model(good, bad, edit_header, edit_payload)
+        for jobs in ("1", "2"):
+            enhance = ["enhance", "--out-dir", str(tmp_path / "enh"),
+                       "--model", bad, "--jobs", jobs,
+                       *clean_wavs(corpus_dir, 2)]
+            evaluate = ["eval", "--manifest", manifest_path, "--out-dir",
+                        str(tmp_path / "eval"), "--split", "val",
+                        "--model", bad, "--jobs", jobs]
+            for argv in (enhance, evaluate):
+                assert main(argv) == 3, (name, argv[0], jobs)
+                assert f"maskpf {argv[0]}: error: {bad}" in \
+                    capsys.readouterr().err, name
