@@ -17,8 +17,10 @@ ok, 2 bad configuration or arguments, 3 bad data, 4 numeric failure.
 
 Every command sends its per-file work through `_map_ordered`, with one
 worker function at every --jobs value. `enhance` and `eval` load the
-model once per process, in the parent first, so a bad model file fails
-with its own error before any worker starts.
+model once, in the parent, so a bad model file fails with its own error
+before any worker starts; workers forked from it share that model, and
+workers started otherwise load their own. Inference runs in float32 on
+the model file's stored weights.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -98,15 +101,18 @@ def _map_ordered(fn, items: list, jobs: int, init=None) -> list:
     """Apply fn to items across at most `jobs` processes, in input order.
 
     `init` runs once per process before fn: here first, so its errors
-    surface as themselves, then in each pool worker (an exception in a
-    pool initializer would only break the pool).
+    surface as themselves (an exception in a pool initializer would only
+    break the pool). Pool workers started by `fork` inherit what it set
+    up; under any other start method each worker runs it again as its
+    initializer.
     """
     if init is not None:
         init()
     if jobs == 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    worker_init = None if multiprocessing.get_start_method() == "fork" else init
     with ProcessPoolExecutor(max_workers=min(jobs, len(items)),
-                             initializer=init) as pool:
+                             initializer=worker_init) as pool:
         return list(pool.map(fn, items))
 
 

@@ -253,21 +253,22 @@ def real_cepstrum(
     window: np.ndarray | None = None,
     floor_eps: float = LOG_FLOOR,
 ) -> np.ndarray:
-    """Real cepstrum of one analysis frame.
+    """Real cepstrum of an analysis frame, or of each row of a stack of them.
 
-    c = real(IDFT(ln(max(|DFT(frame * window)|, floor_eps)))), same length as
-    the frame. Pass an all-ones window to analyze the raw frame.
+    c = real(IDFT(ln(max(|DFT(frame * window)|, floor_eps)))) along the last
+    axis, same shape as the input. Pass an all-ones window to analyze the
+    raw frame.
     """
     frame = np.asarray(frame, dtype=np.float64)
-    if frame.ndim != 1:
-        raise DataError("cepstrum input must be a 1-D frame")
+    if frame.ndim < 1:
+        raise DataError("cepstrum input must hold at least one frame")
     if window is None:
-        window = sqrt_hann(frame.shape[0])
-    if window.shape != frame.shape:
+        window = sqrt_hann(frame.shape[-1])
+    if window.shape != frame.shape[-1:]:
         raise DataError("window length does not match frame length")
-    spectrum = np.fft.fft(frame * window)
+    spectrum = np.fft.fft(frame * window, axis=-1)
     log_mag = np.log(np.maximum(np.abs(spectrum), floor_eps))
-    return np.fft.ifft(log_mag).real
+    return np.fft.ifft(log_mag, axis=-1).real
 
 
 # Band-limiting surrogate: one linear-phase FIR doing 7 kHz low-pass plus

@@ -177,10 +177,11 @@ def oracle_cepstrum_substitute(
 ) -> np.ndarray:
     """Swap the spectral envelope of a degraded frame for the clean one.
 
-    Both frames are time-domain analysis frames of length frame_len. The low
+    Both frames are time-domain analysis frames of length frame_len, or
+    equal stacks (..., frame_len) of them, handled row by row. The low
     quefrencies [0, cutoff) and their mirror image of the degraded real
     cepstrum are replaced with the clean frame's, then the log spectrum is
-    rebuilt. Returns the resulting 257-bin magnitude spectrum.
+    rebuilt. Returns the resulting 257-bin magnitude spectrum of each frame.
     """
     from .dsp import real_cepstrum
 
@@ -189,12 +190,12 @@ def oracle_cepstrum_substitute(
     window = sqrt_hann(cfg.frame_len)
     c_clean = real_cepstrum(clean_frame, window)
     c_coded = real_cepstrum(coded_frame, window)
-    merged = c_coded.copy()
-    merged[:cutoff] = c_clean[:cutoff]
+    merged = c_coded
+    merged[..., :cutoff] = c_clean[..., :cutoff]
     mirror = cfg.frame_len - np.arange(1, cutoff)
-    merged[mirror] = c_clean[mirror]
-    log_spectrum = np.fft.fft(merged).real
-    return np.exp(log_spectrum[: cfg.n_bins])
+    merged[..., mirror] = c_clean[..., mirror]
+    log_spectrum = np.fft.fft(merged, axis=-1).real
+    return np.exp(log_spectrum[..., : cfg.n_bins])
 
 
 def envelope_mask(
@@ -205,23 +206,20 @@ def envelope_mask(
     cutoff: int = CEPSTRUM_CUTOFF,
     guard: float = MAG_GUARD,
 ) -> MaskMatrix:
-    """Oracle mask from cepstral envelope substitution, frame by frame.
+    """Oracle mask from cepstral envelope substitution in every frame.
 
     `*_frames_td` are the raw (unwindowed) time-domain analysis frames,
-    shape (T, frame_len), aligned with the spectrograms.
+    shape (T, frame_len), aligned with the spectrograms. All frames go
+    through `oracle_cepstrum_substitute` as one stack.
     """
     cfg = coded.config
     n = cfg.n_processed
     t_count = coded.n_frames
-    if clean_frames_td.shape != (t_count, cfg.frame_len):
+    expected = (t_count, cfg.frame_len)
+    if clean_frames_td.shape != expected or coded_frames_td.shape != expected:
         raise DataError("time-domain frames do not match the spectrogram")
-    target = np.empty((t_count, n))
-    for t in range(t_count):
-        mags = oracle_cepstrum_substitute(
-            clean_frames_td[t], coded_frames_td[t], cutoff, cfg
-        )
-        target[t] = mags[:n]
-    return MaskMatrix(target / (coded.magnitudes(n) + guard))
+    mags = oracle_cepstrum_substitute(clean_frames_td, coded_frames_td, cutoff, cfg)
+    return MaskMatrix(mags[:, :n] / (coded.magnitudes(n) + guard))
 
 
 def time_domain_frames(samples: np.ndarray, cfg: StftConfig = DEFAULT_STFT) -> np.ndarray:

@@ -1,9 +1,11 @@
 """From-scratch trainable mask estimators.
 
-Everything is numpy float64 end to end: layers, recurrent cells, the
-convolutional encoder-decoder, the Adam optimizer, and the training loop.
-The convolution primitives in `kernels` have one path: an im2col copy and
-one BLAS matrix product per call, on channels-last memory.
+The layers, recurrent cells, convolutional encoder-decoder and Adam
+optimizer are dtype-generic: the arrays a pass allocates follow the dtype
+of the weights. Training builds and runs models in float64; inference
+(`enhance`, `eval`) runs in float32 on the float32 weights that model
+files store. The convolution primitives in `kernels` have one path: an
+im2col copy and one BLAS matrix product per call, on channels-last memory.
 """
 
 from .models import REFERENCE_PARAM_COUNTS, Model, build_model

@@ -4,7 +4,8 @@ Parameters are updated in place, so the optimizer holds the same arrays
 the model layers own. The update runs through two scratch buffers sized to
 the largest parameter, in the operation order of
 `p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)`, so it allocates nothing
-per step and gives the same bits as that expression.
+per step and gives the same bits as that expression. The buffers take the
+parameters' dtype.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ class Adam:
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         size = max((v.size for v in params.values()), default=0)
-        self._scratch = (np.empty(size), np.empty(size))
+        dtype = np.result_type(*params.values()) if params else np.float64
+        self._scratch = (np.empty(size, dtype), np.empty(size, dtype))
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         if set(grads) != set(self.params):

@@ -7,8 +7,12 @@ training config, the feature normalization stats' tensor names, and one
 (name, shape) entry per tensor. Keys are sorted and no timestamps are
 stored, so saving the same trained model twice yields identical bytes.
 
-In memory everything is float64; the file stores float32, which is plenty
-for inference and keeps files half the size.
+The file stores float32, which is plenty for inference and keeps files
+half the size. Training runs in float64 and rounds its weights on saving;
+`load_model` builds a float32 model and copies the stored tensors into it
+as they are, so `enhance` and `eval` compute in float32 on exactly the
+stored weights. The normalization stats feed the float64 DSP and load as
+float64.
 """
 
 from __future__ import annotations
@@ -53,8 +57,8 @@ def save_model(path: str, model: Model, stats: NormStats,
 
 
 def load_model(path: str) -> tuple[Model, NormStats, dict]:
-    """Rebuild the estimator, its weights, and its feature stats. Any
-    malformed file (header schema, kind, tensor shapes or values) raises
+    """Rebuild the estimator in float32, its weights, and its feature stats.
+    Any malformed file (header schema, kind, tensor shapes or values) raises
     DataError."""
     if not os.path.isfile(path):
         raise DataError(f"no such model file: {path}")
@@ -103,7 +107,7 @@ def load_model(path: str) -> tuple[Model, NormStats, dict]:
         flat = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
         if not np.all(np.isfinite(flat)):
             raise DataError(f"{path}: tensor {decl['name']} is not finite")
-        values[decl["name"]] = flat.astype(np.float64).reshape(shape)
+        values[decl["name"]] = flat.reshape(shape)
         offset += nbytes
     if offset != len(raw):
         raise DataError(f"{path}: {len(raw) - offset} trailing bytes")
@@ -115,6 +119,6 @@ def load_model(path: str) -> tuple[Model, NormStats, dict]:
     if mean.shape != (N_BINS,) or std.shape != (N_BINS,) or np.any(std <= 0):
         raise DataError(f"{path}: normalization tensors must hold {N_BINS} "
                         "values each, with a positive scale")
-    model = build_model(kind, config.seed)
+    model = build_model(kind, config.seed, dtype=np.float32)
     model.load_state(values)
     return model, NormStats(mean, std), header

@@ -9,9 +9,10 @@ layers need, in both directions:
 
 Convolution forward is a gather; its input gradient is a scatter; a
 transposed convolution is the same two kernels with the roles swapped, and
-both weight gradients are the third pattern. All arrays are float64 and
-padding is always "valid" (the higher layers do any zero padding
-themselves).
+both weight gradients are the third pattern. Results take the dtype of
+their operands (float32 at inference, float64 in training; mixing the two
+upcasts to float64), and padding is always "valid" (the higher layers do
+any zero padding themselves).
 
 Every image argument and result has the logical shape (N, C, H, W), but the
 work happens channels-last. `gather` and `weight_grad` copy the strided
@@ -34,12 +35,11 @@ from ..errors import ConfigError
 
 def _nhwc(x: np.ndarray) -> np.ndarray:
     """The channels-last view of a logical (N, C, H, W) array."""
-    return np.asarray(x, dtype=np.float64).transpose(0, 2, 3, 1)
+    return np.asarray(x).transpose(0, 2, 3, 1)
 
 
 def _taps_last(w: np.ndarray) -> np.ndarray:
     """(X, Y, KH, KW) weights as the (X, KH*KW*Y) matrix that matches _im2col."""
-    w = np.asarray(w, dtype=np.float64)
     return w.transpose(0, 2, 3, 1).reshape(w.shape[0], -1)
 
 
@@ -52,8 +52,10 @@ def _im2col(src: np.ndarray, k_hw: tuple[int, int], stride: tuple[int, int],
     return np.ascontiguousarray(win).reshape(-1, kh * kw * src.shape[3])
 
 
-def gather(src: np.ndarray, w: np.ndarray, stride: tuple[int, int]) -> np.ndarray:
-    """Strided gather; conv2d forward and deconv2d input gradient."""
+def gather(src: np.ndarray, w: np.ndarray, stride: tuple[int, int],
+           cols: np.ndarray | None = None) -> np.ndarray:
+    """Strided gather; conv2d forward and deconv2d input gradient. `cols`
+    is src's im2col matrix for w's kernel, when the caller already has it."""
     src_t = _nhwc(src)
     sh, sw = stride
     n, h, wd, _ = src_t.shape
@@ -62,7 +64,8 @@ def gather(src: np.ndarray, w: np.ndarray, stride: tuple[int, int]) -> np.ndarra
     ow = (wd - kw) // sw + 1
     if oh < 1 or ow < 1:
         raise ConfigError(f"kernel {kh}x{kw} does not fit input {h}x{wd}")
-    cols = _im2col(src_t, (kh, kw), stride, (oh, ow))
+    if cols is None:
+        cols = _im2col(src_t, (kh, kw), stride, (oh, ow))
     return (cols @ _taps_last(w).T).reshape(n, oh, ow, b).transpose(0, 3, 1, 2)
 
 
@@ -79,7 +82,7 @@ def scatter(
     if out_hw[0] < min_h or out_hw[1] < min_w:
         raise ConfigError(f"output {out_hw} too small for scatter ({min_h},{min_w})")
     cols = (src_t.reshape(-1, n_a) @ _taps_last(w)).reshape(n, oh, ow, kh, kw, b)
-    out = np.zeros((n, out_hw[0], out_hw[1], b))
+    out = np.zeros((n, out_hw[0], out_hw[1], b), dtype=cols.dtype)
     for i in range(kh):
         for j in range(kw):
             out[:, i : i + sh * oh : sh, j : j + sw * ow : sw] += cols[:, :, :, i, j]
@@ -91,11 +94,14 @@ def weight_grad(
     small: np.ndarray,
     stride: tuple[int, int],
     k_hw: tuple[int, int],
+    cols: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Kernel gradient; serves conv2d and deconv2d weight updates."""
+    """Kernel gradient; serves conv2d and deconv2d weight updates. `cols` is
+    big's im2col matrix, when the caller already has it."""
     big_t, small_t = _nhwc(big), _nhwc(small)
     n_a, n_b = big_t.shape[3], small_t.shape[3]
-    cols = _im2col(big_t, k_hw, stride, small_t.shape[1:3])
+    if cols is None:
+        cols = _im2col(big_t, k_hw, stride, small_t.shape[1:3])
     out = small_t.reshape(-1, n_b).T @ cols
     return out.reshape(n_b, k_hw[0], k_hw[1], n_a).transpose(0, 3, 1, 2)
 
@@ -140,3 +146,15 @@ def deconv2d_grad_weights(
 ) -> np.ndarray:
     # For the transposed op the gradient tensor is the spatially larger one.
     return weight_grad(gy, x, stride, k_hw)
+
+
+def deconv2d_grads(
+    x: np.ndarray, gy: np.ndarray, w: np.ndarray, stride: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(weight gradient, input gradient) of deconv2d(x, w, stride) for the
+    output gradient gy. Both are products with the same im2col matrix of gy,
+    which is built once here."""
+    k_hw = w.shape[2:]
+    cols = _im2col(_nhwc(gy), k_hw, stride, x.shape[2:])
+    return (weight_grad(gy, x, stride, k_hw, cols),
+            gather(gy, w, stride, cols))

@@ -15,6 +15,10 @@ chain of image layers never copies to change it.
 A layer never writes into an array its caller passed in, except an Elu
 built with `inplace=True` by a caller that owns the buffers it feeds it.
 Eval-mode forwards keep nothing for a backward pass.
+
+Layers are dtype-generic: every array a pass allocates follows the dtype
+of the layer's parameters and of its input, so a model cast with `astype`
+to float32 computes in float32 throughout.
 """
 
 from __future__ import annotations
@@ -40,11 +44,25 @@ class Layer:
     def reseed(self, rng: np.random.Generator) -> None:
         pass
 
+    def astype(self, dtype) -> None:
+        """Recast every floating-point array the layer holds (weights,
+        gradients, statistics) to dtype."""
+        for name, value in list(vars(self).items()):
+            if isinstance(value, np.ndarray) and value.dtype.kind == "f":
+                setattr(self, name, value.astype(dtype, copy=False))
+
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function. Below about -88 in float32 (-709 in float64)
+    exp(-x) overflows to inf, and 1 / inf is the right limit, 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...],
@@ -122,7 +140,7 @@ class ScaledSigmoid(Layer):
         self.scale = scale
 
     def forward(self, x, train=False):
-        self._sig = 1.0 / (1.0 + np.exp(-x))
+        self._sig = sigmoid(x)
         return self.scale * self._sig
 
     def backward(self, gy):
@@ -145,7 +163,9 @@ class Dropout(Layer):
             self._mask = None
             return x
         keep = 1.0 - self.rate
-        self._mask = (self.rng.random(x.shape) < keep) / keep
+        # Drawn in float64 and cast, so every dtype consumes the same stream.
+        self._mask = ((self.rng.random(x.shape) < keep) / keep).astype(
+            x.dtype, copy=False)
         return x * self._mask
 
     def backward(self, gy):
@@ -285,10 +305,10 @@ class Deconv2d(Layer):
         return y
 
     def backward(self, gy):
-        self.gw += kernels.deconv2d_grad_weights(
-            self._x, gy, self.stride, self.w.shape[2:])
+        gw, gx = kernels.deconv2d_grads(self._x, gy, self.w, self.stride)
+        self.gw += gw
         self.gb += np.einsum("nchw->c", gy)
-        return kernels.deconv2d_grad_input(gy, self.w, self.stride)
+        return gx
 
 
 class PadHighFreq(Layer):

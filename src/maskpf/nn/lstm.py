@@ -12,17 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
-from .layers import Layer, glorot_uniform
+from .layers import Layer, glorot_uniform, sigmoid
 
 
 def orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     """Orthogonal init for square recurrent blocks via QR of a Gaussian draw."""
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
 
 
 class Lstm(Layer):
@@ -61,14 +57,17 @@ class Lstm(Layer):
         if d != self.n_in:
             raise ConfigError(f"expected input width {self.n_in}, got {d}")
         h = self.n_units
+        dtype = x.dtype
+        # Masks are drawn in float64 and cast, so every dtype consumes the
+        # same random stream.
         if train and self.dropout > 0.0:
             keep = 1.0 - self.dropout
-            mx = (self.rng.random((n, d)) < keep) / keep
+            mx = ((self.rng.random((n, d)) < keep) / keep).astype(dtype, copy=False)
         else:
             mx = None
         if train and self.recurrent_dropout > 0.0:
             keep = 1.0 - self.recurrent_dropout
-            mh = (self.rng.random((n, h)) < keep) / keep
+            mh = ((self.rng.random((n, h)) < keep) / keep).astype(dtype, copy=False)
         else:
             mh = None
         self._mx, self._mh = mx, mh
@@ -80,21 +79,21 @@ class Lstm(Layer):
         ax += self.b
         if train:
             self._xs = xs
-            self._hps = np.empty((t_len, n, h))
+            self._hps = np.empty((t_len, n, h), dtype)
             self._steps = []
         else:
             self._xs = self._hps = self._steps = None
-        h_t = np.zeros((n, h))
-        c_t = np.zeros((n, h))
-        out = np.empty((n, t_len, h))
+        h_t = np.zeros((n, h), dtype)
+        c_t = np.zeros((n, h), dtype)
+        out = np.empty((n, t_len, h), dtype)
         for t in range(t_len):
             hp = h_t if mh is None else h_t * mh
             a = hp @ self.wh
             a += ax[t]
-            gi = _sigmoid(a[:, :h])
-            gf = _sigmoid(a[:, h : 2 * h])
+            gi = sigmoid(a[:, :h])
+            gf = sigmoid(a[:, h : 2 * h])
             gc = np.tanh(a[:, 2 * h : 3 * h])
-            go = _sigmoid(a[:, 3 * h :])
+            go = sigmoid(a[:, 3 * h :])
             c_prev = c_t
             c_t = gf * c_prev + gi * gc
             tc = np.tanh(c_t)
@@ -109,9 +108,9 @@ class Lstm(Layer):
         n, t_len, h = gy.shape
         # Gate gradients of every step; the weight and input gradients are
         # one GEMM each over all of them after the loop.
-        da = np.empty((t_len, n, 4 * h))
-        dh_next = np.zeros((n, h))
-        dc_next = np.zeros((n, h))
+        da = np.empty((t_len, n, 4 * h), gy.dtype)
+        dh_next = np.zeros((n, h), gy.dtype)
+        dc_next = np.zeros((n, h), gy.dtype)
         for t in range(t_len - 1, -1, -1):
             gi, gf, gc, go, c_prev, tc = self._steps[t]
             dh = gy[:, t] + dh_next

@@ -111,7 +111,7 @@ class Model:
             raise DataError(
                 f"state mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
         for name, arr in state.items():
-            src = np.asarray(values[name], dtype=np.float64)
+            src = np.asarray(values[name])
             if src.shape != arr.shape:
                 raise DataError(
                     f"tensor {name}: shape {src.shape} != expected {arr.shape}")
@@ -132,6 +132,17 @@ class Model:
     def context_frames(self) -> int:
         return CONTEXT_FRAMES[self.kind]
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The weights' dtype, which every array of a pass follows."""
+        return next(iter(self.params().values())).dtype
+
+    def astype(self, dtype) -> "Model":
+        """Recast every array of every layer to dtype, in place."""
+        for _, layer in self._layers():
+            layer.astype(dtype)
+        return self
+
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
 
@@ -147,13 +158,14 @@ class Model:
         `window_inputs` builds it for training. The frames are walked in
         blocks of `batch_size` (default `infer_batch`); each block's
         `batch_size + context_frames - 1` padded rows go to `_infer_rows`,
-        so working memory is bounded by the block, not the utterance.
+        so working memory is bounded by the block, not the utterance. The
+        frames are cast to the weights' dtype, and so are the masks.
         """
         if batch_size is None:
             batch_size = self.infer_batch
         if batch_size < 1:
             raise ConfigError("infer batch size must be at least 1")
-        frames = np.asarray(frames, dtype=np.float64)
+        frames = np.asarray(frames, dtype=self.dtype)
         if frames.ndim != 2 or frames.shape[0] < 1:
             raise ConfigError("infer expects (T, bins) frames with T >= 1")
         span = batch_size + self.context_frames - 1
@@ -224,7 +236,7 @@ class LstmModel(Model):
 
     def backward(self, gy):
         g_last = self.head.backward(self.sig.backward(gy))
-        g_seq = np.zeros((gy.shape[0], self._t_len, g_last.shape[1]))
+        g_seq = np.zeros((gy.shape[0], self._t_len, g_last.shape[1]), g_last.dtype)
         g_seq[:, -1] = g_last
         return self.lstm1.backward(self.lstm2.backward(g_seq))
 
@@ -342,11 +354,13 @@ class CedModel(Model):
         return g
 
 
-def build_model(kind: str, seed: int, n_bins: int = N_BINS) -> Model:
+def build_model(kind: str, seed: int, n_bins: int = N_BINS,
+                dtype=np.float64) -> Model:
     """Construct a freshly initialized estimator.
 
     The seed fixes both the weight init and the dropout stream, so two
-    builds with the same seed are bit-identical.
+    builds with the same seed are bit-identical. Weights are drawn in
+    float64 and then cast, so a float32 build is a rounded float64 build.
     """
     if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown estimator kind {kind!r}; have {MODEL_KINDS}")
@@ -360,4 +374,4 @@ def build_model(kind: str, seed: int, n_bins: int = N_BINS) -> Model:
     else:
         model = CedModel(rng, n_bins)
     model.reseed(int(np.random.default_rng(drop_seed).integers(2**31)))
-    return model
+    return model.astype(dtype)

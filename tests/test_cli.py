@@ -246,6 +246,22 @@ def test_identity_mask_enhance_reproduces_every_sample(kind):
         np.testing.assert_allclose(out.samples, x, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_identity_mask_float32_model_reproduces_every_sample(kind, tmp_path):
+    """The same contract for the float32 model that `load_model` returns."""
+    model, stats = identity_model(kind)
+    path = str(tmp_path / "identity.mpf1")
+    save_model(path, model, stats, TrainConfig(kind=kind, seed=0))
+    model, stats, _ = load_model(path)
+    assert model.dtype == np.float32
+    rng = np.random.default_rng(40)
+    for n in (1000, 16100):
+        x = rng.standard_normal(n) * 0.3
+        out = _enhance_one(model, stats, AudioBuffer(x, label="coded"))
+        assert out.samples.shape == (n,)
+        np.testing.assert_allclose(out.samples, x, rtol=0, atol=1e-9)
+
+
 def test_identity_mask_eval_credits_nothing(tmp_path, manifest_path):
     """Eval scores the span the full frames cover; the coded-side figures
     are those of that span, and an identity filter improves on them by
@@ -483,6 +499,70 @@ def test_model_loads_once_per_command(tmp_path, manifest_path, corpus_dir,
     assert len(list((tmp_path / "enh").glob("*.wav"))) == 3
     assert calls == [model]
     assert cli._MODEL is None
+
+
+def test_enhance_jobs_2_loads_the_model_once(tmp_path, corpus_dir, trained_dir,
+                                             monkeypatch):
+    """Workers forked from the parent share its model: over all processes,
+    `enhance --jobs 2` on four files loads it once. Each load appends its
+    process id to a file, which every process can reach."""
+    model = os.path.join(trained_dir, "model.mpf1")
+    log = tmp_path / "loads.txt"
+    real = cli.load_model
+
+    def logged(path):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(path)
+
+    monkeypatch.setattr(cli, "load_model", logged)
+    inputs = clean_wavs(corpus_dir, 4)
+    assert main(["enhance", "--out-dir", str(tmp_path / "enh"), "--model",
+                 model, "--jobs", "2", *inputs]) == 0
+    assert len(list((tmp_path / "enh").glob("*.wav"))) == 4
+    assert log.read_text().split() == [str(os.getpid())]
+
+
+def test_workers_load_their_own_model_unless_forked(tmp_path, corpus_dir,
+                                                    trained_dir, monkeypatch):
+    """Under a start method other than fork, each pool worker runs the
+    loader again as its initializer (the stand-in pool runs it once)."""
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "max_workers", [])
+    model = os.path.join(trained_dir, "model.mpf1")
+    calls = count_model_loads(monkeypatch)
+    for method, loads in (("fork", 1), ("spawn", 2)):
+        monkeypatch.setattr(cli.multiprocessing, "get_start_method",
+                            lambda: method)
+        calls.clear()
+        assert main(["enhance", "--out-dir", str(tmp_path / method), "--model",
+                     model, "--jobs", "2", *clean_wavs(corpus_dir, 2)]) == 0
+        assert calls == [model] * loads, method
+
+
+def test_float32_eval_lsd_matches_float64_inference(tmp_path, manifest_path,
+                                                    trained_dir, monkeypatch):
+    """`eval` infers in float32 on the stored weights; the same weights in
+    float64 give every utterance's enhanced LSD to within 1e-3 dB."""
+    model = os.path.join(trained_dir, "model.mpf1")
+    argv = ["eval", "--manifest", manifest_path, "--split", "val",
+            "--model", model]
+    assert load_model(model)[0].dtype == np.float32
+    assert main(argv + ["--out-dir", str(tmp_path / "f32")]) == 0
+    real = cli.load_model
+
+    def widened(path):
+        net, stats, header = real(path)
+        return net.astype(np.float64), stats, header
+
+    monkeypatch.setattr(cli, "load_model", widened)
+    assert main(argv + ["--out-dir", str(tmp_path / "f64")]) == 0
+    f32 = read_rows(tmp_path / "f32" / "eval_utterances.csv")
+    f64 = read_rows(tmp_path / "f64" / "eval_utterances.csv")
+    assert len(f32) == len(f64) == 3
+    for a, b in zip(f32[1:], f64[1:]):
+        assert a[2] == b[2]  # the coded side does not touch the model
+        assert abs(float(a[3]) - float(b[3])) <= 1e-3
 
 
 def test_back_to_back_enhance_uses_each_model(tmp_path, corpus_dir,

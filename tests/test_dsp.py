@@ -247,3 +247,11 @@ def test_default_config_matches_bandwidth():
     bin_hz = SAMPLE_RATE / cfg.fft_len
     assert bin_hz == 31.25
     assert (cfg.n_processed - 1) * bin_hz <= 6400.0 < cfg.n_processed * bin_hz
+
+
+def test_real_cepstrum_of_a_stack_is_taken_row_by_row():
+    frames = np.random.default_rng(6).standard_normal((3, 512))
+    stacked = real_cepstrum(frames)
+    assert stacked.shape == (3, 512)
+    for row, frame in zip(stacked, frames):
+        np.testing.assert_allclose(row, real_cepstrum(frame), rtol=0, atol=1e-12)

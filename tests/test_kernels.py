@@ -3,6 +3,8 @@
 The kernels take logical (N, C, H, W) arrays. Each test runs on plain
 C-ordered numpy arrays (`numpy`) and on (N, C, H, W) views of channels-last
 buffers (`nhwc`), the layout the conv estimator passes between its layers.
+The float32 twins hold float32 results to the float64 oracles within a
+rounding bound taken from float32 eps.
 """
 
 import numpy as np
@@ -197,3 +199,84 @@ def test_scatter_output_too_small_rejected():
     w = np.zeros((1, 1, 2, 2))
     with pytest.raises(ConfigError):
         kernels.scatter(x, w, (2, 2), (4, 4))
+
+
+# ------------------------------------------------------------ float32 twins --
+
+F32_EPS = float(np.finfo(np.float32).eps)
+
+
+def f32_pair(rng, shape):
+    """A float32 array and its exact float64 copy."""
+    a = rng.standard_normal(shape).astype(np.float32)
+    return a, a.astype(np.float64)
+
+
+def assert_f32_close(got, exact, abs_exact, n_terms):
+    """`got` holds float32 sums of at most n_terms products. The standard
+    rounding bound of such a sum is n_terms * eps / 2 times the same sum
+    over the terms' absolute values (abs_exact); allow n_terms * eps."""
+    assert got.dtype == np.float32
+    err = np.abs(got.astype(np.float64) - exact)
+    assert np.all(err <= n_terms * F32_EPS * abs_exact), err.max()
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("stride", [(1, 1), (1, 2), (2, 3)])
+def test_float32_conv2d_matches_loop_oracle(layout, stride):
+    rng = np.random.default_rng(90)
+    x32, x = f32_pair(rng, (2, 3, 9, 11))
+    w32, w = f32_pair(rng, (4, 3, 2, 3))
+    got = conv2d(in_layout(x32, layout), w32, stride)
+    assert_f32_close(got, conv2d_loops(x, w, stride),
+                     conv2d_loops(np.abs(x), np.abs(w), stride), 3 * 2 * 3)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("stride", [(1, 1), (1, 2), (2, 2)])
+def test_float32_deconv2d_matches_loop_oracle(layout, stride):
+    rng = np.random.default_rng(91)
+    x32, x = f32_pair(rng, (2, 4, 5, 6))
+    w32, w = f32_pair(rng, (4, 3, 2, 3))
+    got = deconv2d(in_layout(x32, layout), w32, stride)
+    assert_f32_close(got, deconv2d_loops(x, w, stride),
+                     deconv2d_loops(np.abs(x), np.abs(w), stride), 4 * 2 * 3)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("shape", DECODER_SHAPES)
+def test_float32_decoder_shapes_match_loop_oracles(layout, shape):
+    c_in, c_out, h, wd = shape
+    rng = np.random.default_rng(96)
+    stride = (1, 2)
+    x32, x = f32_pair(rng, (2, c_in, h, wd))
+    w32, w = f32_pair(rng, (c_in, c_out, 2, 3))
+    y = deconv2d(in_layout(x32, layout), w32, stride)
+    assert_f32_close(y, deconv2d_loops(x, w, stride),
+                     deconv2d_loops(np.abs(x), np.abs(w), stride), c_in * 2 * 3)
+    gy32, gy = f32_pair(rng, y.shape)
+    gx = deconv2d_grad_input(in_layout(gy32, layout), w32, stride)
+    assert_f32_close(gx, conv2d_loops(gy, w, stride),
+                     conv2d_loops(np.abs(gy), np.abs(w), stride), c_out * 2 * 3)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_float32_weight_grads_match_float64(layout):
+    """Both weight gradients against the float64 kernels, which the tests
+    above check, on the same float32 values."""
+    rng = np.random.default_rng(98)
+    stride = (1, 2)
+    x32, x = f32_pair(rng, (2, 3, 6, 9))
+    gy32, gy = f32_pair(rng, conv2d(x, np.zeros((4, 3, 2, 3)), stride).shape)
+    gw = conv2d_grad_weights(in_layout(x32, layout), in_layout(gy32, layout),
+                             stride, (2, 3))
+    assert_f32_close(gw, conv2d_grad_weights(x, gy, stride, (2, 3)),
+                     conv2d_grad_weights(np.abs(x), np.abs(gy), stride, (2, 3)),
+                     gy[:, 0].size)
+    d32, d = f32_pair(rng, (3, 4, 5, 6))
+    gz32, gz = f32_pair(rng, deconv2d(d, np.zeros((4, 2, 2, 3)), stride).shape)
+    gw = deconv2d_grad_weights(in_layout(d32, layout), in_layout(gz32, layout),
+                               stride, (2, 3))
+    assert_f32_close(gw, deconv2d_grad_weights(d, gz, stride, (2, 3)),
+                     deconv2d_grad_weights(np.abs(d), np.abs(gz), stride, (2, 3)),
+                     d[:, 0].size)

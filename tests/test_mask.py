@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from maskpf.dsp import DEFAULT_STFT, Spectrogram, sqrt_hann, stft
+from maskpf.dsp import DEFAULT_STFT, AudioBuffer, Spectrogram, sqrt_hann, stft
 from maskpf.errors import ConfigError, DataError
 from maskpf.mask import (
     CEPSTRUM_CUTOFF,
@@ -242,3 +242,33 @@ def test_envelope_mask_identity_is_near_unity():
     mags = spec.magnitudes(n)
     loud = mags > 1e-4
     assert np.allclose(mask.values[loud], 1.0, atol=1e-6)
+
+
+def test_envelope_mask_matches_the_per_frame_substitution():
+    """The batched mask against a loop of per-frame substitutions, on a
+    coded pair with energy in every frame."""
+    from maskpf.degrade import PRESETS, surrogate_code
+
+    buf = synth_utterance(seed=15, duration_s=1.2)
+    rng = np.random.default_rng(15)
+    clean = AudioBuffer(buf.samples + 0.01 * rng.standard_normal(len(buf)))
+    coded = surrogate_code(clean, PRESETS["q_low"])
+    clean_td = time_domain_frames(clean.samples)
+    coded_td = time_domain_frames(coded.samples)
+    coded_spec = stft(coded)
+    mask = envelope_mask(stft(clean), coded_spec, clean_td, coded_td)
+    n = DEFAULT_STFT.n_processed
+    ref = np.array([oracle_cepstrum_substitute(a, b)[:n]
+                    for a, b in zip(clean_td, coded_td)])
+    ref /= coded_spec.magnitudes(n) + 1e-9
+    assert mask.shape == ref.shape == (coded_spec.n_frames, n)
+    assert np.all(np.abs(coded_td).max(axis=1) > 1e-3)  # every frame has energy
+    np.testing.assert_allclose(mask.values, ref, rtol=0, atol=1e-12)
+
+
+def test_envelope_mask_rejects_misaligned_frames():
+    buf = synth_utterance(seed=16, duration_s=0.5)
+    spec = stft(buf)
+    frames_td = time_domain_frames(buf.samples)
+    with pytest.raises(DataError):
+        envelope_mask(spec, spec, frames_td, frames_td[:-1])

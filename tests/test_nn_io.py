@@ -33,6 +33,23 @@ def test_round_trip_preserves_everything_to_float32(tmp_path):
     assert np.array_equal(back_stats.std, stats.std.astype(np.float32))
 
 
+@pytest.mark.parametrize("kind", ["fcnn", "lstm", "ced"])
+def test_loaded_model_holds_the_stored_float32_weights(tmp_path, kind):
+    """Inference runs on exactly the file's tensors: every state array of
+    the loaded model is float32 and equals the rounded saved one, while the
+    normalization stats load as float64 for the DSP."""
+    rng = np.random.default_rng(153)
+    model = build_model(kind, seed=4)
+    path = str(tmp_path / "m.mpf1")
+    save_model(path, model, small_stats(rng), TrainConfig(kind=kind, seed=4))
+    loaded, stats, _ = load_model(path)
+    assert loaded.dtype == np.float32
+    for key, arr in model.state().items():
+        assert loaded.state()[key].dtype == np.float32, key
+        assert np.array_equal(loaded.state()[key], arr.astype(np.float32)), key
+    assert stats.mean.dtype == stats.std.dtype == np.float64
+
+
 def test_double_save_is_byte_identical(tmp_path):
     rng = np.random.default_rng(151)
     model = build_model("ced", seed=3)

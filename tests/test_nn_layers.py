@@ -5,6 +5,8 @@ a random direction. The loss surrogate is a fixed random linear functional so
 anything the backward pass gets wrong shows up in the inner product.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,19 @@ def test_scaled_sigmoid_range_and_grad():
     check_input_grad(layer, x, seed=5)
     with pytest.raises(ConfigError):
         ScaledSigmoid(0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scaled_sigmoid_saturates_quietly(dtype):
+    """Far below zero exp(-x) overflows (from -89 in float32); the output is
+    the limit 0, with no overflow warning on the user's terminal."""
+    x = np.array([[-1000.0, -100.0, 0.0, 100.0]], dtype=dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = ScaledSigmoid(2.0).forward(x)
+    assert y.dtype == dtype
+    assert np.array_equal(y, np.array([[0.0, y[0, 1], 1.0, 2.0]], dtype=dtype))
+    assert 0.0 <= y[0, 1] < 1e-40
 
 
 def test_dropout_eval_is_identity_and_train_preserves_mean():

@@ -6,6 +6,7 @@ import pytest
 from helpers_grad import model_grad_check
 from maskpf.errors import ConfigError, DataError
 from maskpf.features import model_inputs
+from maskpf.nn.adam import Adam
 from maskpf.nn.lstm import Lstm
 from maskpf.nn.models import (
     CONTEXT_FRAMES,
@@ -16,6 +17,11 @@ from maskpf.nn.models import (
     build_model,
     window_inputs,
 )
+
+# Largest gap allowed between two float32 masks, or a float32 and a float64
+# mask, for the same weights: a few float32 ulps of a gain in (0, 2).
+MASK_TOL_F32 = 1e-5
+
 
 def test_fcnn_parameter_count_is_exact():
     """840704 + 4096 + 1049600 + 4096 + 210125, batch norm counted as four
@@ -99,6 +105,80 @@ def test_ced_eval_output_does_not_depend_on_infer_batch_size():
     ref = model.infer(frames, batch_size=256)
     for batch_size in (1, 32, 300, 1000):
         assert np.array_equal(model.infer(frames, batch_size=batch_size), ref), batch_size
+
+
+def test_ced_float32_eval_output_does_not_depend_on_infer_batch_size():
+    """The float32 twin of the test above. In float32 the masks are not
+    bit-identical across block sizes: BLAS takes another summation path for
+    another matrix size. They agree to the float32 mask tolerance."""
+    rng = np.random.default_rng(136)
+    model = _with_running_stats("ced", 13, rng).astype(np.float32)
+    frames = rng.standard_normal((300, 205))
+    ref = model.infer(frames, batch_size=256)
+    assert ref.dtype == np.float32
+    for batch_size in (1, 32, 300, 1000):
+        np.testing.assert_allclose(model.infer(frames, batch_size=batch_size), ref,
+                                   rtol=0, atol=MASK_TOL_F32, err_msg=str(batch_size))
+
+
+def _arrays(value):
+    """Every ndarray inside a layer attribute, looking into lists and tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (list, tuple)):
+        return [arr for item in value for arr in _arrays(item)]
+    return []
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_float32_forward_and_backward_stay_float32(kind):
+    """A float32 model trains in float32: its output, every cache a layer
+    keeps for the backward pass (dropout masks included), the input
+    gradient, every grads() array and the Adam update stay float32."""
+    rng = np.random.default_rng(140)
+    model = build_model(kind, seed=17, dtype=np.float32)
+    model.reseed(5)
+    rows = rng.standard_normal((6 + CONTEXT_FRAMES[kind] - 1, 205))
+    x = window_inputs(kind, rows).astype(np.float32)
+    y = model.forward(x, train=True)
+    model.zero_grads()
+    gx = model.backward(rng.standard_normal(y.shape).astype(np.float32))
+    assert y.dtype == gx.dtype == np.float32
+    caches = [(f"{name}.{attr}", arr) for name, layer in model._layers()
+              for attr, value in vars(layer).items() for arr in _arrays(value)
+              if arr.dtype.kind == "f"]  # relu keeps a boolean mask
+    assert len(caches) > len(model.params()) + len(model.grads())
+    for name, arr in caches:
+        assert arr.dtype == np.float32, name
+    for name, arr in model.grads().items():
+        assert arr.dtype == np.float32, name
+    adam = Adam(model.params())
+    adam.step(model.grads())
+    for name, arr in model.state().items():
+        assert arr.dtype == np.float32, name
+    assert model.infer(rows).dtype == np.float32
+
+
+def test_float32_build_is_a_rounded_float64_build():
+    for kind in MODEL_KINDS:
+        ref = build_model(kind, seed=7).state()
+        for key, arr in build_model(kind, seed=7, dtype=np.float32).state().items():
+            assert arr.dtype == np.float32, key
+            assert np.array_equal(arr, ref[key].astype(np.float32)), key
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_float32_infer_matches_float64_on_the_same_weights(kind):
+    """Float32 inference against float64 inference on the float32-rounded
+    weights, the two ways to run a model file's tensors."""
+    rng = np.random.default_rng(141)
+    model = _with_running_stats(kind, 18, rng).astype(np.float32)
+    wide = build_model(kind, seed=0)
+    wide.load_state(model.state())
+    frames = rng.standard_normal((300, 205))
+    got = model.infer(frames)
+    assert got.dtype == np.float32
+    np.testing.assert_allclose(got, wide.infer(frames), rtol=0, atol=MASK_TOL_F32)
 
 
 def test_infer_rejects_windows_and_empty_input():
