@@ -19,8 +19,9 @@ Every command sends its per-file work through `_map_ordered`, with one
 worker function at every --jobs value. `enhance` and `eval` load the
 model once, in the parent, so a bad model file fails with its own error
 before any worker starts; workers forked from it share that model, and
-workers started otherwise load their own. Inference runs in float32 on
-the model file's stored weights.
+workers started otherwise load their own. Training and inference run in
+float32, so `train` saves exactly the trained weights and `enhance` and
+`eval` compute on them as stored.
 """
 
 from __future__ import annotations

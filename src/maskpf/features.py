@@ -6,10 +6,11 @@ dense net a flat stack of 4 frames, the recurrent net a 10-step sequence,
 the conv net a 6-frame image. Frames before the start of the utterance
 are filled by repeating the first frame.
 
-Training data holds one window per frame (`model_inputs`, `build_dataset`).
-Inference takes the frames themselves (`infer_mask`): `Model.infer` builds
-the same windows block by block with the same builder, and the conv net
-computes its encoder once per frame rather than once per window.
+Training data holds one window per frame (`model_inputs`, `build_dataset`),
+in float32, the training dtype. Inference takes the frames themselves
+(`infer_mask`): `Model.infer` builds the same windows block by block with
+the same builder, and the conv net computes its encoder once per frame
+rather than once per window.
 """
 
 from __future__ import annotations
@@ -108,9 +109,9 @@ def build_dataset(
         targets.append(modified_mask(irm, mask_config).values)
         mags.append(pair.coded_spec.magnitudes(n))
     return Dataset(
-        np.concatenate(inputs, axis=0),
-        np.concatenate(targets, axis=0),
-        np.concatenate(mags, axis=0),
+        np.concatenate(inputs, axis=0, dtype=np.float32),
+        np.concatenate(targets, axis=0, dtype=np.float32),
+        np.concatenate(mags, axis=0, dtype=np.float32),
     )
 
 

@@ -2,9 +2,9 @@
 
 The layers, recurrent cells, convolutional encoder-decoder and Adam
 optimizer are dtype-generic: the arrays a pass allocates follow the dtype
-of the weights. Training builds and runs models in float64; inference
-(`enhance`, `eval`) runs in float32 on the float32 weights that model
-files store. The convolution primitives in `kernels` have one path: an
+of the weights. Training and inference (`enhance`, `eval`) both run in
+float32, and model files store float32, so a file holds exactly the
+trained weights. The convolution primitives in `kernels` have one path: an
 im2col copy and one BLAS matrix product per call, on channels-last memory.
 """
 

@@ -8,11 +8,12 @@ training config, the feature normalization stats' tensor names, and one
 stored, so saving the same trained model twice yields identical bytes.
 
 The file stores float32, which is plenty for inference and keeps files
-half the size. Training runs in float64 and rounds its weights on saving;
-`load_model` builds a float32 model and copies the stored tensors into it
-as they are, so `enhance` and `eval` compute in float32 on exactly the
-stored weights. The normalization stats feed the float64 DSP and load as
-float64.
+half the size. Training runs in float32 too, so a file holds exactly the
+trained weights (a float64 model, such as one built for a gradient check,
+is rounded on saving). `load_model` builds a float32 model and copies the
+stored tensors into it as they are, so `enhance` and `eval` compute in
+float32 on exactly the stored weights. The normalization stats feed the
+float64 DSP and load as float64.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ layers need, in both directions:
 Convolution forward is a gather; its input gradient is a scatter; a
 transposed convolution is the same two kernels with the roles swapped, and
 both weight gradients are the third pattern. Results take the dtype of
-their operands (float32 at inference, float64 in training; mixing the two
-upcasts to float64), and padding is always "valid" (the higher layers do
-any zero padding themselves).
+their operands (float32 in training and inference, float64 in the
+gradient checks; mixing the two upcasts to float64), and padding is always
+"valid" (the higher layers do any zero padding themselves).
 
 Every image argument and result has the logical shape (N, C, H, W), but the
 work happens channels-last. `gather` and `weight_grad` copy the strided

@@ -1,5 +1,10 @@
 """Minibatch training loop with early stopping on the validation loss.
 
+Training runs in float32, the dtype model files store: `train_model`
+builds a float32 model and `Dataset` holds float32 arrays, so the file
+saved from a trained model holds its weights exactly. A model passed in
+through `model=` trains in its own dtype.
+
 Every source of randomness (weight init, dropout, batch shuffling) derives
 from the single seed in the config, so a rerun with the same config and
 data reproduces the same weights bit for bit. Wall-clock time is the one
@@ -96,13 +101,21 @@ class EarlyStopping:
 @dataclass
 class Dataset:
     """Model inputs, target masks, and the degraded magnitudes the loss
-    multiplies both masks against. First axis indexes examples."""
+    multiplies both masks against. First axis indexes examples.
+
+    The arrays are held in float32, the training dtype: they are cast once
+    here (a no-op for float32 arrays), so no batch mixes float64 data with
+    float32 weights.
+    """
 
     inputs: np.ndarray
     targets: np.ndarray
     mags: np.ndarray
 
     def __post_init__(self):
+        self.inputs = np.asarray(self.inputs, dtype=np.float32)
+        self.targets = np.asarray(self.targets, dtype=np.float32)
+        self.mags = np.asarray(self.mags, dtype=np.float32)
         n = self.inputs.shape[0]
         if self.targets.shape[0] != n or self.mags.shape[0] != n:
             raise DataError("inputs, targets, and mags must align on axis 0")
@@ -133,7 +146,7 @@ def train_model(
 ) -> TrainResult:
     """Fit an estimator; returns the best-validation-epoch weights."""
     if model is None:
-        model = build_model(config.kind, config.seed)
+        model = build_model(config.kind, config.seed, dtype=np.float32)
     adam = Adam(
         model.params(),
         lr=config.learning_rate,

@@ -24,8 +24,12 @@ def model_grad_check(model, x, h=1e-5, samples_per_tensor=4, seed=0):
     """Max relative error between analytic and central-difference gradients.
 
     Checks every parameter tensor of the model at `samples_per_tensor`
-    random positions. Returns (max_rel_err, per_tensor dict).
+    random positions. Returns (max_rel_err, per_tensor dict). The model must
+    be a float64 build: training runs in float32, but a float32 step of
+    h=1e-5 drowns in rounding, so gradients are checked in float64.
     """
+    if model.dtype != np.float64:
+        raise TypeError(f"gradient checks need float64 weights, got {model.dtype}")
     rng = np.random.default_rng(seed)
     x = np.asarray(x, dtype=np.float64)
 

@@ -13,10 +13,11 @@ from maskpf.audio_io import read_wav, write_wav
 from maskpf.cli import _enhance_one, main
 from maskpf.degrade import load_manifest, resolve_pair, split_entries
 from maskpf.dsp import AudioBuffer, NormStats, band_limit
+from maskpf.features import analyze_pair, build_dataset, input_stats
 from maskpf.metrics import log_spectral_distance, segmental_snr
 from maskpf.nn.io import load_model, save_model
 from maskpf.nn.models import MODEL_KINDS, N_BINS, build_model
-from maskpf.nn.train import TrainConfig
+from maskpf.nn.train import TrainConfig, train_model
 
 
 def read_rows(path):
@@ -221,22 +222,24 @@ def test_eval_reports(tmp_path, manifest_path, trained_dir, capsys):
         assert abs(float(r[2]) - float(r[3]) - float(r[4])) < 2e-6
 
 
-def identity_model(kind):
-    """A model whose last layer is zero: the scaled sigmoid outputs exactly
-    1, so the mask is the identity."""
-    model = build_model(kind, seed=0)
+def zero_last_layer(model):
+    """Zero the last layer: the scaled sigmoid then outputs exactly 1, so
+    the mask is the identity."""
     params = model.params()
     last = list(params)[-1].rsplit(".", 1)[0]
     for name, arr in params.items():
         if name.rsplit(".", 1)[0] == last:
             arr[...] = 0.0
+    return model
+
+
+def identity_model(kind):
+    model = zero_last_layer(build_model(kind, seed=0))
     return model, NormStats(np.zeros(N_BINS), np.ones(N_BINS))
 
 
-@pytest.mark.parametrize("kind", MODEL_KINDS)
-def test_identity_mask_enhance_reproduces_every_sample(kind):
+def assert_identity_enhance(model, stats):
     """Noise with energy at both ends, lengths off the 256-sample hop grid."""
-    model, stats = identity_model(kind)
     rng = np.random.default_rng(40)
     for n in (1000, 16100):
         x = rng.standard_normal(n) * 0.3
@@ -247,6 +250,11 @@ def test_identity_mask_enhance_reproduces_every_sample(kind):
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_identity_mask_enhance_reproduces_every_sample(kind):
+    assert_identity_enhance(*identity_model(kind))
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_identity_mask_float32_model_reproduces_every_sample(kind, tmp_path):
     """The same contract for the float32 model that `load_model` returns."""
     model, stats = identity_model(kind)
@@ -254,12 +262,34 @@ def test_identity_mask_float32_model_reproduces_every_sample(kind, tmp_path):
     save_model(path, model, stats, TrainConfig(kind=kind, seed=0))
     model, stats, _ = load_model(path)
     assert model.dtype == np.float32
-    rng = np.random.default_rng(40)
-    for n in (1000, 16100):
-        x = rng.standard_normal(n) * 0.3
-        out = _enhance_one(model, stats, AudioBuffer(x, label="coded"))
-        assert out.samples.shape == (n,)
-        np.testing.assert_allclose(out.samples, x, rtol=0, atol=1e-9)
+    assert_identity_enhance(model, stats)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_float64_trained_model_file_keeps_the_format(kind, tmp_path,
+                                                     small_pairs):
+    """Training now runs in float32, but a model trained in float64, as
+    files were written before, saves to the same format and loads: the
+    header and `train_config` keep their keys, and with its last layer
+    zeroed the loaded model passes the identity-mask check."""
+    pairs = [analyze_pair(*p) for p in small_pairs[:2]]
+    stats = input_stats(pairs[:1])
+    config = TrainConfig(kind=kind, batch_size=16, max_epochs=1, seed=2)
+    result = train_model(config, build_dataset(pairs[:1], kind, stats),
+                         build_dataset(pairs[1:], kind, stats),
+                         model=build_model(kind, config.seed))
+    assert result.model.dtype == np.float64
+    path = str(tmp_path / "f64.mpf1")
+    save_model(path, zero_last_layer(result.model), stats, config)
+    model, loaded_stats, header = load_model(path)
+    assert sorted(header) == [
+        "context_frames", "format_version", "kind", "tensors", "train_config"]
+    assert header["format_version"] == 1
+    assert sorted(header["train_config"]) == [
+        "adam_eps", "batch_size", "beta1", "beta2", "kind", "learning_rate",
+        "max_epochs", "min_delta", "patience", "seed"]
+    assert model.dtype == np.float32
+    assert_identity_enhance(model, loaded_stats)
 
 
 def test_identity_mask_eval_credits_nothing(tmp_path, manifest_path):

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from maskpf.errors import ConfigError, DataError, NumericError
-from maskpf.nn.adam import Adam
+from maskpf.dsp import NormStats
+from maskpf.nn import train as train_module
+from maskpf.nn.adam import BLOCK, Adam
+from maskpf.nn.io import load_model, save_model
 from maskpf.nn.loss import LOSS_EPS, logmag_mse
 from maskpf.nn.models import build_model
 from maskpf.nn.train import (
@@ -13,6 +16,8 @@ from maskpf.nn.train import (
     TrainConfig,
     train_model,
 )
+
+from helpers_grad import model_grad_check
 
 
 def test_loss_zero_when_masks_agree():
@@ -65,6 +70,22 @@ def test_loss_flat_below_floor():
     assert loss_a == loss_b
 
 
+def test_loss_in_float32_matches_float64():
+    """Training computes the loss on float32 predictions, targets and
+    magnitudes; loss and gradient stay float32 and agree with float64."""
+    rng = np.random.default_rng(148)
+    pred = rng.uniform(0.05, 1.95, (32, 205))
+    target = rng.uniform(0.0, 2.0, (32, 205))
+    mags = rng.uniform(1e-4, 3.0, (32, 205))
+    loss64, grad64 = logmag_mse(pred, target, mags)
+    f32 = [a.astype(np.float32) for a in (pred, target, mags)]
+    loss32, grad32 = logmag_mse(*f32)
+    assert grad32.dtype == np.float32
+    assert abs(loss32 - loss64) <= 1e-5 * loss64
+    np.testing.assert_allclose(grad32, grad64, rtol=1e-5,
+                               atol=1e-5 * np.abs(grad64).max())
+
+
 def test_loss_rejects_nan():
     with pytest.raises(NumericError):
         logmag_mse(np.array([[np.nan]]), np.array([[1.0]]), np.array([[1.0]]))
@@ -104,16 +125,13 @@ def test_adam_two_steps_match_reference_formula():
     assert np.allclose(p, ref, atol=1e-12)
 
 
-def test_adam_in_place_update_is_bit_identical_to_expression_form():
-    """The scratch-buffer update performs the operations of the textbook
-    expression in the same order, so several steps on a 2-D tensor, and a
-    smaller tensor sharing the scratch buffers, give the same bits."""
+def adam_matches_expression_form(dtype, shapes):
     rng = np.random.default_rng(144)
-    params = {"w": rng.standard_normal((7, 5)), "b": rng.standard_normal(3)}
+    params = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
     start = {k: v.copy() for k, v in params.items()}
     opt = Adam(params, lr=3e-3, beta1=0.8, beta2=0.99, eps=1e-6)
-    grads = [{k: rng.standard_normal(v.shape) for k, v in params.items()}
-             for _ in range(4)]
+    grads = [{k: rng.standard_normal(v.shape).astype(dtype)
+              for k, v in params.items()} for _ in range(4)]
     for g in grads:
         opt.step(g)
 
@@ -129,12 +147,24 @@ def test_adam_in_place_update_is_bit_identical_to_expression_form():
             bc1 = 1.0 - 0.8**t
             bc2 = 1.0 - 0.99**t
             p -= 3e-3 * (m / bc1) / (np.sqrt(v / bc2) + 1e-6)
+        assert params[key].dtype == dtype
         assert np.array_equal(params[key], p), key
+
+
+def test_adam_in_place_update_is_bit_identical_to_expression_form():
+    """The scratch-buffer update performs the operations of the textbook
+    expression in the same order, so several steps on a 2-D tensor, and a
+    smaller tensor sharing the scratch buffers, give the same bits. The
+    float32 tensor spans two whole update blocks and a partial one."""
+    adam_matches_expression_form(np.float64, {"w": (7, 5), "b": (3,)})
+    adam_matches_expression_form(np.float32, {"w": (2, BLOCK + 777), "b": (3,)})
 
 
 def test_adam_validation():
     with pytest.raises(ConfigError):
         Adam({"p": np.zeros(2)}, lr=-1.0)
+    with pytest.raises(ConfigError):  # a flat view of it would be a copy
+        Adam({"p": np.zeros((3, 4)).T})
     opt = Adam({"p": np.zeros(2)})
     with pytest.raises(ConfigError):
         opt.step({"q": np.zeros(2)})
@@ -223,6 +253,77 @@ def test_train_is_deterministic():
     for key, arr in a.model.state().items():
         assert np.array_equal(arr, b.model.state()[key]), key
     assert [h.val_loss for h in a.history] == [h.val_loss for h in b.history]
+    assert a.model.dtype == np.float32
+
+
+def test_dataset_holds_float32_and_casts_once():
+    """Float64 arrays are cast on construction; float32 arrays are kept
+    as they are, not copied."""
+    rng = np.random.default_rng(149)
+    data = make_synthetic_dataset(rng, 6, kind="fcnn")
+    for arr in (data.inputs, data.targets, data.mags):
+        assert arr.dtype == np.float32
+    again = Dataset(data.inputs, data.targets, data.mags)
+    assert again.inputs is data.inputs
+    assert again.targets is data.targets
+    assert again.mags is data.mags
+
+
+@pytest.mark.parametrize("kind", ["fcnn", "lstm"])
+def test_train_model_trains_in_float32(monkeypatch, kind):
+    """From float64 arrays in, the model, its gradients and the optimizer's
+    moments are all float32."""
+    optimizers = []
+
+    class RecordingAdam(Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            optimizers.append(self)
+
+    monkeypatch.setattr(train_module, "Adam", RecordingAdam)
+    rng = np.random.default_rng(155)
+    train = make_synthetic_dataset(rng, 16, kind=kind)
+    val = make_synthetic_dataset(rng, 8, kind=kind)
+    config = TrainConfig(kind=kind, batch_size=8, max_epochs=2, seed=6)
+    model = train_model(config, train, val).model
+    assert model.dtype == np.float32
+    for name, arr in {**model.state(), **model.grads()}.items():
+        assert arr.dtype == np.float32, name
+    (opt,) = optimizers
+    assert opt.t == 4
+    for moments in (opt.m, opt.v):
+        for name, arr in moments.items():
+            assert arr.dtype == np.float32, name
+
+
+def test_trained_model_file_holds_the_trained_weights(tmp_path):
+    """A float32-trained model survives save and load bit for bit."""
+    rng = np.random.default_rng(156)
+    train = make_synthetic_dataset(rng, 16, kind="fcnn")
+    val = make_synthetic_dataset(rng, 8, kind="fcnn")
+    config = TrainConfig(kind="fcnn", batch_size=8, max_epochs=2, seed=7)
+    model = train_model(config, train, val).model
+    path = str(tmp_path / "m.mpf1")
+    stats = NormStats(rng.standard_normal(205), rng.uniform(0.5, 2.0, 205))
+    save_model(path, model, stats, config)
+    loaded, _, _ = load_model(path)
+    assert loaded.state().keys() == model.state().keys()
+    for key, arr in model.state().items():
+        assert loaded.state()[key].dtype == arr.dtype == np.float32, key
+        assert np.array_equal(loaded.state()[key], arr), key
+
+
+def test_gradient_checks_stay_float64():
+    """Central differences at h=1e-5 are meaningless on float32 weights, so
+    the checker refuses them and runs on a float64 build."""
+    rng = np.random.default_rng(157)
+    x = rng.standard_normal((3, 32))
+    with pytest.raises(TypeError):
+        model_grad_check(build_model("fcnn", seed=8, n_bins=8,
+                                     dtype=np.float32), x)
+    max_rel, _ = model_grad_check(build_model("fcnn", seed=8, n_bins=8), x,
+                                  samples_per_tensor=2)
+    assert max_rel <= 1e-4
 
 
 def test_train_config_validation():
