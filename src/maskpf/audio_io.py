@@ -7,6 +7,8 @@ works on float64 in-memory buffers.
 from __future__ import annotations
 
 import os
+import struct
+import warnings
 
 import numpy as np
 from scipy.io import wavfile
@@ -16,12 +18,22 @@ from .errors import DataError
 
 
 def read_wav(path: str, label: str = "clean") -> AudioBuffer:
-    """Load a 16 kHz mono WAV file (PCM16 or float32) as float64 in [-1, 1]."""
+    """Load a 16 kHz mono WAV file (PCM16 or float32) as float64 in [-1, 1].
+
+    Any file that is not one whole such WAV with at least one finite
+    sample raises DataError naming the path: a header cut short, a data
+    chunk shorter than its header declares, or an unsupported format.
+    """
     if not os.path.isfile(path):
         raise DataError(f"no such audio file: {path}")
     try:
-        rate, data = wavfile.read(path)
-    except ValueError as exc:
+        with warnings.catch_warnings():
+            # scipy reads a file cut off inside its data chunk as a shorter
+            # signal and only warns; here that is a truncated file.
+            warnings.filterwarnings("error", "Reached EOF prematurely",
+                                    wavfile.WavFileWarning)
+            rate, data = wavfile.read(path)
+    except (ValueError, struct.error, OSError, wavfile.WavFileWarning) as exc:
         raise DataError(f"unreadable WAV file {path}: {exc}") from exc
     if rate != SAMPLE_RATE:
         raise DataError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate} Hz")
@@ -33,7 +45,12 @@ def read_wav(path: str, label: str = "clean") -> AudioBuffer:
         samples = data.astype(np.float64)
     else:
         raise DataError(f"{path}: unsupported sample format {data.dtype}")
-    return AudioBuffer(samples, rate, label=label)
+    if samples.size == 0:
+        raise DataError(f"{path}: no samples")
+    try:
+        return AudioBuffer(samples, rate, label=label)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def write_wav(path: str, buf: AudioBuffer, fmt: str = "pcm16") -> None:

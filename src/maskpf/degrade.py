@@ -198,32 +198,39 @@ def load_manifest(path: str) -> list[ManifestEntry]:
     """Read a JSONL manifest; every line is one clean/coded pair."""
     if not os.path.isfile(path):
         raise DataError(f"no such manifest: {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{lineno}: bad JSON: {exc}") from exc
+        if not isinstance(row, dict):
+            raise DataError(f"{path}:{lineno}: expected a JSON object, "
+                            f"got {type(row).__name__}")
+        missing = {"clean", "coded", "split"} - set(row)
+        if missing:
+            raise DataError(f"{path}:{lineno}: missing keys {sorted(missing)}")
+        if row["split"] not in SPLITS:
+            raise DataError(
+                f"{path}:{lineno}: split must be one of {SPLITS}, "
+                f"got {row['split']!r}"
+            )
+        entry = ManifestEntry(str(row["clean"]), str(row["coded"]),
+                              str(row["split"]))
+        if entry.uses_surrogate():
             try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-            missing = {"clean", "coded", "split"} - set(row)
-            if missing:
-                raise DataError(f"{path}:{lineno}: missing keys {sorted(missing)}")
-            if row["split"] not in SPLITS:
-                raise DataError(
-                    f"{path}:{lineno}: split must be one of {SPLITS}, "
-                    f"got {row['split']!r}"
-                )
-            entry = ManifestEntry(str(row["clean"]), str(row["coded"]),
-                                  str(row["split"]))
-            if entry.uses_surrogate():
-                try:
-                    get_profile(entry.surrogate_preset())
-                except ConfigError as exc:
-                    raise DataError(f"{path}:{lineno}: {exc}") from exc
-            entries.append(entry)
+                get_profile(entry.surrogate_preset())
+            except ConfigError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
+        entries.append(entry)
     if not entries:
         raise DataError(f"{path}: manifest is empty")
     return entries

@@ -6,6 +6,14 @@ non-trainable bookkeeping (batch-norm running stats) that model files must
 carry. Stochastic layers draw from a numpy Generator that can be replaced
 through `reseed`, which keeps gradient checking and reruns deterministic.
 
+Constructors allocate every array in the layer's dtype and draw nothing:
+weights start uninitialized (`np.empty`), biases and batch-norm
+statistics at their fixed starting values, gradient buffers at zero
+(`np.zeros`, whose pages stay untouched until a backward pass writes
+them). `init_weights(rng)` draws a layer's initial weights in float64 and
+writes them into its arrays; `nn.io.load_model` reads a model file's
+tensors into them instead.
+
 Shapes follow two conventions: feature tensors (N, D) and image tensors
 (N, C, H, W) with H the time axis and W the frequency axis. Image layers
 accept any memory layout; the conv kernels return channels-last buffers
@@ -44,6 +52,10 @@ class Layer:
     def reseed(self, rng: np.random.Generator) -> None:
         pass
 
+    def init_weights(self, rng: np.random.Generator) -> None:
+        """Draw the initial weights from rng (in float64, then rounded to
+        the layer's dtype); a layer without weights draws nothing."""
+
     def astype(self, dtype) -> None:
         """Recast every floating-point array the layer holds (weights,
         gradients, statistics) to dtype."""
@@ -72,12 +84,15 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...],
 
 
 class Dense(Layer):
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
-        self.w = glorot_uniform(rng, (n_in, n_out), n_in, n_out)
-        self.b = np.zeros(n_out)
-        self.gw = np.zeros_like(self.w)
-        self.gb = np.zeros_like(self.b)
+    def __init__(self, n_in: int, n_out: int, dtype=np.float64):
+        self.w = np.empty((n_in, n_out), dtype)
+        self.b = np.zeros(n_out, dtype)
+        self.gw = np.zeros((n_in, n_out), dtype)
+        self.gb = np.zeros(n_out, dtype)
         self._x: np.ndarray | None = None
+
+    def init_weights(self, rng):
+        self.w[...] = glorot_uniform(rng, self.w.shape, *self.w.shape)
 
     def params(self):
         return {"w": self.w, "b": self.b}
@@ -148,11 +163,14 @@ class ScaledSigmoid(Layer):
 
 
 class Dropout(Layer):
-    def __init__(self, rate: float, rng: np.random.Generator):
+    """Inverted dropout. Without an rng it holds a fixed placeholder stream
+    until `reseed`; `build_model` always reseeds."""
+
+    def __init__(self, rate: float, rng: np.random.Generator | None = None):
         if not 0.0 <= rate < 1.0:
             raise ConfigError("dropout rate must be in [0, 1)")
         self.rate = rate
-        self.rng = rng
+        self.rng = np.random.default_rng(0) if rng is None else rng
         self._mask: np.ndarray | None = None
 
     def reseed(self, rng):
@@ -182,13 +200,14 @@ class BatchNorm(Layer):
     with the model file but receive no gradient.
     """
 
-    def __init__(self, n_channels: int, momentum: float = 0.99, eps: float = 1e-3):
-        self.gamma = np.ones(n_channels)
-        self.beta = np.zeros(n_channels)
-        self.run_mean = np.zeros(n_channels)
-        self.run_var = np.ones(n_channels)
-        self.ggamma = np.zeros_like(self.gamma)
-        self.gbeta = np.zeros_like(self.beta)
+    def __init__(self, n_channels: int, momentum: float = 0.99, eps: float = 1e-3,
+                 dtype=np.float64):
+        self.gamma = np.ones(n_channels, dtype)
+        self.beta = np.zeros(n_channels, dtype)
+        self.run_mean = np.zeros(n_channels, dtype)
+        self.run_var = np.ones(n_channels, dtype)
+        self.ggamma = np.zeros(n_channels, dtype)
+        self.gbeta = np.zeros(n_channels, dtype)
         self.momentum = momentum
         self.eps = eps
 
@@ -248,15 +267,17 @@ class Conv2d(Layer):
     """Valid-padding strided 2-D convolution."""
 
     def __init__(self, c_in: int, c_out: int, kernel: tuple[int, int],
-                 stride: tuple[int, int], rng: np.random.Generator):
-        kh, kw = kernel
-        fan_in = c_in * kh * kw
-        fan_out = c_out * kh * kw
-        self.w = glorot_uniform(rng, (c_out, c_in, kh, kw), fan_in, fan_out)
-        self.b = np.zeros(c_out)
-        self.gw = np.zeros_like(self.w)
-        self.gb = np.zeros_like(self.b)
+                 stride: tuple[int, int], dtype=np.float64):
+        self.w = np.empty((c_out, c_in) + tuple(kernel), dtype)
+        self.b = np.zeros(c_out, dtype)
+        self.gw = np.zeros(self.w.shape, dtype)
+        self.gb = np.zeros(c_out, dtype)
         self.stride = stride
+
+    def init_weights(self, rng):
+        c_out, c_in, kh, kw = self.w.shape
+        self.w[...] = glorot_uniform(rng, self.w.shape, c_in * kh * kw,
+                                     c_out * kh * kw)
 
     def params(self):
         return {"w": self.w, "b": self.b}
@@ -282,15 +303,17 @@ class Deconv2d(Layer):
     """Valid-padding strided transposed convolution (upsampling)."""
 
     def __init__(self, c_in: int, c_out: int, kernel: tuple[int, int],
-                 stride: tuple[int, int], rng: np.random.Generator):
-        kh, kw = kernel
-        fan_in = c_in * kh * kw
-        fan_out = c_out * kh * kw
-        self.w = glorot_uniform(rng, (c_in, c_out, kh, kw), fan_in, fan_out)
-        self.b = np.zeros(c_out)
-        self.gw = np.zeros_like(self.w)
-        self.gb = np.zeros_like(self.b)
+                 stride: tuple[int, int], dtype=np.float64):
+        self.w = np.empty((c_in, c_out) + tuple(kernel), dtype)
+        self.b = np.zeros(c_out, dtype)
+        self.gw = np.zeros(self.w.shape, dtype)
+        self.gb = np.zeros(c_out, dtype)
         self.stride = stride
+
+    def init_weights(self, rng):
+        c_in, c_out, kh, kw = self.w.shape
+        self.w[...] = glorot_uniform(rng, self.w.shape, c_in * kh * kw,
+                                     c_out * kh * kw)
 
     def params(self):
         return {"w": self.w, "b": self.b}
@@ -359,6 +382,10 @@ class Sequential(Layer):
     def reseed(self, rng):
         for _, layer in self.named_layers:
             layer.reseed(rng)
+
+    def init_weights(self, rng):
+        for _, layer in self.named_layers:
+            layer.init_weights(rng)
 
     def forward(self, x, train=False):
         for _, layer in self.named_layers:

@@ -24,24 +24,31 @@ def orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
 class Lstm(Layer):
     """Single LSTM layer returning the full output sequence (N, T, H)."""
 
-    def __init__(self, n_in: int, n_units: int, rng: np.random.Generator,
-                 dropout: float = 0.0, recurrent_dropout: float = 0.0):
+    def __init__(self, n_in: int, n_units: int, dropout: float = 0.0,
+                 recurrent_dropout: float = 0.0, dtype=np.float64):
         if not (0.0 <= dropout < 1.0 and 0.0 <= recurrent_dropout < 1.0):
             raise ConfigError("dropout rates must be in [0, 1)")
         h = n_units
         self.n_in = n_in
         self.n_units = h
-        self.wx = glorot_uniform(rng, (n_in, 4 * h), n_in, 4 * h)
-        self.wh = np.concatenate(
-            [orthogonal(rng, h) for _ in range(4)], axis=1)
-        self.b = np.zeros(4 * h)
-        self.b[h : 2 * h] = 1.0  # forget gate starts open
-        self.gwx = np.zeros_like(self.wx)
-        self.gwh = np.zeros_like(self.wh)
-        self.gb = np.zeros_like(self.b)
+        self.wx = np.empty((n_in, 4 * h), dtype)
+        self.wh = np.empty((h, 4 * h), dtype)
+        self.b = np.zeros(4 * h, dtype)
+        self.gwx = np.zeros((n_in, 4 * h), dtype)
+        self.gwh = np.zeros((h, 4 * h), dtype)
+        self.gb = np.zeros(4 * h, dtype)
         self.dropout = dropout
         self.recurrent_dropout = recurrent_dropout
         self.rng = np.random.default_rng(0)
+
+    def init_weights(self, rng):
+        """Glorot input weights, one orthogonal block per gate, and the
+        forget gate's bias at 1 so it starts open."""
+        h = self.n_units
+        self.wx[...] = glorot_uniform(rng, self.wx.shape, *self.wx.shape)
+        for k in range(4):
+            self.wh[:, k * h : (k + 1) * h] = orthogonal(rng, h)
+        self.b[h : 2 * h] = 1.0
 
     def params(self):
         return {"wx": self.wx, "wh": self.wh, "b": self.b}

@@ -11,6 +11,12 @@ frame of 205 gains in (0, 2):
         (16/32/64/128 channels) and a mirrored transposed-conv decoder
         with skip concatenation, finished by a time-collapsing conv.
 
+Building a model's structure and drawing its initial weights are apart:
+the model classes and `empty_model` only allocate the layers' arrays in
+the requested dtype, and `build_model` is the only place that draws
+initial weights (through `init_weights`). Loading a model file
+(`nn.io.load_model`) fills an `empty_model` and draws nothing.
+
 `param_count` counts every value stored in the model file (weights, biases,
 and batch-norm running statistics, i.e. 4 values per normalized channel).
 REFERENCE_PARAM_COUNTS holds the published totals these builds are checked
@@ -103,19 +109,27 @@ class Model:
     def state(self) -> dict[str, np.ndarray]:
         return collect(self._layers(), "state")
 
-    def load_state(self, values: dict[str, np.ndarray]) -> None:
+    def expect_state(self, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+        """The state arrays, once `shapes` is checked to name exactly them,
+        each with its shape; any mismatch raises DataError."""
         state = self.state()
-        missing = set(state) - set(values)
-        extra = set(values) - set(state)
+        missing = set(state) - set(shapes)
+        extra = set(shapes) - set(state)
         if missing or extra:
             raise DataError(
                 f"state mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
         for name, arr in state.items():
-            src = np.asarray(values[name])
-            if src.shape != arr.shape:
+            if shapes[name] != arr.shape:
                 raise DataError(
-                    f"tensor {name}: shape {src.shape} != expected {arr.shape}")
-            arr[...] = src
+                    f"tensor {name}: shape {shapes[name]} != expected {arr.shape}")
+        return state
+
+    def load_state(self, values: dict[str, np.ndarray]) -> None:
+        """Copy values (name -> array) into the state arrays, which keep
+        their dtype."""
+        state = self.expect_state({k: np.shape(v) for k, v in values.items()})
+        for name, arr in state.items():
+            arr[...] = values[name]
 
     def zero_grads(self) -> None:
         zero_grads([layer for _, layer in self._layers()])
@@ -124,6 +138,11 @@ class Model:
         rng = np.random.default_rng(seed)
         for _, layer in self._layers():
             layer.reseed(rng)
+
+    def init_weights(self, rng: np.random.Generator) -> None:
+        """Draw every layer's initial weights from rng, in layer order."""
+        for _, layer in self._layers():
+            layer.init_weights(rng)
 
     def param_count(self) -> int:
         return int(sum(arr.size for arr in self.state().values()))
@@ -181,25 +200,31 @@ class Model:
 class FcnnModel(Model):
     kind = "fcnn"
 
-    def __init__(self, rng: np.random.Generator, n_bins: int = N_BINS,
-                 dropout: float = 0.2):
+    def __init__(self, n_bins: int = N_BINS, dropout: float = 0.2,
+                 dtype=np.float64):
         n_in = n_bins * CONTEXT_FRAMES["fcnn"]
-        drop_rng = np.random.default_rng(rng.integers(2**63))
         self.net = Sequential([
-            ("dense1", Dense(n_in, 1024, rng)),
+            ("dense1", Dense(n_in, 1024, dtype)),
             ("relu1", Relu()),
-            ("bn1", BatchNorm(1024)),
-            ("drop1", Dropout(dropout, drop_rng)),
-            ("dense2", Dense(1024, 1024, rng)),
+            ("bn1", BatchNorm(1024, dtype=dtype)),
+            ("drop1", Dropout(dropout)),
+            ("dense2", Dense(1024, 1024, dtype)),
             ("relu2", Relu()),
-            ("bn2", BatchNorm(1024)),
-            ("drop2", Dropout(dropout, drop_rng)),
-            ("dense3", Dense(1024, n_bins, rng)),
+            ("bn2", BatchNorm(1024, dtype=dtype)),
+            ("drop2", Dropout(dropout)),
+            ("dense3", Dense(1024, n_bins, dtype)),
             ("sig", ScaledSigmoid(MASK_SCALE)),
         ])
 
     def _layers(self):
         return self.net.named_layers
+
+    def init_weights(self, rng):
+        # One draw that once seeded the dropout stream; `build_model`
+        # reseeds that stream, but the draw stays so that every seed keeps
+        # its weights.
+        rng.integers(2**63)
+        super().init_weights(rng)
 
     def forward(self, x, train=False):
         return self.net.forward(x, train=train)
@@ -211,11 +236,11 @@ class FcnnModel(Model):
 class LstmModel(Model):
     kind = "lstm"
 
-    def __init__(self, rng: np.random.Generator, n_bins: int = N_BINS,
-                 dropout: float = 0.1, recurrent_dropout: float = 0.2):
-        self.lstm1 = Lstm(n_bins, 400, rng, dropout, recurrent_dropout)
-        self.lstm2 = Lstm(400, n_bins, rng, dropout, recurrent_dropout)
-        self.head = Dense(n_bins, n_bins, rng)
+    def __init__(self, n_bins: int = N_BINS, dropout: float = 0.1,
+                 recurrent_dropout: float = 0.2, dtype=np.float64):
+        self.lstm1 = Lstm(n_bins, 400, dropout, recurrent_dropout, dtype)
+        self.lstm2 = Lstm(400, n_bins, dropout, recurrent_dropout, dtype)
+        self.head = Dense(n_bins, n_bins, dtype)
         self.sig = ScaledSigmoid(MASK_SCALE)
 
     def _layers(self):
@@ -263,18 +288,18 @@ class CedModel(Model):
     kind = "ced"
     infer_batch = 32
 
-    def __init__(self, rng: np.random.Generator, n_bins: int = N_BINS):
+    def __init__(self, n_bins: int = N_BINS, dtype=np.float64):
         k, s = (2, 3), (1, 2)
         self.enc = []
         for i, (ci, co) in enumerate([(1, 16), (16, 32), (32, 64), (64, 128)], 1):
-            self.enc.append((f"enc{i}", Conv2d(ci, co, k, s, rng),
-                             BatchNorm(co), Elu(inplace=True)))
+            self.enc.append((f"enc{i}", Conv2d(ci, co, k, s, dtype),
+                             BatchNorm(co, dtype=dtype), Elu(inplace=True)))
         self.dec = []
         for i, (ci, co) in enumerate([(128, 64), (128, 32), (64, 16), (32, 1)], 1):
-            self.dec.append((f"dec{i}", Deconv2d(ci, co, k, s, rng),
-                             BatchNorm(co), Elu(inplace=True)))
+            self.dec.append((f"dec{i}", Deconv2d(ci, co, k, s, dtype),
+                             BatchNorm(co, dtype=dtype), Elu(inplace=True)))
         self.pads = [PadHighFreq(0) for _ in range(3)]  # widths set per forward
-        self.head = Conv2d(1, 1, (CONTEXT_FRAMES["ced"], 1), (1, 1), rng)
+        self.head = Conv2d(1, 1, (CONTEXT_FRAMES["ced"], 1), (1, 1), dtype)
         self.sig = ScaledSigmoid(MASK_SCALE)
 
     def _layers(self):
@@ -354,24 +379,30 @@ class CedModel(Model):
         return g
 
 
+MODEL_CLASSES = {"fcnn": FcnnModel, "lstm": LstmModel, "ced": CedModel}
+
+
+def empty_model(kind: str, n_bins: int = N_BINS, dtype=np.float64) -> Model:
+    """An estimator's layers with every array allocated in dtype and no
+    weight drawn: `build_model` draws the weights, `nn.io.load_model`
+    reads a file's into them."""
+    if kind not in MODEL_KINDS:
+        raise ConfigError(f"unknown estimator kind {kind!r}; have {MODEL_KINDS}")
+    return MODEL_CLASSES[kind](n_bins, dtype=dtype)
+
+
 def build_model(kind: str, seed: int, n_bins: int = N_BINS,
                 dtype=np.float64) -> Model:
     """Construct a freshly initialized estimator.
 
-    The seed fixes both the weight init and the dropout stream, so two
-    builds with the same seed are bit-identical. Weights are drawn in
-    float64 and then cast, so a float32 build is a rounded float64 build.
+    This is the only place that draws initial weights. The seed fixes both
+    the weight init and the dropout stream, so two builds with the same
+    seed are bit-identical. Weights are drawn in float64 and rounded as
+    they are written, so a float32 build is a rounded float64 build.
     """
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"unknown estimator kind {kind!r}; have {MODEL_KINDS}")
+    model = empty_model(kind, n_bins, dtype)
     ss = np.random.SeedSequence([seed, MODEL_KINDS.index(kind)])
     init_seed, drop_seed = ss.spawn(2)
-    rng = np.random.default_rng(init_seed)
-    if kind == "fcnn":
-        model: Model = FcnnModel(rng, n_bins)
-    elif kind == "lstm":
-        model = LstmModel(rng, n_bins)
-    else:
-        model = CedModel(rng, n_bins)
+    model.init_weights(np.random.default_rng(init_seed))
     model.reseed(int(np.random.default_rng(drop_seed).integers(2**31)))
-    return model.astype(dtype)
+    return model

@@ -1,7 +1,9 @@
 """End-to-end runs of every CLI subcommand on a tiny corpus."""
 
 import csv
+import io
 import json
+import math
 import os
 import struct
 
@@ -18,6 +20,7 @@ from maskpf.metrics import log_spectral_distance, segmental_snr
 from maskpf.nn.io import load_model, save_model
 from maskpf.nn.models import MODEL_KINDS, N_BINS, build_model
 from maskpf.nn.train import TrainConfig, train_model
+from scipy.io import wavfile
 
 
 def read_rows(path):
@@ -622,15 +625,16 @@ def test_back_to_back_enhance_uses_each_model(tmp_path, corpus_dir,
 
 def rewrite_model(src, dst, edit_header=None, edit_payload=None):
     """Copy a model file, passing its parsed header and its payload bytes
-    through the given edits."""
+    through the given edits; the payload edit runs first and also sees
+    the original header."""
     raw = open(src, "rb").read()
     (hlen,) = struct.unpack("<I", raw[4:8])
     header = json.loads(raw[8:8 + hlen])
     payload = bytearray(raw[8 + hlen:])
+    if edit_payload is not None:
+        edit_payload(payload, header)
     if edit_header is not None:
         header = edit_header(header)
-    if edit_payload is not None:
-        edit_payload(payload)
     blob = json.dumps(header).encode()
     with open(dst, "wb") as fh:
         fh.write(raw[:4] + struct.pack("<I", len(blob)) + blob + payload)
@@ -666,10 +670,58 @@ def _first_tensor(field, value):
 
 def _set_value(index, x):
     """Set one float32 of the payload; -1 is the last value of norm.std."""
-    def edit(payload):
+    def edit(payload, header):
         values = np.frombuffer(payload, dtype="<f4").copy()
         values[index] = x
         payload[:] = values.tobytes()
+    return edit
+
+
+def _tensor(header, name):
+    return next(t for t in header["tensors"] if t["name"] == name)
+
+
+def _drop_tensor(name):
+    """Remove a tensor's declaration and its bytes, so the payload still
+    matches the header."""
+    def edit_header(header):
+        header["tensors"].remove(_tensor(header, name))
+        return header
+
+    def edit_payload(payload, header):
+        offset = 0
+        for t in header["tensors"]:
+            nbytes = 4 * math.prod(t["shape"])
+            if t["name"] == name:
+                del payload[offset:offset + nbytes]
+                return
+            offset += nbytes
+    return edit_header, edit_payload
+
+
+def _add_tensor(name, size):
+    def edit_header(header):
+        header["tensors"].append({"name": name, "shape": [size]})
+        return header
+
+    def edit_payload(payload, header):
+        payload += bytes(4 * size)
+    return edit_header, edit_payload
+
+
+def _rename_tensor(name, new_name):
+    def edit(header):
+        _tensor(header, name)["name"] = new_name
+        return header
+    return edit
+
+
+def _transpose_tensor(name):
+    """Reverse a tensor's declared shape: the same size, so the payload
+    length still fits."""
+    def edit(header):
+        _tensor(header, name)["shape"].reverse()
+        return header
     return edit
 
 
@@ -688,6 +740,12 @@ MALFORMED_MODELS = {
     "train_config_unknown_kind": (_train_field("kind", "gru"), None),
     "train_config_kind_mismatch": (_train_field("kind", "fcnn"), None),
     "train_config_bad_seed": (_train_field("seed", "x"), None),
+    "no_context_frames": (_without("context_frames"), None),
+    "wrong_context_frames": (_with("context_frames", 6), None),
+    "missing_tensor": _drop_tensor("head.b"),
+    "extra_tensor": _add_tensor("head.extra", 3),
+    "duplicate_tensor": (_rename_tensor("lstm1.wh", "lstm1.wx"), None),
+    "transposed_weight": (_transpose_tensor("lstm1.wx"), None),
     "nan_weight": (None, _set_value(0, np.nan)),
     "inf_weight": (None, _set_value(0, -np.inf)),
     "zero_norm_scale": (None, _set_value(-1, 0.0)),
@@ -699,8 +757,8 @@ def test_malformed_model_files_exit_3(tmp_path, manifest_path, corpus_dir,
     """Every malformed model file is a data error (exit 3) in both
     model-loading commands, at --jobs 1 and --jobs 2."""
     good = str(tmp_path / "good.mpf1")
-    model, stats = identity_model("ced")
-    save_model(good, model, stats, TrainConfig(kind="ced", seed=0))
+    model, stats = identity_model("lstm")
+    save_model(good, model, stats, TrainConfig(kind="lstm", seed=0))
     for name, (edit_header, edit_payload) in MALFORMED_MODELS.items():
         bad = str(tmp_path / f"{name}.mpf1")
         rewrite_model(good, bad, edit_header, edit_payload)
@@ -715,3 +773,87 @@ def test_malformed_model_files_exit_3(tmp_path, manifest_path, corpus_dir,
                 assert main(argv) == 3, (name, argv[0], jobs)
                 assert f"maskpf {argv[0]}: error: {bad}" in \
                     capsys.readouterr().err, name
+
+
+def wav_bytes(data, rate=16000):
+    buf = io.BytesIO()
+    wavfile.write(buf, rate, data)
+    return buf.getvalue()
+
+
+_GOOD_WAV = wav_bytes(np.round(3000 * np.sin(np.arange(4000) * 0.05))
+                      .astype(np.int16))
+
+MALFORMED_WAVS = {
+    "empty": b"",
+    "riff_header_only": _GOOD_WAV[:12],
+    "truncated_header": _GOOD_WAV[:30],
+    "truncated_data": _GOOD_WAV[:1000],
+    "not_a_wav": b"this is not a WAV file " * 8,
+    "int32_samples": wav_bytes(np.zeros(4000, np.int32)),
+    "stereo": wav_bytes(np.zeros((4000, 2), np.int16)),
+    "rate_8k": wav_bytes(np.zeros(4000, np.int16), rate=8000),
+    "nan_sample": wav_bytes(np.array([0.0, np.nan] * 2000, np.float32)),
+    "inf_sample": wav_bytes(np.array([0.0, np.inf] * 2000, np.float32)),
+    "zero_samples": wav_bytes(np.zeros(0, np.int16)),
+}
+
+
+def test_malformed_wavs_exit_3(tmp_path, capsys):
+    """Every malformed WAV is a data error (exit 3) naming the file, both as
+    the clean input of degrade and as the coded input of enhance."""
+    model_path = str(tmp_path / "identity.mpf1")
+    save_model(model_path, *identity_model("ced"), TrainConfig(kind="ced", seed=0))
+    for name, data in MALFORMED_WAVS.items():
+        bad = tmp_path / f"{name}.wav"
+        bad.write_bytes(data)
+        degrade = ["degrade", "--out-dir", str(tmp_path / "deg"),
+                   "--preset", "q_low", str(bad)]
+        enhance = ["enhance", "--out-dir", str(tmp_path / "enh"),
+                   "--model", model_path, str(bad)]
+        for argv in (degrade, enhance):
+            assert main(argv) == 3, (name, argv[0])
+            err = capsys.readouterr().err
+            assert f"maskpf {argv[0]}: error:" in err and str(bad) in err, \
+                (name, err)
+
+
+def _manifest_line(corpus_dir, **fields):
+    row = {"clean": os.path.join(corpus_dir, "wav", "utt00.wav"),
+           "coded": "surrogate:q_low", "split": "test"}
+    row.update(fields)
+    return (json.dumps({k: v for k, v in row.items() if v is not None})
+            + "\n").encode()
+
+
+# Each case: the manifest's bytes given the corpus directory, and the file
+# the error must name, relative to the manifest's directory.
+MALFORMED_MANIFESTS = {
+    "list_line": (lambda c: b'["clean", "coded", "split"]\n', "manifest.jsonl"),
+    "string_line": (lambda c: b'"clean"\n', "manifest.jsonl"),
+    "null_line": (lambda c: b"null\n", "manifest.jsonl"),
+    "missing_key": (lambda c: _manifest_line(c, split=None), "manifest.jsonl"),
+    "bad_split": (lambda c: _manifest_line(c, split="dev"), "manifest.jsonl"),
+    "bad_preset": (lambda c: _manifest_line(c, coded="surrogate:q_extreme"),
+                   "manifest.jsonl"),
+    "missing_coded_file": (lambda c: _manifest_line(c, coded="absent.wav"),
+                           "absent.wav"),
+    "not_utf8": (lambda c: b"\xff\xfe" + _manifest_line(c), "manifest.jsonl"),
+}
+
+
+def test_malformed_manifests_exit_3(tmp_path, corpus_dir, capsys):
+    """Every malformed manifest is a data error (exit 3) naming the file at
+    fault, in a manifest-reading command at --jobs 1 and --jobs 2."""
+    for name, (content, culprit) in MALFORMED_MANIFESTS.items():
+        case = tmp_path / name
+        case.mkdir()
+        manifest = case / "manifest.jsonl"
+        manifest.write_bytes(content(corpus_dir))
+        for jobs in ("1", "2"):
+            argv = ["oracle", "--manifest", str(manifest), "--out-dir",
+                    str(case / "out"), "--split", "test", "--jobs", jobs]
+            assert main(argv) == 3, (name, jobs)
+            err = capsys.readouterr().err
+            assert "maskpf oracle: error:" in err and \
+                str(case / culprit) in err, (name, err)

@@ -7,8 +7,9 @@ import pytest
 
 from maskpf.dsp import NormStats
 from maskpf.errors import DataError
+from maskpf.nn import layers, lstm
 from maskpf.nn.io import load_model, save_model
-from maskpf.nn.models import build_model
+from maskpf.nn.models import MODEL_KINDS, build_model
 from maskpf.nn.train import TrainConfig
 
 
@@ -48,6 +49,34 @@ def test_loaded_model_holds_the_stored_float32_weights(tmp_path, kind):
         assert loaded.state()[key].dtype == np.float32, key
         assert np.array_equal(loaded.state()[key], arr.astype(np.float32)), key
     assert stats.mean.dtype == stats.std.dtype == np.float64
+
+
+def test_load_model_draws_no_initial_weights(tmp_path, monkeypatch):
+    """Loading allocates the layers and copies the file's tensors in: with
+    every initializer made to fail, each kind still loads, bit for bit."""
+    rng = np.random.default_rng(154)
+    saved = {}
+    for kind in MODEL_KINDS:
+        model = build_model(kind, seed=5, dtype=np.float32)
+        saved[kind] = {k: v.copy() for k, v in model.state().items()}
+        save_model(str(tmp_path / f"{kind}.mpf1"), model, small_stats(rng),
+                   TrainConfig(kind=kind, seed=5))
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("load_model drew an initial weight")
+
+    monkeypatch.setattr(layers, "glorot_uniform", no_draw)
+    monkeypatch.setattr(lstm, "glorot_uniform", no_draw)
+    monkeypatch.setattr(lstm, "orthogonal", no_draw)
+    with pytest.raises(AssertionError):
+        build_model("lstm", seed=5)
+    for kind in MODEL_KINDS:
+        loaded, _, _ = load_model(str(tmp_path / f"{kind}.mpf1"))
+        state = loaded.state()
+        assert state.keys() == saved[kind].keys()
+        for key, arr in saved[kind].items():
+            assert state[key].dtype == np.float32, key
+            assert state[key].tobytes() == arr.tobytes(), key
 
 
 def test_double_save_is_byte_identical(tmp_path):

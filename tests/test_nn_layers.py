@@ -60,7 +60,8 @@ def check_input_grad(layer, x, train=True, seed=0, reseed=None, tol=1e-7):
 
 def test_dense_forward_and_grads():
     rng = np.random.default_rng(100)
-    layer = Dense(5, 3, rng)
+    layer = Dense(5, 3)
+    layer.init_weights(rng)
     x = rng.standard_normal((4, 5))
     assert np.allclose(layer.forward(x), x @ layer.w + layer.b)
     check_input_grad(layer, x, seed=1)
@@ -84,7 +85,8 @@ def test_dense_forward_and_grads():
 
 def test_grads_accumulate_until_zeroed():
     rng = np.random.default_rng(101)
-    layer = Dense(3, 2, rng)
+    layer = Dense(3, 2)
+    layer.init_weights(rng)
     x = rng.standard_normal((2, 3))
     gy = rng.standard_normal((2, 2))
     layer.forward(x)
@@ -222,14 +224,16 @@ def test_batchnorm_backward_needs_train_forward():
 
 def test_conv2d_grads():
     rng = np.random.default_rng(108)
-    layer = Conv2d(2, 3, (2, 3), (1, 2), rng)
+    layer = Conv2d(2, 3, (2, 3), (1, 2))
+    layer.init_weights(rng)
     x = rng.standard_normal((2, 2, 5, 9))
     check_input_grad(layer, x, seed=11)
 
 
 def test_deconv2d_grads():
     rng = np.random.default_rng(109)
-    layer = Deconv2d(3, 2, (2, 3), (1, 2), rng)
+    layer = Deconv2d(3, 2, (2, 3), (1, 2))
+    layer.init_weights(rng)
     x = rng.standard_normal((2, 3, 4, 5))
     check_input_grad(layer, x, seed=12)
 
@@ -250,10 +254,11 @@ def test_pad_high_freq():
 def test_sequential_namespacing_and_chain_grad():
     rng = np.random.default_rng(110)
     seq = Sequential([
-        ("fc1", Dense(4, 6, rng)),
+        ("fc1", Dense(4, 6)),
         ("act", Relu()),
-        ("fc2", Dense(6, 2, rng)),
+        ("fc2", Dense(6, 2)),
     ])
+    seq.init_weights(rng)
     assert set(seq.params()) == {"fc1.w", "fc1.b", "fc2.w", "fc2.b"}
     x = rng.standard_normal((3, 4)) + 0.05
     check_input_grad(seq, x, seed=14)

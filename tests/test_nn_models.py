@@ -1,5 +1,7 @@
 """Estimator assembly: parameter budgets, shapes, determinism, gradients."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,31 @@ def test_float32_build_is_a_rounded_float64_build():
             assert np.array_equal(arr, ref[key].astype(np.float32)), key
 
 
+# SHA-256 of build_model(kind, seed=7, dtype).state(), name, dtype, shape
+# and bytes of every tensor in order, as the builds drew them when each
+# layer constructor still drew its own weights. A change to the order or
+# the arithmetic of the initial draws changes these.
+BUILD_DIGESTS = {
+    ("fcnn", "float64"): "59357d8ed9f5120becf064a1d62636473b7c896e489be867d297403c4308b0bc",
+    ("fcnn", "float32"): "3f8c5ae69c596f906f028991313221ac73e9bd4566ad71b0d928eec35917adc3",
+    ("lstm", "float64"): "022029bb4335c991088c6b4d4104f5ebbb872dc259008eec548cdac04d7bffba",
+    ("lstm", "float32"): "e5476f4d541a5b60dc2dbef6aa1137bc5ce430aa1f2a814a9f92c23cddc8c533",
+    ("ced", "float64"): "7bcda213a0078c3bae6ca9b1f3d262ea3ed9296590e72ad155ec6e99bccc2518",
+    ("ced", "float32"): "55cf9b12b70c9e4c0ec3b99fce20075c78e30346a5dfef390eb4435df676a1a4",
+}
+
+
+@pytest.mark.parametrize("kind, dtype", sorted(BUILD_DIGESTS))
+def test_build_matches_its_pinned_digest(kind, dtype):
+    h = hashlib.sha256()
+    for name, arr in build_model(kind, seed=7, dtype=dtype).state().items():
+        h.update(name.encode())
+        h.update(str(arr.dtype).encode())
+        h.update(str(arr.shape).encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    assert h.hexdigest() == BUILD_DIGESTS[kind, dtype]
+
+
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_float32_infer_matches_float64_on_the_same_weights(kind):
     """Float32 inference against float64 inference on the float32-rounded
@@ -195,7 +222,8 @@ def test_lstm_matches_a_step_by_step_reference():
     """The hoisted input projection and the after-the-loop weight GEMMs give
     the per-step recurrence's outputs and gradients (no dropout)."""
     rng = np.random.default_rng(139)
-    layer = Lstm(7, 5, rng)
+    layer = Lstm(7, 5)
+    layer.init_weights(rng)
     x = rng.standard_normal((3, 4, 7))
     gy = rng.standard_normal((3, 4, 5))
     y = layer.forward(x, train=True)
@@ -321,7 +349,8 @@ def test_lstm_gradients_small():
 
 def test_ced_gradients_small():
     rng = np.random.default_rng(135)
-    model = CedModel(np.random.default_rng(12), n_bins=45)
+    model = CedModel(n_bins=45)
+    model.init_weights(np.random.default_rng(12))
     x = rng.standard_normal((2, 1, 6, 45))
     worst, _ = model_grad_check(model, x, samples_per_tensor=3, seed=22)
     assert worst <= 1e-4, worst
