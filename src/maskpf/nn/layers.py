@@ -22,7 +22,9 @@ chain of image layers never copies to change it.
 
 A layer never writes into an array its caller passed in, except an Elu
 built with `inplace=True` by a caller that owns the buffers it feeds it.
-Eval-mode forwards keep nothing for a backward pass.
+Eval-mode forwards of the conv, deconv, batch-norm, ELU and LSTM layers
+keep nothing for a backward pass, and their backward raises ConfigError
+unless the last forward ran in train mode.
 
 Layers are dtype-generic: every array a pass allocates follows the dtype
 of the layer's parameters and of its input, so a model cast with `astype`
@@ -70,11 +72,25 @@ class Layer:
         raise NotImplementedError
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function. Below about -88 in float32 (-709 in float64)
-    exp(-x) overflows to inf, and 1 / inf is the right limit, 0."""
+def require_train_forward(saved: np.ndarray | None, what: str) -> None:
+    """Raise ConfigError when a layer kept nothing for its backward pass:
+    the last forward ran in eval mode, or none ran."""
+    if saved is None:
+        raise ConfigError(f"backward through {what} requires a train-mode forward")
+
+
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function, into `out` when given (which may be x itself).
+
+    The operations run in the order of 1 / (1 + exp(-x)), each rounded
+    once, so both forms give the same bits. Below about -88 in float32
+    (-709 in float64) exp(-x) overflows to inf, and 1 / inf is the right
+    limit, 0."""
+    out = np.negative(x, out=out)
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...],
@@ -140,6 +156,7 @@ class Elu(Layer):
         return y
 
     def backward(self, gy):
+        require_train_forward(self._y, "an ELU")
         slope = self._y + 1.0
         np.minimum(slope, 1.0, out=slope)
         slope *= gy
@@ -210,6 +227,7 @@ class BatchNorm(Layer):
         self.gbeta = np.zeros(n_channels, dtype)
         self.momentum = momentum
         self.eps = eps
+        self._xhat: np.ndarray | None = None
 
     def params(self):
         return {"gamma": self.gamma, "beta": self.beta}
@@ -245,8 +263,7 @@ class BatchNorm(Layer):
         return np.moveaxis(y.reshape(moved.shape), -1, 1)
 
     def backward(self, gy):
-        if self._xhat is None:
-            raise ConfigError("backward through batch norm requires a train-mode forward")
+        require_train_forward(self._xhat, "batch norm")
         moved = np.moveaxis(gy, 1, -1)
         rows = moved.reshape(-1, gy.shape[1])
         xhat = self._xhat
@@ -273,6 +290,7 @@ class Conv2d(Layer):
         self.gw = np.zeros(self.w.shape, dtype)
         self.gb = np.zeros(c_out, dtype)
         self.stride = stride
+        self._x: np.ndarray | None = None
 
     def init_weights(self, rng):
         c_out, c_in, kh, kw = self.w.shape
@@ -292,6 +310,7 @@ class Conv2d(Layer):
         return y
 
     def backward(self, gy):
+        require_train_forward(self._x, "a convolution")
         self.gw += kernels.conv2d_grad_weights(
             self._x, gy, self.stride, self.w.shape[2:])
         self.gb += np.einsum("nchw->c", gy)
@@ -309,6 +328,7 @@ class Deconv2d(Layer):
         self.gw = np.zeros(self.w.shape, dtype)
         self.gb = np.zeros(c_out, dtype)
         self.stride = stride
+        self._x: np.ndarray | None = None
 
     def init_weights(self, rng):
         c_in, c_out, kh, kw = self.w.shape
@@ -328,6 +348,7 @@ class Deconv2d(Layer):
         return y
 
     def backward(self, gy):
+        require_train_forward(self._x, "a transposed convolution")
         gw, gx = kernels.deconv2d_grads(self._x, gy, self.w, self.stride)
         self.gw += gw
         self.gb += np.einsum("nchw->c", gy)

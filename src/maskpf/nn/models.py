@@ -11,6 +11,12 @@ frame of 205 gains in (0, 2):
         (16/32/64/128 channels) and a mirrored transposed-conv decoder
         with skip concatenation, finished by a time-collapsing conv.
 
+`Model.infer` builds the context windows itself. The ced's encoder and
+the lstm's layer-1 input projection run once per frame, not once per
+window that holds the frame; the lstm's windows then go through the same
+recurrence (`Lstm.recur`) that training runs, its steps read as slices
+of the shared projections.
+
 Building a model's structure and drawing its initial weights are apart:
 the model classes and `empty_model` only allocate the layers' arrays in
 the requested dtype, and `build_model` is the only place that draws
@@ -95,6 +101,7 @@ class Model:
     block-wise inference."""
 
     kind: str = ""
+    n_bins: int  # mask width, and the width of every input frame
     infer_batch = 256  # frames per inference block
 
     def _layers(self) -> list[tuple[str, Layer]]:
@@ -178,7 +185,8 @@ class Model:
         blocks of `batch_size` (default `infer_batch`); each block's
         `batch_size + context_frames - 1` padded rows go to `_infer_rows`,
         so working memory is bounded by the block, not the utterance. The
-        frames are cast to the weights' dtype, and so are the masks.
+        frames are cast to the weights' dtype, and so are the masks; a frame
+        width other than `n_bins` raises ConfigError.
         """
         if batch_size is None:
             batch_size = self.infer_batch
@@ -187,6 +195,9 @@ class Model:
         frames = np.asarray(frames, dtype=self.dtype)
         if frames.ndim != 2 or frames.shape[0] < 1:
             raise ConfigError("infer expects (T, bins) frames with T >= 1")
+        if frames.shape[1] != self.n_bins:
+            raise ConfigError(
+                f"expected input width {self.n_bins}, got {frames.shape[1]}")
         span = batch_size + self.context_frames - 1
         rows = pad_context(frames, self.context_frames)
         return np.concatenate([self._infer_rows(rows[i : i + span])
@@ -202,6 +213,7 @@ class FcnnModel(Model):
 
     def __init__(self, n_bins: int = N_BINS, dropout: float = 0.2,
                  dtype=np.float64):
+        self.n_bins = n_bins
         n_in = n_bins * CONTEXT_FRAMES["fcnn"]
         self.net = Sequential([
             ("dense1", Dense(n_in, 1024, dtype)),
@@ -238,6 +250,7 @@ class LstmModel(Model):
 
     def __init__(self, n_bins: int = N_BINS, dropout: float = 0.1,
                  recurrent_dropout: float = 0.2, dtype=np.float64):
+        self.n_bins = n_bins
         self.lstm1 = Lstm(n_bins, 400, dropout, recurrent_dropout, dtype)
         self.lstm2 = Lstm(400, n_bins, dropout, recurrent_dropout, dtype)
         self.head = Dense(n_bins, n_bins, dtype)
@@ -255,9 +268,28 @@ class LstmModel(Model):
     def forward(self, x, train=False):
         if x.ndim != 3:
             raise ConfigError("recurrent estimator expects (N, T, D) input")
-        seq = self.lstm2.forward(self.lstm1.forward(x, train), train)
+        return self._top(self.lstm1.forward(x, train), train)
+
+    def _top(self, seq1, train):
+        """LSTM 2 over layer 1's (N, T, 400) outputs, then the head on its
+        last step."""
+        seq = self.lstm2.forward(seq1, train)
         self._t_len = seq.shape[1]
         return self.sig.forward(self.head.forward(seq[:, -1], train), train)
+
+    def _infer_rows(self, rows):
+        """Layer 1 projects each padded row once, not once per window.
+
+        Window j's step t is row j + t, so step t of every window is
+        `proj[t : t + n]`; `recur` reads those steps as zero-copy slices of
+        one strided view. Layer 1's outputs come back time-major, so layer
+        2's projection is one GEMM on them with no transpose copy.
+        """
+        n = rows.shape[0] - self.context_frames + 1
+        proj = rows @ self.lstm1.wx
+        proj += self.lstm1.b
+        ax = sliding_window_view(proj, n, axis=0).transpose(0, 2, 1)
+        return self._top(self.lstm1.recur(ax).transpose(1, 0, 2), False)
 
     def backward(self, gy):
         g_last = self.head.backward(self.sig.backward(gy))
@@ -289,6 +321,7 @@ class CedModel(Model):
     infer_batch = 32
 
     def __init__(self, n_bins: int = N_BINS, dtype=np.float64):
+        self.n_bins = n_bins
         k, s = (2, 3), (1, 2)
         self.enc = []
         for i, (ci, co) in enumerate([(1, 16), (16, 32), (32, 64), (64, 128)], 1):

@@ -24,6 +24,7 @@ from maskpf.nn.layers import (
     Sequential,
     zero_grads,
 )
+from maskpf.nn.lstm import Lstm
 
 
 def numeric_input_grad(layer, x, gy, train=True, h=1e-6, reseed=None):
@@ -220,6 +221,35 @@ def test_batchnorm_backward_needs_train_forward():
     layer.forward(np.ones((3, 2)), train=False)
     with pytest.raises(ConfigError):
         layer.backward(np.ones((3, 2)))
+
+
+# Layers whose backward needs what a train-mode forward keeps: the factory
+# and an input shape for each.
+NEEDS_TRAIN_FORWARD = {
+    "conv2d": (lambda: Conv2d(2, 3, (2, 3), (1, 2)), (2, 2, 5, 9)),
+    "deconv2d": (lambda: Deconv2d(3, 2, (2, 3), (1, 2)), (2, 3, 4, 5)),
+    "elu": (Elu, (3, 7)),
+    "batchnorm": (lambda: BatchNorm(3), (4, 3)),
+    "lstm": (lambda: Lstm(7, 5, dropout=0.2, recurrent_dropout=0.2), (3, 4, 7)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEEDS_TRAIN_FORWARD))
+def test_backward_without_a_train_forward_raises(name):
+    """Before any forward, and after an eval-mode forward that follows a
+    train-mode one, backward raises ConfigError."""
+    make, shape = NEEDS_TRAIN_FORWARD[name]
+    rng = np.random.default_rng(113)
+    x = rng.standard_normal(shape)
+    layer = make()
+    layer.init_weights(rng)
+    gy = np.ones_like(layer.forward(x, train=False))
+    with pytest.raises(ConfigError):
+        make().backward(gy)
+    layer.forward(x, train=True)
+    layer.forward(x, train=False)
+    with pytest.raises(ConfigError):
+        layer.backward(gy)
 
 
 def test_conv2d_grads():

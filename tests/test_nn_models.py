@@ -4,6 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from helpers_grad import model_grad_check
 from maskpf.errors import ConfigError, DataError
@@ -208,6 +209,14 @@ def test_float32_infer_matches_float64_on_the_same_weights(kind):
     np.testing.assert_allclose(got, wide.infer(frames), rtol=0, atol=MASK_TOL_F32)
 
 
+@pytest.mark.parametrize("width", [204, 206])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_infer_rejects_a_wrong_frame_width(kind, width):
+    model = build_model(kind, seed=16)
+    with pytest.raises(ConfigError, match=f"expected input width 205, got {width}"):
+        model.infer(np.zeros((20, width)))
+
+
 def test_infer_rejects_windows_and_empty_input():
     model = build_model("fcnn", seed=16)
     with pytest.raises(ConfigError):
@@ -218,48 +227,101 @@ def test_infer_rejects_windows_and_empty_input():
         model.infer(np.zeros((4, 205)), batch_size=0)
 
 
-def test_lstm_matches_a_step_by_step_reference():
-    """The hoisted input projection and the after-the-loop weight GEMMs give
-    the per-step recurrence's outputs and gradients (no dropout)."""
-    rng = np.random.default_rng(139)
-    layer = Lstm(7, 5)
-    layer.init_weights(rng)
-    x = rng.standard_normal((3, 4, 7))
-    gy = rng.standard_normal((3, 4, 5))
-    y = layer.forward(x, train=True)
-    layer.gwx[...] = layer.gwh[...] = layer.gb[...] = 0.0
-    gx = layer.backward(gy)
+def _lstm_reference(layer, x, gy, mx, mh):
+    """Outputs, input gradient and weight gradients of an LSTM, one step at
+    a time, with the input mask mx and recurrent mask mh (n, d) and (n, h)
+    held over all steps."""
+    n, t_len, _ = x.shape
+    h = layer.n_units
 
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    h, c = np.zeros((3, 5)), np.zeros((3, 5))
-    steps, ref_y = [], np.empty_like(y)
-    for t in range(4):
-        a = x[:, t] @ layer.wx + h @ layer.wh + layer.b
-        gi, gf, gc, go = sig(a[:, :5]), sig(a[:, 5:10]), np.tanh(a[:, 10:15]), sig(a[:, 15:])
-        steps.append((h, c, gi, gf, gc, go))
+    hs, c = np.zeros((n, h)), np.zeros((n, h))
+    steps, ys = [], np.empty((n, t_len, h))
+    for t in range(t_len):
+        hp = hs * mh
+        a = (x[:, t] * mx) @ layer.wx + hp @ layer.wh + layer.b
+        gi, gf = sig(a[:, :h]), sig(a[:, h : 2 * h])
+        gc, go = np.tanh(a[:, 2 * h : 3 * h]), sig(a[:, 3 * h :])
+        steps.append((hp, c, gi, gf, gc, go))
         c = gf * c + gi * gc
-        h = go * np.tanh(c)
-        ref_y[:, t] = h
-    np.testing.assert_allclose(y, ref_y, rtol=0, atol=1e-14)
+        hs = go * np.tanh(c)
+        ys[:, t] = hs
     gwx, gwh, gb = np.zeros_like(layer.wx), np.zeros_like(layer.wh), np.zeros_like(layer.b)
-    ref_gx = np.empty_like(x)
-    dh_next, dc_next = np.zeros((3, 5)), np.zeros((3, 5))
-    for t in range(3, -1, -1):
+    gx = np.empty_like(x)
+    dh_next, dc_next = np.zeros((n, h)), np.zeros((n, h))
+    for t in range(t_len - 1, -1, -1):
         hp, c_prev, gi, gf, gc, go = steps[t]
         tc = np.tanh(gf * c_prev + gi * gc)
         dh = gy[:, t] + dh_next
         dc = dh * go * (1 - tc**2) + dc_next
         da = np.concatenate([dc * gc * gi * (1 - gi), dc * c_prev * gf * (1 - gf),
                              dc * gi * (1 - gc**2), dh * tc * go * (1 - go)], axis=1)
-        gwx += x[:, t].T @ da
+        gwx += (x[:, t] * mx).T @ da
         gwh += hp.T @ da
         gb += da.sum(axis=0)
-        ref_gx[:, t] = da @ layer.wx.T
-        dh_next, dc_next = da @ layer.wh.T, dc * gf
-    for got, ref in ((gx, ref_gx), (layer.gwx, gwx), (layer.gwh, gwh), (layer.gb, gb)):
-        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13)
+        gx[:, t] = (da @ layer.wx.T) * mx
+        dh_next, dc_next = (da @ layer.wh.T) * mh, dc * gf
+    return ys, gx, gwx, gwh, gb
+
+
+def test_lstm_matches_a_step_by_step_reference():
+    """The hoisted input projection, the in-place gates, the zero first
+    state and the after-the-loop weight GEMMs give the per-step
+    recurrence's outputs and gradients: without dropout, with frozen input
+    and recurrent masks, and for a one-step sequence, whose only step is
+    the zero-state one. The reference draws the masks the layer draws: the
+    input mask, then the recurrent one."""
+    for t_len, dropout in ((4, 0.0), (4, 0.3), (1, 0.3)):
+        rng = np.random.default_rng(139)
+        layer = Lstm(7, 5, dropout=dropout, recurrent_dropout=dropout)
+        layer.init_weights(rng)
+        layer.reseed(np.random.default_rng(140))
+        x = rng.standard_normal((3, t_len, 7))
+        gy = rng.standard_normal((3, t_len, 5))
+        y = layer.forward(x, train=True)
+        layer.gwx[...] = layer.gwh[...] = layer.gb[...] = 0.0
+        gx = layer.backward(gy)
+        masks = np.random.default_rng(140)
+        keep = 1.0 - dropout
+        mx = (masks.random((3, 7)) < keep) / keep
+        mh = (masks.random((3, 5)) < keep) / keep
+        assert (mx.all() and mh.all()) == (dropout == 0.0)
+        ref = _lstm_reference(layer, x, gy, mx, mh)
+        case = f"T={t_len}, dropout={dropout}"
+        np.testing.assert_allclose(y, ref[0], rtol=0, atol=1e-14, err_msg=case)
+        for got, want in zip((gx, layer.gwx, layer.gwh, layer.gb), ref[1:]):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13, err_msg=case)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_lstm_recur_reads_strided_views_like_copies(dtype):
+    """`recur` on a read-only sliding-window view of row projections, as
+    `LstmModel._infer_rows` hands it, gives the array it gives on a
+    contiguous copy, and leaves the view's rows unchanged."""
+    rng = np.random.default_rng(142)
+    layer = Lstm(7, 5, dtype=dtype)
+    layer.init_weights(rng)
+    proj = rng.standard_normal((12, 20)).astype(dtype)
+    before = proj.copy()
+    ax = sliding_window_view(proj, 9, axis=0).transpose(0, 2, 1)
+    assert not ax.flags.writeable
+    got = layer.recur(ax)
+    assert got.shape == (4, 9, 5) and got.dtype == dtype
+    assert np.array_equal(got, layer.recur(np.ascontiguousarray(ax)))
+    assert np.array_equal(proj, before)
+
+
+def test_lstm_eval_forward_keeps_nothing_for_backward():
+    rng = np.random.default_rng(143)
+    layer = Lstm(7, 5, dropout=0.2, recurrent_dropout=0.2)
+    layer.init_weights(rng)
+    x = rng.standard_normal((3, 4, 7))
+    layer.forward(x, train=True)
+    assert layer._steps is not None
+    layer.forward(x, train=False)
+    assert layer._steps is None and layer._hps is None and layer._xs is None
 
 
 def test_outputs_live_inside_mask_range():
