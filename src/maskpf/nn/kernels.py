@@ -17,12 +17,17 @@ gradient checks; mixing the two upcasts to float64), and padding is always
 Every image argument and result has the logical shape (N, C, H, W), but the
 work happens channels-last. `gather` and `weight_grad` copy the strided
 windows of the source once into an (N*OH*OW, KH*KW*A) matrix and make one
-matrix product with the weights or the small tensor; `scatter` makes one
-matrix product into (N*OH*OW, KH*KW*B) columns and adds them back tap by
-tap. Results are (N, H, W, C) buffers returned as (N, C, H, W) views, so a
-chain of layers that passes such views along never copies an image to
-change its layout. Contiguous (N, C, H, W) inputs give the same results,
-only with a strided copy on the way in.
+matrix product with the weights or the small tensor. `scatter` makes one
+matrix product into (N*OH*OW, KH*KW*B) tap columns and hands them to
+`col2im`, the one col2im, which the conv estimator's inference also calls
+on columns it made itself. `col2im` writes each output phase (row mod
+stride, column mod stride) once, its first tap plus an optional bias, and
+adds the phase's other taps to it: no zero fill, and no separate bias
+pass. It writes into any (N, B, H, W) view the caller gives. Results are
+(N, H, W, C) buffers returned as (N, C, H, W) views, so a chain of layers
+that passes such views along never copies an image to change its layout.
+Contiguous (N, C, H, W) inputs give the same results, only with a strided
+copy on the way in.
 """
 
 from __future__ import annotations
@@ -38,8 +43,9 @@ def _nhwc(x: np.ndarray) -> np.ndarray:
     return np.asarray(x).transpose(0, 2, 3, 1)
 
 
-def _taps_last(w: np.ndarray) -> np.ndarray:
-    """(X, Y, KH, KW) weights as the (X, KH*KW*Y) matrix that matches _im2col."""
+def tap_matrix(w: np.ndarray) -> np.ndarray:
+    """(X, Y, KH, KW) weights as the (X, KH*KW*Y) matrix that matches _im2col
+    and whose product columns `col2im` takes."""
     return w.transpose(0, 2, 3, 1).reshape(w.shape[0], -1)
 
 
@@ -66,13 +72,62 @@ def gather(src: np.ndarray, w: np.ndarray, stride: tuple[int, int],
         raise ConfigError(f"kernel {kh}x{kw} does not fit input {h}x{wd}")
     if cols is None:
         cols = _im2col(src_t, (kh, kw), stride, (oh, ow))
-    return (cols @ _taps_last(w).T).reshape(n, oh, ow, b).transpose(0, 3, 1, 2)
+    return (cols @ tap_matrix(w).T).reshape(n, oh, ow, b).transpose(0, 3, 1, 2)
+
+
+def col2im(cols: np.ndarray, stride: tuple[int, int], out: np.ndarray,
+           bias: np.ndarray | None = None) -> np.ndarray:
+    """Add the tap columns `cols` (N, OH, OW, KH, KW, B) of a strided
+    scatter into `out`, the logical (N, B, H, W) destination (any strides),
+    plus `bias` (B,) per channel when given; returns `out`.
+
+    Each output phase (row mod sh, column mod sw) is written by one
+    assignment: the phase's first tap plus the bias (the bias alone, or
+    zero, where that tap does not reach), and then the phase's other taps
+    are added to it. No element is written before its first value, and
+    without a bias the sums are those of adding the taps in row-major
+    order to zeros.
+    """
+    sh, sw = stride
+    n, oh, ow, kh, kw, b = cols.shape
+    out_t = _nhwc(out)
+    h, wd = out_t.shape[1:3]
+    if out_t.shape[::3] != (n, b) or h < sh * (oh - 1) + kh or wd < sw * (ow - 1) + kw:
+        raise ConfigError(
+            f"col2im output {out.shape} does not fit columns {cols.shape}")
+    fill = 0.0 if bias is None else bias
+    for py in range(sh):
+        for px in range(sw):
+            phase = out_t[:, py::sh, px::sw]
+            if py >= kh or px >= kw:  # no tap reaches this phase
+                phase[...] = fill
+                continue
+            # The first tap covers the phase's leading (oh, ow) block.
+            if bias is None:
+                phase[:, :oh, :ow] = cols[:, :, :, py, px]
+            else:
+                np.add(cols[:, :, :, py, px], bias, out=phase[:, :oh, :ow])
+            phase[:, oh:] = fill
+            phase[:, :oh, ow:] = fill
+            for i in range(py, kh, sh):
+                for j in range(px, kw, sw):
+                    if (i, j) != (py, px):
+                        di, dj = (i - py) // sh, (j - px) // sw
+                        phase[:, di : di + oh, dj : dj + ow] += cols[:, :, :, i, j]
+    return out
 
 
 def scatter(
-    src: np.ndarray, w: np.ndarray, stride: tuple[int, int], out_hw: tuple[int, int]
+    src: np.ndarray,
+    w: np.ndarray,
+    stride: tuple[int, int],
+    out_hw: tuple[int, int],
+    bias: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Strided scatter-add; deconv2d forward and conv2d input gradient."""
+    """Strided scatter-add; deconv2d forward and conv2d input gradient,
+    plus `bias` per output channel when given. One matrix product makes
+    every tap's columns, and `col2im` writes them into a fresh
+    channels-last buffer."""
     src_t = _nhwc(src)
     sh, sw = stride
     n, oh, ow, n_a = src_t.shape
@@ -81,12 +136,9 @@ def scatter(
     min_w = sw * (ow - 1) + kw
     if out_hw[0] < min_h or out_hw[1] < min_w:
         raise ConfigError(f"output {out_hw} too small for scatter ({min_h},{min_w})")
-    cols = (src_t.reshape(-1, n_a) @ _taps_last(w)).reshape(n, oh, ow, kh, kw, b)
-    out = np.zeros((n, out_hw[0], out_hw[1], b), dtype=cols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            out[:, i : i + sh * oh : sh, j : j + sw * ow : sw] += cols[:, :, :, i, j]
-    return out.transpose(0, 3, 1, 2)
+    cols = (src_t.reshape(-1, n_a) @ tap_matrix(w)).reshape(n, oh, ow, kh, kw, b)
+    out = np.empty((n, out_hw[0], out_hw[1], b), cols.dtype)
+    return col2im(cols, stride, out.transpose(0, 3, 1, 2), bias)
 
 
 def weight_grad(
@@ -126,13 +178,14 @@ def conv2d_grad_weights(
     return weight_grad(x, gy, stride, k_hw)
 
 
-def deconv2d(x: np.ndarray, w: np.ndarray, stride: tuple[int, int]) -> np.ndarray:
-    """Valid transposed convolution. x (N,C,H,W), w (C,F,KH,KW); the output
-    is (N, F, s*(H-1)+KH, s*(W-1)+KW)."""
+def deconv2d(x: np.ndarray, w: np.ndarray, stride: tuple[int, int],
+             bias: np.ndarray | None = None) -> np.ndarray:
+    """Valid transposed convolution, plus bias (F,) when given. x (N,C,H,W),
+    w (C,F,KH,KW); the output is (N, F, s*(H-1)+KH, s*(W-1)+KW)."""
     _, _, h, wd = x.shape
     _, _, kh, kw = w.shape
     out_hw = (stride[0] * (h - 1) + kh, stride[1] * (wd - 1) + kw)
-    return scatter(x, w, stride, out_hw)
+    return scatter(x, w, stride, out_hw, bias=bias)
 
 
 def deconv2d_grad_input(

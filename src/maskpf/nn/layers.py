@@ -20,6 +20,13 @@ accept any memory layout; the conv kernels return channels-last buffers
 viewed as (N, C, H, W), and batch norm and padding keep that layout, so a
 chain of image layers never copies to change it.
 
+At eval time a batch norm is an affine map per channel. `BatchNorm.fold`
+merges it into the weights and bias of the conv before it; the conv
+estimator's `infer` does that on every call and then runs its convs
+through the kernels and `elu` directly, not through these layers. The
+eval-mode `forward`s stay for every other eval pass, validation in
+training among them.
+
 A layer never writes into an array its caller passed in, except an Elu
 built with `inplace=True` by a caller that owns the buffers it feeds it.
 Eval-mode forwards of the conv, deconv, batch-norm, ELU and LSTM layers
@@ -135,6 +142,18 @@ class Relu(Layer):
         return np.where(self._mask, gy, 0.0)
 
 
+def elu(x: np.ndarray, out: np.ndarray | None = None,
+        scratch: np.ndarray | None = None) -> np.ndarray:
+    """Exponential linear unit (alpha 1) of x, into `out` when given (which
+    may be x itself). The negative part goes through `scratch`, a buffer of
+    x's shape, when given, else through a fresh array."""
+    neg = np.minimum(x, 0.0, out=scratch)
+    np.expm1(neg, out=neg)
+    y = np.maximum(x, 0.0, out=out)
+    y += neg
+    return y
+
+
 class Elu(Layer):
     """Exponential linear unit, alpha fixed at 1.
 
@@ -148,10 +167,7 @@ class Elu(Layer):
         self._y: np.ndarray | None = None
 
     def forward(self, x, train=False):
-        neg = np.minimum(x, 0.0)
-        np.expm1(neg, out=neg)
-        y = np.maximum(x, 0.0, out=x if self.inplace else None)
-        y += neg
+        y = elu(x, out=x if self.inplace else None)
         self._y = y if train else None
         return y
 
@@ -215,6 +231,11 @@ class BatchNorm(Layer):
     copy of any other. Running statistics are updated with exponential
     smoothing during training and used verbatim at eval time; they travel
     with the model file but receive no gradient.
+
+    At eval time the layer is an affine map per channel, so `fold` can
+    merge it into the conv before it, as the conv estimator's `infer` does.
+    The eval-mode `forward` serves every other eval pass: the fcnn's, and
+    validation in training (`train._eval_loss`).
     """
 
     def __init__(self, n_channels: int, momentum: float = 0.99, eps: float = 1e-3,
@@ -257,10 +278,23 @@ class BatchNorm(Layer):
             y += self.beta
         else:
             self._xhat = None
-            scale = self.gamma / np.sqrt(self.run_var + self.eps)
+            scale = self._eval_scale()
             y = rows * scale
             y += self.beta - self.run_mean * scale
         return np.moveaxis(y.reshape(moved.shape), -1, 1)
+
+    def _eval_scale(self) -> np.ndarray:
+        return self.gamma / np.sqrt(self.run_var + self.eps)
+
+    def fold(self, w: np.ndarray, b: np.ndarray,
+             axis: int) -> tuple[np.ndarray, np.ndarray]:
+        """The weights and bias of a linear layer followed by this layer at
+        eval time: fresh copies of w scaled per output channel (w's `axis`)
+        and of b shifted, from the current running statistics."""
+        scale = self._eval_scale()
+        shape = [1] * w.ndim
+        shape[axis] = -1
+        return w * scale.reshape(shape), (b - self.run_mean) * scale + self.beta
 
     def backward(self, gy):
         require_train_forward(self._xhat, "batch norm")
@@ -343,9 +377,7 @@ class Deconv2d(Layer):
 
     def forward(self, x, train=False):
         self._x = x if train else None
-        y = kernels.deconv2d(x, self.w, self.stride)
-        y += self.b.reshape(1, -1, 1, 1)
-        return y
+        return kernels.deconv2d(x, self.w, self.stride, bias=self.b)
 
     def backward(self, gy):
         require_train_forward(self._x, "a transposed convolution")
@@ -356,7 +388,11 @@ class Deconv2d(Layer):
 
 
 class PadHighFreq(Layer):
-    """Zero-pad the frequency (last) axis at the high edge to a target width."""
+    """Zero-pad the frequency (last) axis at the high edge to a target width.
+
+    The conv estimator no longer uses it: it pads inside its one skip
+    concatenation buffer. It stays while the benchmark's tracer
+    (`perfbench/tracing.py`) wraps it by name."""
 
     def __init__(self, target_width: int):
         self.target_width = target_width

@@ -92,18 +92,19 @@ class Lstm(Layer):
         self._xs = xs if train else None
         return self.recur(ax, train).transpose(1, 0, 2)
 
-    def recur(self, ax: np.ndarray, train: bool = False) -> np.ndarray:
+    def recur(self, ax: np.ndarray, train: bool = False,
+              out: np.ndarray | None = None) -> np.ndarray:
         """The recurrence over time-major input projections.
 
         `ax` is (T, N, 4H) with the bias already added; it may be a
         read-only strided view and is never written. Returns the outputs,
-        time-major (T, N, H). Each step's gate pre-activations go into one
-        (N, 4H) buffer: the recurrent product is written there and the
-        step's projection added in place, then the gates are activated in
-        place. The first state is zero, so step 0's pre-activations are
-        `ax[0]` and its cell state is `gi * gc`. At eval time one buffer
-        serves every step; in train mode each step keeps its own, for
-        `backward`.
+        time-major (T, N, H), written into `out` when given. Each step's
+        gate pre-activations go into one (N, 4H) buffer: the recurrent
+        product is written there and the step's projection added in place,
+        then the gates are activated in place. The first state is zero, so
+        step 0's pre-activations are `ax[0]` and its cell state is
+        `gi * gc`. At eval time one buffer serves every step; in train mode
+        each step keeps its own, for `backward`.
         """
         t_len, n, _ = ax.shape
         h = self.n_units
@@ -114,7 +115,8 @@ class Lstm(Layer):
         else:
             mh = None
         self._mh = mh
-        out = np.empty((t_len, n, h), dtype)
+        if out is None:
+            out = np.empty((t_len, n, h), dtype)
         if train:
             gates = np.empty((t_len, n, 4 * h), dtype)
             cells = np.empty((t_len + 1, n, h), dtype)  # cells[t] is step t's c_prev

@@ -38,6 +38,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ..dsp import DEFAULT_STFT
 from ..errors import ConfigError, DataError
+from . import kernels
 from .layers import (
     BatchNorm,
     Conv2d,
@@ -46,11 +47,12 @@ from .layers import (
     Dropout,
     Elu,
     Layer,
-    PadHighFreq,
     Relu,
     ScaledSigmoid,
     Sequential,
     collect,
+    elu,
+    sigmoid,
     zero_grads,
 )
 from .lstm import Lstm
@@ -90,10 +92,51 @@ def window_inputs(kind: str, rows: np.ndarray) -> np.ndarray:
 
 
 def _time_windows(h: np.ndarray, n_rows: int) -> np.ndarray:
-    """Every run of n_rows consecutive time rows of a (1, C, R, W) image as a
-    (R - n_rows + 1, C, n_rows, W) view of a fresh channels-last buffer."""
-    win = sliding_window_view(h[0].transpose(1, 2, 0), n_rows, axis=0)
-    return np.ascontiguousarray(win.transpose(0, 3, 1, 2)).transpose(0, 3, 1, 2)
+    """Every run of n_rows consecutive rows of an (R, W, C) array, as an
+    (R - n_rows + 1, n_rows, W, C) view."""
+    return sliding_window_view(h, n_rows, axis=0).transpose(0, 3, 1, 2)
+
+
+def _join(h: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """[h, skip] along channels, h zero-padded at its high-frequency edge to
+    skip's width: (N, C, H, W) images into one fresh channels-last buffer,
+    returned as an (N, C, H, W) view."""
+    n, c_h, n_h, w_h = h.shape
+    c_s, w_s = skip.shape[1], skip.shape[3]
+    out = np.empty((n, n_h, w_s, c_h + c_s), h.dtype)
+    out[:, :, :w_h, :c_h] = h.transpose(0, 2, 3, 1)
+    out[:, :, w_h:, :c_h] = 0.0
+    out[..., c_h:] = skip.transpose(0, 2, 3, 1)
+    return out.transpose(0, 3, 1, 2)
+
+
+def _project(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The product of x's last axis with the matrix w, written into out,
+    which has x's shape with w's columns last."""
+    np.matmul(x.reshape(-1, x.shape[-1]), w, out=out.reshape(-1, w.shape[1]))
+    return out
+
+
+class Workspace:
+    """Named scratch buffers that inference reuses across blocks and calls.
+
+    Each name holds one flat array. `take` returns a view of its leading
+    elements in the requested shape, so a smaller block uses leading
+    slices of what a larger one allocated. A buffer is allocated, zeroed,
+    when it is first taken, and again when a request outgrows it or asks
+    for another dtype; nothing else ever resets it. One model's `infer`
+    calls must therefore not overlap, as in two threads.
+    """
+
+    def __init__(self):
+        self._bufs: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        size = int(np.prod(shape))
+        buf = self._bufs.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._bufs[name] = np.zeros(size, dtype)
+        return buf[:size].reshape(shape)
 
 
 class Model:
@@ -183,10 +226,13 @@ class Model:
         frames ending at t, with frame 0 repeated before the start, as
         `window_inputs` builds it for training. The frames are walked in
         blocks of `batch_size` (default `infer_batch`); each block's
-        `batch_size + context_frames - 1` padded rows go to `_infer_rows`,
-        so working memory is bounded by the block, not the utterance. The
-        frames are cast to the weights' dtype, and so are the masks; a frame
-        width other than `n_bins` raises ConfigError.
+        `batch_size + context_frames - 1` padded rows go to the function
+        `_block_runner` makes once per call, so working memory is bounded by
+        the block, not the utterance. The lstm and the ced keep their block
+        buffers in a `Workspace` reused across blocks and calls; the masks
+        come back in a fresh array. The frames are cast to the weights'
+        dtype, and so are the masks; a frame width other than `n_bins`
+        raises ConfigError.
         """
         if batch_size is None:
             batch_size = self.infer_batch
@@ -200,12 +246,19 @@ class Model:
                 f"expected input width {self.n_bins}, got {frames.shape[1]}")
         span = batch_size + self.context_frames - 1
         rows = pad_context(frames, self.context_frames)
-        return np.concatenate([self._infer_rows(rows[i : i + span])
-                               for i in range(0, frames.shape[0], batch_size)])
+        masks = np.empty(frames.shape, frames.dtype)
+        run = self._block_runner()
+        for i in range(0, frames.shape[0], batch_size):
+            run(rows[i : i + span], masks[i : i + batch_size])
+        return masks
 
-    def _infer_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Masks for every full context window of consecutive padded rows."""
-        return self.forward(window_inputs(self.kind, rows), train=False)
+    def _block_runner(self):
+        """The function `run(rows, out)` one `infer` call runs per block: it
+        writes the masks of every full context window of the consecutive
+        padded `rows` into `out`."""
+        def run(rows, out):
+            out[...] = self.forward(window_inputs(self.kind, rows), train=False)
+        return run
 
 
 class FcnnModel(Model):
@@ -255,6 +308,7 @@ class LstmModel(Model):
         self.lstm2 = Lstm(400, n_bins, dropout, recurrent_dropout, dtype)
         self.head = Dense(n_bins, n_bins, dtype)
         self.sig = ScaledSigmoid(MASK_SCALE)
+        self._work = Workspace()
 
     def _layers(self):
         return [("lstm1", self.lstm1), ("lstm2", self.lstm2),
@@ -268,28 +322,35 @@ class LstmModel(Model):
     def forward(self, x, train=False):
         if x.ndim != 3:
             raise ConfigError("recurrent estimator expects (N, T, D) input")
-        return self._top(self.lstm1.forward(x, train), train)
-
-    def _top(self, seq1, train):
-        """LSTM 2 over layer 1's (N, T, 400) outputs, then the head on its
-        last step."""
-        seq = self.lstm2.forward(seq1, train)
+        seq = self.lstm2.forward(self.lstm1.forward(x, train), train)
         self._t_len = seq.shape[1]
         return self.sig.forward(self.head.forward(seq[:, -1], train), train)
 
-    def _infer_rows(self, rows):
+    def _block_runner(self):
+        return self._infer_rows
+
+    def _infer_rows(self, rows, out):
         """Layer 1 projects each padded row once, not once per window.
 
         Window j's step t is row j + t, so step t of every window is
         `proj[t : t + n]`; `recur` reads those steps as zero-copy slices of
         one strided view. Layer 1's outputs come back time-major, so layer
-        2's projection is one GEMM on them with no transpose copy.
+        2's projection is one GEMM on them with no transpose copy. Both
+        projections and both layers' outputs live in the workspace.
         """
-        n = rows.shape[0] - self.context_frames + 1
-        proj = rows @ self.lstm1.wx
-        proj += self.lstm1.b
+        t_len = self.context_frames
+        n = rows.shape[0] - t_len + 1
+        take, dtype = self._work.take, rows.dtype
+        l1, l2 = self.lstm1, self.lstm2
+        proj = _project(rows, l1.wx,
+                        take("proj1", (rows.shape[0], 4 * l1.n_units), dtype))
+        proj += l1.b
         ax = sliding_window_view(proj, n, axis=0).transpose(0, 2, 1)
-        return self._top(self.lstm1.recur(ax).transpose(1, 0, 2), False)
+        seq = l1.recur(ax, out=take("seq1", (t_len, n, l1.n_units), dtype))
+        proj = _project(seq, l2.wx, take("proj2", (t_len, n, 4 * l2.n_units), dtype))
+        proj += l2.b
+        seq = l2.recur(proj, out=take("seq2", (t_len, n, l2.n_units), dtype))
+        out[...] = self.sig.forward(self.head.forward(seq[-1]))
 
     def backward(self, gy):
         g_last = self.head.backward(self.sig.backward(gy))
@@ -311,18 +372,26 @@ class CedModel(Model):
     layers as (N, C, H, W) views; every buffer after the first conv is one
     this model allocated, so its ELUs run in place.
 
-    Inference shares the encoder across overlapping windows (see
-    `_infer_rows`); its blocks are smaller than the other kinds' because
-    the decoder's channels-last activations and im2col matrices outgrow
-    the cache at the default 256 windows.
+    Inference (`_infer_rows`) takes another route to the same masks. At
+    the start of each `infer` call every conv -> batch norm pair is folded
+    into one conv (scaled weights, shifted bias) from the current running
+    statistics, so a stage is one conv with bias and one ELU. The encoder
+    runs once over a block's rows, shared by the windows that hold them.
+    The decoder runs in the model's `Workspace`: its matrix products, the
+    skip halves' products per encoder row, and each stage's output, whose
+    high-frequency pad columns stay zero from their allocation on. Its
+    blocks are smaller than the other kinds' because the decoder's
+    activations and tap columns outgrow the cache at the default 256
+    windows.
     """
 
     kind = "ced"
     infer_batch = 32
+    KERNEL, STRIDE = (2, 3), (1, 2)  # every encoder and decoder conv's
 
     def __init__(self, n_bins: int = N_BINS, dtype=np.float64):
         self.n_bins = n_bins
-        k, s = (2, 3), (1, 2)
+        k, s = self.KERNEL, self.STRIDE
         self.enc = []
         for i, (ci, co) in enumerate([(1, 16), (16, 32), (32, 64), (64, 128)], 1):
             self.enc.append((f"enc{i}", Conv2d(ci, co, k, s, dtype),
@@ -331,9 +400,9 @@ class CedModel(Model):
         for i, (ci, co) in enumerate([(128, 64), (128, 32), (64, 16), (32, 1)], 1):
             self.dec.append((f"dec{i}", Deconv2d(ci, co, k, s, dtype),
                              BatchNorm(co, dtype=dtype), Elu(inplace=True)))
-        self.pads = [PadHighFreq(0) for _ in range(3)]  # widths set per forward
         self.head = Conv2d(1, 1, (CONTEXT_FRAMES["ced"], 1), (1, 1), dtype)
         self.sig = ScaledSigmoid(MASK_SCALE)
+        self._work = Workspace()
 
     def _layers(self):
         out: list[tuple[str, Layer]] = []
@@ -363,34 +432,81 @@ class CedModel(Model):
     def _decode(self, h, skips, train):
         """Decoder, skip concatenation and head from the enc4 output."""
         # decoder pairs with encoder outputs 3, 2, 1 (0-indexed 2, 1, 0)
-        self._skip_channels = []
+        self._joins = []
         for i, (_, conv, bn, act) in enumerate(self.dec):
             h = act.forward(bn.forward(conv.forward(h, train), train), train)
             if i < 3:
-                partner = skips[2 - i]
-                self.pads[i].target_width = partner.shape[-1]
-                h = self.pads[i].forward(h, train)
-                self._skip_channels.append(h.shape[1])
-                h = np.concatenate([h.transpose(0, 2, 3, 1),
-                                    partner.transpose(0, 2, 3, 1)],
-                                   axis=3).transpose(0, 3, 1, 2)
+                self._joins.append(h.shape[1::2])
+                h = _join(h, skips[2 - i])
         y = self.head.forward(h, train)
         n = y.shape[0]
         return self.sig.forward(y.reshape(n, -1), train)
 
-    def _infer_rows(self, rows):
-        """The encoder runs once over all rows, the decoder once per window.
+    def _block_runner(self):
+        """Folds every conv -> batch norm pair from the current running
+        statistics, afresh for each `infer` call."""
+        enc = [bn.fold(conv.w, conv.b, 0) for _, conv, bn, _ in self.enc]
+        dec = []
+        for _, conv, bn, _ in self.dec:
+            w, b = bn.fold(conv.w, conv.b, 1)
+            dec.append((kernels.tap_matrix(w), w.shape[1:], b))
+        return lambda rows, out: self._infer_rows(rows, out, enc, dec)
+
+    def _infer_rows(self, rows, out, enc_wb, dec_wb):
+        """Masks of a block from the folded encoder (weights, bias) and the
+        folded decoder (tap matrix, (channels, KH, KW), bias) of each stage.
 
         The encoder convs have time stride 1 and a 2-row kernel, and in eval
         mode batch norm and ELU act row by row, so the enc-k output of
         window j is rows j .. j + 5 - k of the enc-k output of the whole
         (1, 1, R, bins) image: each row is computed once instead of once
         per window that holds it.
+
+        A decoder stage's transposed conv starts with one matrix product
+        per input pixel, and its input is [decoder, skip] along channels,
+        so that product is the decoder half's plus the skip half's. The skip
+        half's is made once per shared encoder row and added to each
+        window's as a view; stage 1's whole input is encoder rows. Then
+        `kernels.col2im` writes the stage's output once, bias included, into
+        a stage buffer as wide as the encoder partner, whose high-frequency
+        pad columns stay zero from their allocation on, and the ELU runs
+        there in place. No activation is copied, padded or concatenated.
         """
         n = rows.shape[0] - self.context_frames + 1
-        enc = self._encode(rows[None, None], False)
-        wins = [_time_windows(h, h.shape[2] - n + 1) for h in enc]
-        return self._decode(wins[3], wins[:3], False)
+        take, dtype = self._work.take, rows.dtype
+        enc = []
+        h = rows[None, None]
+        for w, b in enc_wb:
+            h = kernels.gather(h, w, self.STRIDE)
+            h_t = h.transpose(0, 2, 3, 1)[0]  # rows of a fresh channels-last buffer
+            h_t += b
+            elu(h_t, out=h_t)
+            enc.append(h_t)
+        x = None  # the decoder half of a stage's input; stage 1 has none
+        for i, (taps, (c_out, kh, kw), b) in enumerate(dec_wb):
+            n_d = 0 if x is None else x.shape[3]
+            skip = enc[3 - i]  # stage 1's whole input, a later stage's skip half
+            per_row = take("rows", skip.shape[:2] + taps.shape[1:], dtype)
+            cols = _time_windows(_project(skip, taps[n_d:], per_row),
+                                 skip.shape[0] - n + 1)
+            if x is not None:
+                dec = _project(x, taps[:n_d], take("cols", cols.shape, dtype))
+                dec += cols
+                cols = dec
+            n_h = cols.shape[1] + kh - 1
+            n_w = self.STRIDE[1] * (cols.shape[2] - 1) + kw
+            width = enc[2 - i].shape[1] if i < 3 else n_w
+            x = take(f"stage{i + 1}", (n, n_h, width, c_out), dtype)
+            kernels.col2im(cols.reshape(cols.shape[:3] + (kh, kw, c_out)),
+                           self.STRIDE, x[:, :, :n_w].transpose(0, 3, 1, 2), b)
+            elu(x, out=x, scratch=take("cols", x.shape, dtype))
+        # The head's 6x1 conv: one 6-tap product per window and bin.
+        masks = out.reshape(n, 1, -1)
+        np.matmul(self.head.w.reshape(1, -1), x.reshape(n, x.shape[1], -1),
+                  out=masks)
+        masks += self.head.b
+        sigmoid(masks, out=masks)
+        masks *= self.sig.scale
 
     def backward(self, gy):
         n = gy.shape[0]
@@ -400,9 +516,9 @@ class CedModel(Model):
         for i in range(3, -1, -1):
             _, conv, bn, act = self.dec[i]
             if i < 3:
-                dch = self._skip_channels[i]
-                skip_grads[2 - i] = g[:, dch:]
-                g = self.pads[i].backward(g[:, :dch])
+                n_c, n_w = self._joins[i]
+                skip_grads[2 - i] = g[:, n_c:]
+                g = g[:, :n_c, :, :n_w]
             g = conv.backward(bn.backward(act.backward(g)))
         for i in range(3, -1, -1):
             _, conv, bn, act = self.enc[i]

@@ -201,6 +201,39 @@ def test_scatter_output_too_small_rejected():
         kernels.scatter(x, w, (2, 2), (4, 4))
 
 
+@pytest.mark.parametrize("kernel, stride", [((2, 3), (1, 2)), ((6, 1), (1, 1)),
+                                            ((1, 2), (2, 3))])
+def test_col2im_writes_a_strided_view_once_with_bias(kernel, stride):
+    """Tap columns summed into a strided view of a larger buffer, plus a
+    bias, match the tap-by-tap loops; so do `scatter` and the deconv with
+    a bias. Output rows and columns no tap reaches (the view is one larger
+    than the taps need, and a (1, 2) kernel at stride (2, 3) leaves whole
+    phases empty) hold the bias alone, and nothing outside the view is
+    written."""
+    rng = np.random.default_rng(99)
+    kh, kw = kernel
+    x = rng.standard_normal((2, 4, 3, 5))
+    w = rng.standard_normal((4, 3, kh, kw))
+    bias = rng.standard_normal(3)
+    want = deconv2d_loops(x, w, stride)
+    n, b, h, wd = want.shape
+    want = np.pad(want, ((0, 0), (0, 0), (0, 1), (0, 1))) + bias[:, None, None]
+    cols = (x.transpose(0, 2, 3, 1).reshape(-1, 4) @ kernels.tap_matrix(w)).reshape(
+        2, 3, 5, kh, kw, 3)
+    parent = np.full((n, h + 3, wd + 4, b + 2), 7.0)
+    region = (slice(None), slice(1, h + 2), slice(2, wd + 3), slice(1, b + 1))
+    out = parent[region].transpose(0, 3, 1, 2)
+    assert kernels.col2im(cols, stride, out, bias) is out
+    np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+    outside = np.ones(parent.shape, bool)
+    outside[region] = False
+    assert np.all(parent[outside] == 7.0)
+    got = kernels.scatter(x, w, stride, (h + 1, wd + 1), bias=bias)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    got = deconv2d(in_layout(x, "nhwc"), w, stride, bias=bias)
+    np.testing.assert_allclose(got, want[:, :, :h, :wd], rtol=0, atol=1e-12)
+
+
 # ------------------------------------------------------------ float32 twins --
 
 F32_EPS = float(np.finfo(np.float32).eps)
