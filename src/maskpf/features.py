@@ -6,11 +6,15 @@ dense net a flat stack of 4 frames, the recurrent net a 10-step sequence,
 the conv net a 6-frame image. Frames before the start of the utterance
 are filled by repeating the first frame.
 
-Training data holds one window per frame (`model_inputs`, `build_dataset`),
-in float32, the training dtype. Inference takes the frames themselves
-(`infer_mask`): `Model.infer` builds the same windows block by block with
-the same builder, and the conv net computes its encoder once per frame
-rather than once per window.
+Training data holds frames, not windows (`build_dataset`): each
+utterance's padded frames once, in float32, the training dtype, with one
+example per frame. A training batch gathers its windows from those rows
+through `window_inputs`, the builder `Model.infer` uses. Validation,
+`enhance` and `eval` share one eval path, `Model.infer`, which builds the
+same windows block by block, and the conv net computes its encoder once
+per frame rather than once per window: `enhance` and `eval` run it on an
+utterance's frames (`infer_mask` here), validation on a dataset's stacked
+rows. `model_inputs` stacks every window of one utterance at once.
 """
 
 from __future__ import annotations
@@ -32,25 +36,8 @@ from .dsp import (
 )
 from .errors import ConfigError, DataError
 from .mask import MaskConfig, MaskMatrix, compute_irm, modified_mask
-from .nn.models import (
-    CONTEXT_FRAMES,
-    MODEL_KINDS,
-    context_windows,
-    pad_context,
-    window_inputs,
-)
+from .nn.models import CONTEXT_FRAMES, MODEL_KINDS, pad_context, window_inputs
 from .nn.train import Dataset
-
-
-def context_history(features: np.ndarray, n_frames: int) -> np.ndarray:
-    """Per-frame causal history, shape (T, n_frames, K), oldest first.
-
-    Row t holds frames [t - n_frames + 1 .. t]; indices before 0 repeat
-    frame 0.
-    """
-    if n_frames < 1:
-        raise ConfigError("context must cover at least one frame")
-    return context_windows(pad_context(features, n_frames), n_frames)
 
 
 def model_inputs(kind: str, features: np.ndarray) -> np.ndarray:
@@ -96,23 +83,17 @@ def build_dataset(
     stats: NormStats,
     mask_config: MaskConfig = MaskConfig(),
 ) -> Dataset:
-    """Stack windowed inputs, modified-mask targets, and degraded
-    magnitudes across utterances, preserving utterance order."""
-    if not pairs:
-        raise DataError("no utterances to assemble")
-    inputs, targets, mags = [], [], []
+    """One example per frame across utterances, in utterance order: the
+    normalized frames, their modified-mask targets, and the degraded
+    magnitudes."""
+    frames, targets, mags = [], [], []
     n = DEFAULT_STFT.n_processed
     for pair in pairs:
-        feats = normalize(pair.coded_logmag, stats).frames
-        inputs.append(model_inputs(kind, feats))
+        frames.append(normalize(pair.coded_logmag, stats).frames)
         irm = compute_irm(pair.clean_spec, pair.coded_spec, mask_config)
         targets.append(modified_mask(irm, mask_config).values)
         mags.append(pair.coded_spec.magnitudes(n))
-    return Dataset(
-        np.concatenate(inputs, axis=0, dtype=np.float32),
-        np.concatenate(targets, axis=0, dtype=np.float32),
-        np.concatenate(mags, axis=0, dtype=np.float32),
-    )
+    return Dataset.from_utterances(kind, frames, targets, mags)
 
 
 def infer_mask(model, stats: NormStats, coded_spec: Spectrogram,

@@ -23,9 +23,9 @@ chain of image layers never copies to change it.
 At eval time a batch norm is an affine map per channel. `BatchNorm.fold`
 merges it into the weights and bias of the conv before it; the conv
 estimator's `infer` does that on every call and then runs its convs
-through the kernels and `elu` directly, not through these layers. The
-eval-mode `forward`s stay for every other eval pass, validation in
-training among them.
+through the kernels and `elu` directly, not through these layers. Every
+eval pass, validation in training included, goes through `Model.infer`;
+the fcnn's runs its layers' eval-mode `forward`s.
 
 A layer never writes into an array its caller passed in, except an Elu
 built with `inplace=True` by a caller that owns the buffers it feeds it.
@@ -234,8 +234,8 @@ class BatchNorm(Layer):
 
     At eval time the layer is an affine map per channel, so `fold` can
     merge it into the conv before it, as the conv estimator's `infer` does.
-    The eval-mode `forward` serves every other eval pass: the fcnn's, and
-    validation in training (`train._eval_loss`).
+    The eval-mode `forward` serves the fcnn's `infer`, which validation in
+    training (`train._eval_loss`) runs too.
     """
 
     def __init__(self, n_channels: int, momentum: float = 0.99, eps: float = 1e-3,

@@ -3,8 +3,9 @@
 Gate layout in the fused weight matrices is [input, forget, candidate,
 output]. `forward` projects every step's input with one GEMM and hands
 the time-major projections to `recur`, the one recurrence loop, which
-training, validation and inference all run through; `LstmModel` also
-calls it directly with projections it shares across windows. Each step's
+training, validation and inference all run through; for validation and
+inference `LstmModel` calls it directly with projections it shares
+across windows. Each step's
 gate pre-activations are written into one (N, 4H) buffer, and sigmoid and
 tanh run in place on its gate slices. The first state is zero, so step 0
 has no recurrent product and no forget term, and backward sends no

@@ -73,17 +73,22 @@ def pad_context(frames: np.ndarray, n_frames: int) -> np.ndarray:
     return np.concatenate([np.repeat(frames[:1], n_frames - 1, axis=0), frames])
 
 
-def context_windows(rows: np.ndarray, n_frames: int) -> np.ndarray:
-    """Every window of n_frames consecutive rows, shape (R - n_frames + 1,
-    n_frames, K), oldest first."""
-    idx = np.arange(rows.shape[0] - n_frames + 1)[:, None] + np.arange(n_frames)
-    return rows[idx]
+def context_windows(rows: np.ndarray, n_frames: int,
+                    starts: np.ndarray | None = None) -> np.ndarray:
+    """The windows of n_frames consecutive rows that begin at the row
+    indices `starts` (default: every window, R - n_frames + 1 of them), as
+    one fresh (len(starts), n_frames, K) array, oldest first."""
+    if starts is None:
+        starts = np.arange(rows.shape[0] - n_frames + 1)
+    return rows[np.asarray(starts)[:, None] + np.arange(n_frames)]
 
 
-def window_inputs(kind: str, rows: np.ndarray) -> np.ndarray:
+def window_inputs(kind: str, rows: np.ndarray,
+                  starts: np.ndarray | None = None) -> np.ndarray:
     """The inputs one estimator consumes, one per context window of
-    left-padded rows: a flat stack, a sequence, or a 1-channel image."""
-    hist = context_windows(rows, CONTEXT_FRAMES[kind])
+    left-padded rows (those beginning at `starts`, or every one): a flat
+    stack, a sequence, or a 1-channel image."""
+    hist = context_windows(rows, CONTEXT_FRAMES[kind], starts)
     if kind == "fcnn":
         return hist.reshape(hist.shape[0], -1)
     if kind == "lstm":

@@ -8,13 +8,13 @@ from maskpf.errors import ConfigError, DataError
 from maskpf.features import (
     analyze_pair,
     build_dataset,
-    context_history,
     infer_mask,
     input_stats,
     model_inputs,
 )
 from maskpf.mask import MaskConfig
-from maskpf.nn.models import CONTEXT_FRAMES, build_model
+from maskpf.nn.models import CONTEXT_FRAMES, build_model, pad_context, window_inputs
+from maskpf.nn.train import Dataset
 from maskpf.degrade import PRESETS, surrogate_code
 from maskpf.dsp import band_limit, level_normalize, stft
 from maskpf.synth import synth_utterance
@@ -26,26 +26,35 @@ def make_pair(seed=120, duration_s=0.8, preset="q_mid"):
     return clean, surrogate_code(clean, PRESETS[preset])
 
 
-def test_context_history_repeats_first_frame():
+def test_window_inputs_repeat_first_frame():
     feats = np.arange(12.0).reshape(4, 3)
-    hist = context_history(feats, 3)
-    assert hist.shape == (4, 3, 3)
-    assert np.array_equal(hist[0], [feats[0], feats[0], feats[0]])
-    assert np.array_equal(hist[1], [feats[0], feats[0], feats[1]])
-    assert np.array_equal(hist[3], [feats[1], feats[2], feats[3]])
-    with pytest.raises(ConfigError):
-        context_history(feats, 0)
+    hist = window_inputs("lstm", pad_context(feats, 10))
+    assert hist.shape == (4, 10, 3)
+    assert np.array_equal(hist[0], np.repeat(feats[:1], 10, axis=0))
+    assert np.array_equal(hist[1], [feats[0]] * 9 + [feats[1]])
+    assert np.array_equal(hist[3], [feats[0]] * 7 + [feats[1], feats[2], feats[3]])
+    rows = pad_context(feats, 10)
+    assert np.array_equal(window_inputs("lstm", rows, np.array([3, 0, 3])),
+                          hist[[3, 0, 3]])
 
 
-def test_context_history_is_causal():
-    """Future frames must never appear in a row's history."""
+def test_window_inputs_are_causal():
+    """Future frames must never appear in a frame's window, neither in the
+    windows `window_inputs` builds nor in a dataset's."""
     rng = np.random.default_rng(121)
-    feats = rng.standard_normal((20, 5))
-    hist = context_history(feats, 4)
+    feats = rng.standard_normal((20, 205))
     tweaked = feats.copy()
     tweaked[10:] += 100.0
-    hist2 = context_history(tweaked, 4)
-    assert np.array_equal(hist[:10], hist2[:10])
+    ones = [np.ones((5, 205)), np.ones((20, 205))]
+    for kind, context in CONTEXT_FRAMES.items():
+        hist, hist2 = (window_inputs(kind, pad_context(f, context))
+                       for f in (feats, tweaked))
+        assert np.array_equal(hist[:10], hist2[:10])
+        assert not np.array_equal(hist[10], hist2[10])
+        data, data2 = (Dataset.from_utterances(kind, [f[:5], f], ones, ones)
+                       for f in (feats, tweaked))
+        assert np.array_equal(data.inputs[:15], data2.inputs[:15])
+        assert not np.array_equal(data.inputs[15], data2.inputs[15])
 
 
 def test_model_inputs_shapes():

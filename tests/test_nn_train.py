@@ -1,15 +1,25 @@
 """Loss algebra, the optimizer update, early stopping, and the full loop."""
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
 import numpy as np
 import pytest
 
+import maskpf
+from maskpf.degrade import PRESETS, surrogate_code
 from maskpf.errors import ConfigError, DataError, NumericError
-from maskpf.dsp import NormStats
+from maskpf.dsp import AudioBuffer, NormStats, band_limit, level_normalize
 from maskpf.nn import train as train_module
 from maskpf.nn.adam import BLOCK, Adam
 from maskpf.nn.io import load_model, save_model
 from maskpf.nn.loss import LOSS_EPS, logmag_mse
-from maskpf.nn.models import build_model
+from maskpf.features import analyze_pair, build_dataset, input_stats, model_inputs
+from maskpf.nn.models import MODEL_KINDS, build_model
 from maskpf.nn.train import (
     Dataset,
     EarlyStopping,
@@ -193,23 +203,99 @@ def test_early_stopping_counts_and_restores():
 
 
 def make_synthetic_dataset(rng, n, kind="lstm"):
-    if kind == "lstm":
-        inputs = rng.standard_normal((n, 10, 205))
-    else:
-        inputs = rng.standard_normal((n, 820))
+    """n examples of random frames, split into two utterances."""
+    frames = rng.standard_normal((n, 205))
     targets = rng.uniform(0.3, 1.7, (n, 205))
     mags = rng.uniform(1e-2, 1.0, (n, 205))
-    return Dataset(inputs, targets, mags)
+    cut = n // 3
+    return Dataset.from_utterances(
+        kind, *([a[:cut], a[cut:]] for a in (frames, targets, mags)))
 
 
 def test_dataset_validation():
     rng = np.random.default_rng(144)
+    good = dict(kind="fcnn", rows=rng.standard_normal((12, 205)),
+                offsets=np.arange(9), targets=np.ones((9, 205)),
+                mags=np.ones((9, 205)))
+    assert len(Dataset(**good)) == 9
+    bad = [
+        dict(offsets=np.arange(1, 10)),  # the last window overruns the rows
+        dict(offsets=np.arange(-1, 8)),
+        dict(offsets=np.arange(9)[:, None]),
+        dict(targets=np.ones((8, 205)), mags=np.ones((8, 205))),  # misaligned
+        dict(mags=np.ones((9, 204))),
+        dict(offsets=np.arange(0), targets=np.ones((0, 205)),
+             mags=np.ones((0, 205))),
+    ]
+    for change in bad:
+        with pytest.raises(DataError):
+            Dataset(**{**good, **change})
+    with pytest.raises(ConfigError):
+        Dataset(**{**good, "kind": "mlp"})
+    frames = [rng.standard_normal((9, 205)), rng.standard_normal((0, 205))]
+    ones = [np.ones((9, 205)), np.ones((0, 205))]
+    with pytest.raises(DataError):  # an empty utterance
+        Dataset.from_utterances("fcnn", frames, ones, ones)
+    with pytest.raises(DataError):  # targets one frame short
+        Dataset.from_utterances("fcnn", frames[:1], [np.ones((8, 205))], ones[:1])
     with pytest.raises(DataError):
-        Dataset(rng.standard_normal((3, 4)), rng.standard_normal((2, 5)),
-                rng.standard_normal((3, 5)))
-    with pytest.raises(DataError):
-        Dataset(rng.standard_normal((3, 4)), rng.standard_normal((3, 5)),
-                rng.standard_normal((3, 6)))
+        Dataset.from_utterances("fcnn", [], [], [])
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_windows_never_cross_utterance_boundaries(kind):
+    """Each utterance's first windows repeat its own frame 0, never the
+    previous utterance's tail, in training batches and in validation. The
+    frames carry energy up to both edges, and the 2-frame utterance is
+    shorter than every context."""
+    rng = np.random.default_rng(150)
+    frames = [rng.standard_normal((n, 205)) + 3.0 for n in (7, 2, 13)]
+    targets = [rng.uniform(0.3, 1.7, f.shape) for f in frames]
+    mags = [rng.uniform(1e-2, 1.0, f.shape) for f in frames]
+    data = Dataset.from_utterances(kind, frames, targets, mags)
+    want = np.concatenate([model_inputs(kind, f) for f in frames]).astype(np.float32)
+    idx = rng.permutation(len(data))
+    assert np.array_equal(data.batch(idx), want[idx])
+    assert np.array_equal(data.inputs, want)
+
+    model = build_model(kind, seed=9)  # float64, so masks compare to 1e-12
+    masks = np.concatenate([model.infer(f.astype(np.float32)) for f in frames])
+    loss, _ = logmag_mse(masks, data.targets, data.mags)
+    assert abs(train_module._eval_loss(model, data) - loss) <= 1e-12 * loss
+
+
+def _forward_loss(model, data):
+    """The validation loss as eval-mode forward passes over the stored
+    windows give it, 256 windows at a time."""
+    x = data.inputs
+    pred = np.concatenate([model.forward(x[i : i + 256], train=False)
+                           for i in range(0, len(x), 256)])
+    return logmag_mse(pred, data.targets, data.mags)[0]
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_eval_loss_through_infer_matches_forward(kind):
+    """Validation through `Model.infer` scores the masks eval-mode forward
+    gives on the same windows: the fcnn's and the lstm's are bit-identical,
+    the ced's move by its folded batch norm's rounding. It draws nothing
+    from the dropout stream."""
+    rng = np.random.default_rng(151)
+    train = make_synthetic_dataset(rng, 48, kind)
+    config = TrainConfig(kind=kind, batch_size=16, max_epochs=1, seed=10)
+    model = train_model(config, train, train).model  # non-trivial BN statistics
+    frames = [rng.standard_normal((n, 205)) for n in (300, 2, 41)]
+    targets = [rng.uniform(0.3, 1.7, f.shape) for f in frames]
+    mags = [rng.uniform(1e-2, 1.0, f.shape) for f in frames]
+    data = Dataset.from_utterances(kind, frames, targets, mags)
+    streams = [layer.rng for _, layer in model._layers() if hasattr(layer, "rng")]
+    before = [r.bit_generator.state for r in streams]
+    got = train_module._eval_loss(model, data)
+    assert [r.bit_generator.state for r in streams] == before
+    want = _forward_loss(model, data)
+    if kind == "ced":
+        assert abs(got - want) <= 1e-6 * want
+    else:
+        assert got == want
 
 
 def test_zero_lr_patience_gives_exactly_patience_plus_one_evals():
@@ -258,15 +344,26 @@ def test_train_is_deterministic():
 
 def test_dataset_holds_float32_and_casts_once():
     """Float64 arrays are cast on construction; float32 arrays are kept
-    as they are, not copied."""
+    as they are, not copied. `inputs` stacks the windows afresh on each
+    read and keeps nothing."""
     rng = np.random.default_rng(149)
     data = make_synthetic_dataset(rng, 6, kind="fcnn")
-    for arr in (data.inputs, data.targets, data.mags):
+    for arr in (data.rows, data.targets, data.mags, data.inputs):
         assert arr.dtype == np.float32
-    again = Dataset(data.inputs, data.targets, data.mags)
-    assert again.inputs is data.inputs
+    again = Dataset(data.kind, data.rows, data.offsets, data.targets,
+                    data.mags)
+    assert again.rows is data.rows
     assert again.targets is data.targets
     assert again.mags is data.mags
+    assert data.inputs is not data.inputs
+    assert np.array_equal(data.inputs, data.batch(np.arange(len(data))))
+
+
+def test_train_model_rejects_another_kinds_data():
+    rng = np.random.default_rng(158)
+    data = make_synthetic_dataset(rng, 6, kind="fcnn")
+    with pytest.raises(ConfigError):
+        train_model(TrainConfig(kind="lstm", max_epochs=1), data, data)
 
 
 @pytest.mark.parametrize("kind", ["fcnn", "lstm"])
@@ -333,3 +430,54 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
         TrainConfig(patience=0)
+
+
+# SHA-256 of the model file that `_trained_file_digests` writes for each
+# kind, with one BLAS thread. They pin float32 training bit for bit: batch
+# assembly, shuffling, dropout, and which epoch validation keeps. They
+# depend on the numpy and BLAS build and on the CPU's kernels (recorded
+# with numpy 2.4.6 and scipy-openblas 0.3.31 on x86-64); `python
+# tests/test_nn_train.py` prints them afresh.
+TRAINED_FILE_SHA256 = {
+    "fcnn": "bc5ff541cecb3743bdc10f07a299db3b6241428dd9281a0ddd732ebaf4ea5889",
+    "lstm": "828973fcdf2e255eda04a12a71a243e4c34ea333587408204bde0942377f5860",
+    "ced": "12be1dc4fda25a2dad371a298970093a0b35e0a802e9b60ecf0c9c088a095a1c",
+}
+
+
+def _trained_file_digests() -> dict[str, str]:
+    """Train each kind for 2 epochs on coded noise with energy up to both
+    edges (train: 22, 34 and 2 frames; val: 18) and hash the saved file."""
+    rng = np.random.default_rng(160)
+    pairs = []
+    for n in (6000, 9000, 800, 5000):
+        clean, _ = level_normalize(band_limit(AudioBuffer(rng.standard_normal(n))))
+        pairs.append(analyze_pair(clean, surrogate_code(clean, PRESETS["q_mid"])))
+    stats = input_stats(pairs[:3])
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.mpf1")
+        for kind in MODEL_KINDS:
+            config = TrainConfig(kind=kind, batch_size=16, max_epochs=2, seed=8)
+            result = train_model(config, build_dataset(pairs[:3], kind, stats),
+                                 build_dataset(pairs[3:], kind, stats))
+            save_model(path, result.model, stats, config)
+            with open(path, "rb") as fh:
+                digests[kind] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
+def test_trained_model_files_are_pinned():
+    """Run in a child process so that OpenBLAS starts with one thread: its
+    float32 sums change with the thread count."""
+    paths = [os.path.dirname(os.path.dirname(maskpf.__file__)),
+             os.path.dirname(__file__)]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(paths)}
+    run = subprocess.run([sys.executable, __file__], env=env, check=True,
+                         capture_output=True, text=True, timeout=600)
+    assert json.loads(run.stdout) == TRAINED_FILE_SHA256
+
+
+if __name__ == "__main__":
+    print(json.dumps(_trained_file_digests()))
