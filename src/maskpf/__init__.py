@@ -8,7 +8,7 @@ and resynthesizes. Subpackages cover signal processing (`dsp`), mask math
 (`cli`).
 """
 
-from .dsp import SAMPLE_RATE, AudioBuffer, Spectrogram, StftConfig, stft, istft
+from .dsp import SAMPLE_RATE, AudioBuffer, Spectrogram, stft, istft
 from .errors import ConfigError, DataError, MaskpfError, NumericError
 
 __version__ = "0.1.0"
@@ -17,7 +17,6 @@ __all__ = [
     "SAMPLE_RATE",
     "AudioBuffer",
     "Spectrogram",
-    "StftConfig",
     "stft",
     "istft",
     "MaskpfError",

@@ -1,7 +1,8 @@
 """WAV file reading and writing at the package's fixed 16 kHz mono format.
 
 Files are touched only at the command-line boundary; everything in between
-works on float64 in-memory buffers.
+works on float64 in-memory `AudioBuffer`s, which are 16 kHz by
+construction. `read_wav` is where other rates are turned away.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .dsp import SAMPLE_RATE, AudioBuffer
 from .errors import DataError
 
 
-def read_wav(path: str, label: str = "clean") -> AudioBuffer:
+def read_wav(path: str) -> AudioBuffer:
     """Load a 16 kHz mono WAV file (PCM16 or float32) as float64 in [-1, 1].
 
     Any file that is not one whole such WAV with at least one finite
@@ -48,7 +49,7 @@ def read_wav(path: str, label: str = "clean") -> AudioBuffer:
     if samples.size == 0:
         raise DataError(f"{path}: no samples")
     try:
-        return AudioBuffer(samples, rate, label=label)
+        return AudioBuffer(samples)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
@@ -58,8 +59,6 @@ def write_wav(path: str, buf: AudioBuffer, fmt: str = "pcm16") -> None:
 
     PCM16 output is clipped to [-1, 1) before quantization.
     """
-    if buf.sample_rate != SAMPLE_RATE:
-        raise DataError(f"expected {SAMPLE_RATE} Hz buffer, got {buf.sample_rate}")
     if fmt == "pcm16":
         clipped = np.clip(buf.samples, -1.0, 32767.0 / 32768.0)
         data = np.round(clipped * 32768.0).astype(np.int16)

@@ -50,7 +50,15 @@ from .degrade import (
     split_entries,
     surrogate_code,
 )
-from .dsp import DEFAULT_STFT, AudioBuffer, band_limit, frame_count, stft_filter
+from .dsp import (
+    FRAME_LEN,
+    HOP,
+    AudioBuffer,
+    analysis_frames,
+    band_limit,
+    frame_count,
+    stft_filter,
+)
 from .errors import ConfigError, DataError, MaskpfError
 from .features import analyze_pair, build_dataset, infer_mask, input_stats
 from .mask import (
@@ -60,7 +68,6 @@ from .mask import (
     envelope_mask,
     mask_histogram,
     oracle_sweep,
-    time_domain_frames,
 )
 from .metrics import log_spectral_distance, lsd_from_mags, segmental_snr
 from .nn.io import load_model, save_model
@@ -221,14 +228,11 @@ def _oracle_worker(job) -> list[float]:
     sweep = oracle_sweep(pair.clean_spec, pair.coded_spec, tuple(bounds))
     values = [lsd for _, lsd in sweep]
     if with_envelope:
-        n = pair.coded_spec.config.n_processed
-        clean_td = time_domain_frames(clean.samples)
-        coded_td = time_domain_frames(coded.samples)
-        emask = envelope_mask(
-            pair.clean_spec, pair.coded_spec, clean_td, coded_td)
-        enhanced = emask.values * pair.coded_spec.magnitudes(n)
-        values.append(
-            lsd_from_mags(enhanced, pair.clean_spec.magnitudes(n)))
+        emask = envelope_mask(pair.clean_spec, pair.coded_spec,
+                              analysis_frames(clean.samples),
+                              analysis_frames(coded.samples))
+        enhanced = emask.values * pair.coded_spec.magnitudes()
+        values.append(lsd_from_mags(enhanced, pair.clean_spec.magnitudes()))
     return values
 
 
@@ -290,12 +294,12 @@ def _enhance_one(model, stats, coded: AudioBuffer) -> AudioBuffer:
     def enhance(spec):
         return apply_mask(spec, infer_mask(model, stats, spec))
 
-    return stft_filter(coded, enhance, label="enhanced")
+    return stft_filter(coded, enhance)
 
 
 def _enhance_worker(job) -> str:
     in_path, out_dir, fmt = job
-    coded = band_limit(read_wav(in_path, label="coded"))
+    coded = band_limit(read_wav(in_path))
     enhanced = _enhance_one(*_MODEL, coded)
     stem = os.path.splitext(os.path.basename(in_path))[0]
     out_path = os.path.join(out_dir, f"{stem}.enhanced.wav")
@@ -329,7 +333,7 @@ def _eval_worker(job) -> list:
     n_frames = frame_count(len(coded))
     if n_frames < 1:
         raise DataError(f"signal too short for analysis: {len(coded)} samples")
-    scored = (n_frames - 1) * DEFAULT_STFT.hop + DEFAULT_STFT.frame_len
+    scored = (n_frames - 1) * HOP + FRAME_LEN
     enhanced = _enhance_one(*_MODEL, coded)
     clean_t = AudioBuffer(clean.samples[:scored])
     coded_t = AudioBuffer(coded.samples[:scored])

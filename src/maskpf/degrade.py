@@ -24,12 +24,11 @@ import numpy as np
 
 from .audio_io import read_wav
 from .dsp import (
+    FRAME_LEN,
     LOG_FLOOR,
     SAMPLE_RATE,
     AudioBuffer,
-    DEFAULT_STFT,
     Spectrogram,
-    StftConfig,
     band_limit,
     level_normalize,
     stft_filter,
@@ -109,15 +108,14 @@ def _content_seed(profile: DegradeProfile, samples: np.ndarray) -> np.random.Gen
     return np.random.default_rng(np.random.SeedSequence([profile.seed, digest]))
 
 
-def surrogate_code(buf: AudioBuffer, profile: DegradeProfile,
-                   cfg: StftConfig = DEFAULT_STFT) -> AudioBuffer:
+def surrogate_code(buf: AudioBuffer, profile: DegradeProfile) -> AudioBuffer:
     """Apply the surrogate degradation; output matches the input length.
 
     The coding runs through `stft_filter`, so every real sample sits under
     complete window overlap.
     """
     rng = _content_seed(profile, buf.samples)
-    freqs = np.fft.rfftfreq(cfg.fft_len, 1.0 / SAMPLE_RATE)
+    freqs = np.fft.rfftfreq(FRAME_LEN, 1.0 / SAMPLE_RATE)
     growth = 1.0 + profile.step_slope * freqs / freqs[-1]
     step = profile.step_base * growth
     hf_span = max(_TILT_EDGE_HZ - profile.hf_start_hz, 1.0)
@@ -128,26 +126,29 @@ def surrogate_code(buf: AudioBuffer, profile: DegradeProfile,
         quantized = np.round(log_mag / step) * step
         jitter = rng.standard_normal(log_mag.shape) * (profile.jitter_sigma * growth)
         gain = np.exp(quantized - atten + jitter - log_mag)
-        return Spectrogram(spec.frames * gain, cfg)
+        return Spectrogram(spec.frames * gain)
 
-    return stft_filter(buf, code, cfg, label="coded")
+    return stft_filter(buf, code)
 
 
-def align_pair(clean: AudioBuffer, coded: AudioBuffer,
-               max_lag: int = 2048) -> tuple[AudioBuffer, AudioBuffer]:
+ALIGN_MAX_LAG = 2048
+
+
+def align_pair(clean: AudioBuffer,
+               coded: AudioBuffer) -> tuple[AudioBuffer, AudioBuffer]:
     """Time-align a decoded file against its clean original.
 
-    Estimates the lag maximizing cross-correlation within +-max_lag samples,
-    shifts the coded signal accordingly, and trims both to the common
-    length. Already-aligned pairs pass through unchanged. A pair whose
-    best normalized correlation stays below 0.2 is returned unshifted
-    with a warning instead of being moved by a spurious peak.
+    Estimates the lag maximizing cross-correlation within +-ALIGN_MAX_LAG
+    samples (an eighth of the shorter signal when that is less than four
+    times as long), shifts the coded signal accordingly, and trims both to
+    the common length. Already-aligned pairs pass through unchanged. A
+    pair whose best normalized correlation stays below 0.2 is returned
+    unshifted with a warning instead of being moved by a spurious peak.
     """
     a = clean.samples
     b = coded.samples
     n = min(len(a), len(b))
-    if n < 4 * max_lag:
-        max_lag = max(n // 8, 1)
+    max_lag = ALIGN_MAX_LAG if n >= 4 * ALIGN_MAX_LAG else max(n // 8, 1)
     fft_len = int(2 ** np.ceil(np.log2(n + max_lag)))
     fa = np.fft.rfft(a[:n], fft_len)
     fb = np.fft.rfft(b[:n], fft_len)
@@ -160,9 +161,7 @@ def align_pair(clean: AudioBuffer, coded: AudioBuffer,
     if scale == 0.0 or window.max() / scale < 0.2:
         warnings.warn("alignment failed: correlation peak below 0.2, "
                       "returning the pair unshifted", stacklevel=2)
-        m = min(len(a), len(b))
-        return (AudioBuffer(a[:m], label=clean.label),
-                AudioBuffer(b[:m], label=coded.label))
+        return AudioBuffer(a[:n]), AudioBuffer(b[:n])
     lag = int(lags[np.argmax(window)])
     if lag >= 0:
         b_shift = b[lag:]
@@ -171,8 +170,7 @@ def align_pair(clean: AudioBuffer, coded: AudioBuffer,
         b_shift = b
         a_shift = a[-lag:]
     m = min(len(a_shift), len(b_shift))
-    return (AudioBuffer(a_shift[:m], label=clean.label),
-            AudioBuffer(b_shift[:m], label=coded.label))
+    return AudioBuffer(a_shift[:m]), AudioBuffer(b_shift[:m])
 
 
 SPLITS = ("train", "val", "test")
@@ -252,7 +250,7 @@ def split_entries(entries: list[ManifestEntry], split: str) -> list[ManifestEntr
 def load_clean(path: str) -> AudioBuffer:
     """Read a clean WAV, band-limit it to the speech band and scale it to
     the standard active level: the input of every surrogate coding."""
-    clean = band_limit(read_wav(path, label="clean"))
+    clean = band_limit(read_wav(path))
     clean, _ = level_normalize(clean)
     return clean
 
@@ -270,5 +268,5 @@ def resolve_pair(entry: ManifestEntry,
     if entry.uses_surrogate():
         profile = get_profile(entry.surrogate_preset())
         return clean, surrogate_code(clean, profile)
-    coded = read_wav(os.path.join(manifest_dir, entry.coded), label="coded")
+    coded = read_wav(os.path.join(manifest_dir, entry.coded))
     return align_pair(clean, band_limit(coded))

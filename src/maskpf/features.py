@@ -1,10 +1,12 @@
 """Feature windowing and dataset assembly for the estimators.
 
-Inputs are normalized log magnitudes of the degraded signal. Each
-estimator sees a causal context ending at the frame being predicted: the
-dense net a flat stack of 4 frames, the recurrent net a 10-step sequence,
-the conv net a 6-frame image. Frames before the start of the utterance
-are filled by repeating the first frame.
+Inputs are normalized log magnitudes of the degraded signal over the
+`dsp.N_PROCESSED` = 205 processed bins, and targets are the modified
+ratio masks of the default `MaskConfig`. Each estimator sees a causal
+context ending at the frame being predicted: the dense net a flat stack
+of 4 frames, the recurrent net a 10-step sequence, the conv net a
+6-frame image. Frames before the start of the utterance are filled by
+repeating the first frame.
 
 Training data holds frames, not windows (`build_dataset`): each
 utterance's padded frames once, in float32, the training dtype, with one
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import (
-    DEFAULT_STFT,
     AudioBuffer,
     FeatureMatrix,
     NormStats,
@@ -35,7 +36,7 @@ from .dsp import (
     stft,
 )
 from .errors import ConfigError, DataError
-from .mask import MaskConfig, MaskMatrix, compute_irm, modified_mask
+from .mask import MaskMatrix, compute_irm, modified_mask
 from .nn.models import CONTEXT_FRAMES, MODEL_KINDS, pad_context, window_inputs
 from .nn.train import Dataset
 
@@ -63,8 +64,8 @@ class UtterancePair:
 def analyze_pair(clean: AudioBuffer, coded: AudioBuffer) -> UtterancePair:
     if len(clean) != len(coded):
         n = min(len(clean), len(coded))
-        clean = AudioBuffer(clean.samples[:n], label=clean.label)
-        coded = AudioBuffer(coded.samples[:n], label=coded.label)
+        clean = AudioBuffer(clean.samples[:n])
+        coded = AudioBuffer(coded.samples[:n])
     clean_spec = stft(clean)
     coded_spec = stft(coded)
     return UtterancePair(clean_spec, coded_spec, log_magnitude(coded_spec))
@@ -77,22 +78,16 @@ def input_stats(pairs: list[UtterancePair]) -> NormStats:
     return compute_norm_stats([p.coded_logmag for p in pairs])
 
 
-def build_dataset(
-    pairs: list[UtterancePair],
-    kind: str,
-    stats: NormStats,
-    mask_config: MaskConfig = MaskConfig(),
-) -> Dataset:
+def build_dataset(pairs: list[UtterancePair], kind: str, stats: NormStats) -> Dataset:
     """One example per frame across utterances, in utterance order: the
     normalized frames, their modified-mask targets, and the degraded
     magnitudes."""
     frames, targets, mags = [], [], []
-    n = DEFAULT_STFT.n_processed
     for pair in pairs:
         frames.append(normalize(pair.coded_logmag, stats).frames)
-        irm = compute_irm(pair.clean_spec, pair.coded_spec, mask_config)
-        targets.append(modified_mask(irm, mask_config).values)
-        mags.append(pair.coded_spec.magnitudes(n))
+        irm = compute_irm(pair.clean_spec, pair.coded_spec)
+        targets.append(modified_mask(irm).values)
+        mags.append(pair.coded_spec.magnitudes())
     return Dataset.from_utterances(kind, frames, targets, mags)
 
 

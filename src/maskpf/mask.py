@@ -2,9 +2,9 @@
 training target that caps unreasonable gains, mask statistics, and oracle
 mask application (including the cepstral-envelope variant).
 
-Masks are real, non-negative gains on the processed bins, shape (T, 205) by
-default. Applying a mask scales STFT magnitudes and keeps the degraded
-phase.
+Masks are real, non-negative gains on the processed bins, shape
+(T, dsp.N_PROCESSED) = (T, 205). Applying a mask scales STFT magnitudes
+and keeps the degraded phase.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import DEFAULT_STFT, LOG_FLOOR, Spectrogram, StftConfig, sqrt_hann
+from .dsp import FRAME_LEN, N_PROCESSED, Spectrogram, real_cepstrum, sqrt_hann
 from .errors import ConfigError, DataError
 
 MAG_GUARD = 1e-9
@@ -25,21 +25,18 @@ class MaskConfig:
 
     Ratios above `threshold` are judged unreliable (the degraded bin carries
     too little energy to be boosted cleanly) and are replaced by
-    `replacement`. `bound`, when finite, simply caps the raw ratio instead.
+    `replacement`.
     """
 
     guard: float = MAG_GUARD
     threshold: float = 2.0
     replacement: float = 1.0
-    bound: float = np.inf
 
     def __post_init__(self):
         if self.guard < 0:
             raise ConfigError("guard must be non-negative")
         if self.threshold <= 0 or self.replacement < 0:
             raise ConfigError("threshold must be > 0 and replacement >= 0")
-        if self.bound <= 0:
-            raise ConfigError("bound must be positive")
 
 
 @dataclass
@@ -62,24 +59,16 @@ class MaskMatrix:
         return self.values.shape
 
 
-def _processed_mags(spec: Spectrogram, n_bins: int) -> np.ndarray:
-    return spec.magnitudes(n_bins)
-
-
 def compute_irm(
     clean: Spectrogram, coded: Spectrogram, config: MaskConfig = MaskConfig()
 ) -> MaskMatrix:
     """Ideal ratio mask |clean| / (|coded| + guard) over the processed bins."""
-    if clean.config != coded.config:
-        raise DataError("clean/coded spectrograms use different analysis configs")
     if clean.n_frames != coded.n_frames:
         raise DataError(
             f"frame count mismatch: clean has {clean.n_frames}, "
             f"coded has {coded.n_frames}"
         )
-    n = clean.config.n_processed
-    ratio = _processed_mags(clean, n) / (_processed_mags(coded, n) + config.guard)
-    return MaskMatrix(ratio)
+    return MaskMatrix(clean.magnitudes() / (coded.magnitudes() + config.guard))
 
 
 def bound_mask(mask: MaskMatrix, bound: float) -> MaskMatrix:
@@ -101,27 +90,17 @@ def modified_mask(mask: MaskMatrix, config: MaskConfig = MaskConfig()) -> MaskMa
     return MaskMatrix(values)
 
 
-def modified_target_mags(mask: MaskMatrix, coded: Spectrogram) -> np.ndarray:
-    """Magnitude target the loss compares against: modified mask times the
-    degraded magnitudes, over the processed bins."""
-    n = coded.config.n_processed
-    if mask.shape != (coded.n_frames, n):
-        raise DataError("mask shape does not match the spectrogram")
-    return mask.values * _processed_mags(coded, n)
-
-
 def apply_mask(spec: Spectrogram, mask: MaskMatrix) -> Spectrogram:
     """Scale the processed bins by the mask; bins above 6.4 kHz and the
     phase pass through unchanged."""
-    n = spec.config.n_processed
-    if mask.shape != (spec.n_frames, n):
+    if mask.shape != (spec.n_frames, N_PROCESSED):
         raise DataError(
             f"mask shape {mask.shape} does not match spectrogram "
-            f"({spec.n_frames}, {n})"
+            f"({spec.n_frames}, {N_PROCESSED})"
         )
     frames = spec.frames.copy()
-    frames[:, :n] *= mask.values
-    return Spectrogram(frames, spec.config)
+    frames[:, :N_PROCESSED] *= mask.values
+    return Spectrogram(frames)
 
 
 HISTOGRAM_EDGES = (1.0, 2.0, 5.0)
@@ -170,32 +149,26 @@ CEPSTRUM_CUTOFF = 64
 
 
 def oracle_cepstrum_substitute(
-    clean_frame: np.ndarray,
-    coded_frame: np.ndarray,
-    cutoff: int = CEPSTRUM_CUTOFF,
-    cfg: StftConfig = DEFAULT_STFT,
+    clean_frame: np.ndarray, coded_frame: np.ndarray
 ) -> np.ndarray:
     """Swap the spectral envelope of a degraded frame for the clean one.
 
-    Both frames are time-domain analysis frames of length frame_len, or
-    equal stacks (..., frame_len) of them, handled row by row. The low
-    quefrencies [0, cutoff) and their mirror image of the degraded real
-    cepstrum are replaced with the clean frame's, then the log spectrum is
-    rebuilt. Returns the resulting 257-bin magnitude spectrum of each frame.
+    Both frames are time-domain analysis frames of length FRAME_LEN, or
+    equal stacks (..., FRAME_LEN) of them, handled row by row. The low
+    quefrencies [0, CEPSTRUM_CUTOFF) and their mirror image of the degraded
+    real cepstrum are replaced with the clean frame's, then the log
+    spectrum is rebuilt. Returns the resulting 257-bin magnitude spectrum
+    of each frame.
     """
-    from .dsp import real_cepstrum
-
-    if not 1 <= cutoff <= cfg.frame_len // 2:
-        raise ConfigError("cutoff must be in [1, frame_len/2]")
-    window = sqrt_hann(cfg.frame_len)
+    window = sqrt_hann(FRAME_LEN)
     c_clean = real_cepstrum(clean_frame, window)
     c_coded = real_cepstrum(coded_frame, window)
     merged = c_coded
-    merged[..., :cutoff] = c_clean[..., :cutoff]
-    mirror = cfg.frame_len - np.arange(1, cutoff)
+    merged[..., :CEPSTRUM_CUTOFF] = c_clean[..., :CEPSTRUM_CUTOFF]
+    mirror = FRAME_LEN - np.arange(1, CEPSTRUM_CUTOFF)
     merged[..., mirror] = c_clean[..., mirror]
     log_spectrum = np.fft.fft(merged, axis=-1).real
-    return np.exp(log_spectrum[..., : cfg.n_bins])
+    return np.exp(log_spectrum[..., : FRAME_LEN // 2 + 1])
 
 
 def envelope_mask(
@@ -203,41 +176,25 @@ def envelope_mask(
     coded: Spectrogram,
     clean_frames_td: np.ndarray,
     coded_frames_td: np.ndarray,
-    cutoff: int = CEPSTRUM_CUTOFF,
-    guard: float = MAG_GUARD,
 ) -> MaskMatrix:
     """Oracle mask from cepstral envelope substitution in every frame.
 
     `*_frames_td` are the raw (unwindowed) time-domain analysis frames,
-    shape (T, frame_len), aligned with the spectrograms. All frames go
-    through `oracle_cepstrum_substitute` as one stack.
+    shape (T, FRAME_LEN), aligned with the spectrograms (`dsp.analysis_frames`
+    of each signal). All frames go through `oracle_cepstrum_substitute` as
+    one stack. `clean` is not read.
     """
-    cfg = coded.config
-    n = cfg.n_processed
-    t_count = coded.n_frames
-    expected = (t_count, cfg.frame_len)
+    expected = (coded.n_frames, FRAME_LEN)
     if clean_frames_td.shape != expected or coded_frames_td.shape != expected:
         raise DataError("time-domain frames do not match the spectrogram")
-    mags = oracle_cepstrum_substitute(clean_frames_td, coded_frames_td, cutoff, cfg)
-    return MaskMatrix(mags[:, :n] / (coded.magnitudes(n) + guard))
-
-
-def time_domain_frames(samples: np.ndarray, cfg: StftConfig = DEFAULT_STFT) -> np.ndarray:
-    """Raw overlapping analysis frames, shape (T, frame_len), no window."""
-    from .dsp import frame_count
-
-    t_count = frame_count(len(samples), cfg)
-    if t_count < 1:
-        raise DataError("signal too short for analysis")
-    view = np.lib.stride_tricks.sliding_window_view(samples, cfg.frame_len)
-    return np.ascontiguousarray(view[:: cfg.hop][:t_count])
+    mags = oracle_cepstrum_substitute(clean_frames_td, coded_frames_td)
+    return MaskMatrix(mags[:, :N_PROCESSED] / (coded.magnitudes() + MAG_GUARD))
 
 
 def oracle_sweep(
     clean: Spectrogram,
     coded: Spectrogram,
     bounds: tuple[float, ...] = (1.0, 2.0, 5.0, np.inf),
-    config: MaskConfig = MaskConfig(),
 ) -> list[tuple[float, float]]:
     """Distortion left by the bounded oracle mask, per bound.
 
@@ -250,10 +207,9 @@ def oracle_sweep(
     """
     from .metrics import lsd_from_mags
 
-    irm = compute_irm(clean, coded, config)
-    n = coded.config.n_processed
-    clean_mags = clean.magnitudes(n)
-    coded_mags = coded.magnitudes(n)
+    irm = compute_irm(clean, coded)
+    clean_mags = clean.magnitudes()
+    coded_mags = coded.magnitudes()
     out = []
     for bound in bounds:
         masked = bound_mask(irm, bound)

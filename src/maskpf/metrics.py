@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dsp import DEFAULT_STFT, LOG_FLOOR, AudioBuffer, StftConfig, stft
+from .dsp import LOG_FLOOR, AudioBuffer, stft
 from .errors import DataError
 
 SEGSNR_FRAME_LEN = 256
@@ -16,63 +16,54 @@ SEGSNR_MIN_DB = -10.0
 SEGSNR_MAX_DB = 35.0
 
 
-def lsd_from_mags(
-    test_mags: np.ndarray, ref_mags: np.ndarray, floor_eps: float = LOG_FLOOR
-) -> float:
+def lsd_from_mags(test_mags: np.ndarray, ref_mags: np.ndarray) -> float:
     """Log-spectral distance (dB) between two magnitude matrices.
 
     Per frame: the RMS over bins of the difference of the 20*log10
-    magnitudes (each floored at floor_eps before the log); the result is the
+    magnitudes (each floored at LOG_FLOOR before the log); the result is the
     mean over frames.
     """
     test_mags = np.asarray(test_mags, dtype=np.float64)
     ref_mags = np.asarray(ref_mags, dtype=np.float64)
     if test_mags.shape != ref_mags.shape or test_mags.ndim != 2:
         raise DataError("magnitude matrices must be 2-D and the same shape")
-    ref_db = 20.0 * np.log10(np.maximum(ref_mags, floor_eps))
-    test_db = 20.0 * np.log10(np.maximum(test_mags, floor_eps))
+    ref_db = 20.0 * np.log10(np.maximum(ref_mags, LOG_FLOOR))
+    test_db = 20.0 * np.log10(np.maximum(test_mags, LOG_FLOOR))
     per_frame = np.sqrt(np.mean((ref_db - test_db) ** 2, axis=1))
     return float(np.mean(per_frame))
 
 
-def log_spectral_distance(
-    reference: AudioBuffer, test: AudioBuffer, cfg: StftConfig = DEFAULT_STFT
-) -> float:
+def log_spectral_distance(reference: AudioBuffer, test: AudioBuffer) -> float:
     """Log-spectral distance between two signals over the processed bins.
 
     Both signals are analyzed with the standard 32 ms / 50% framing; they
     must yield the same frame count (trim beforehand if needed).
     """
-    ref_spec = stft(reference, cfg)
-    test_spec = stft(test, cfg)
+    ref_spec = stft(reference)
+    test_spec = stft(test)
     if ref_spec.n_frames != test_spec.n_frames:
         raise DataError(
             f"frame count mismatch: {ref_spec.n_frames} vs {test_spec.n_frames}"
         )
-    n = cfg.n_processed
-    return lsd_from_mags(test_spec.magnitudes(n), ref_spec.magnitudes(n))
+    return lsd_from_mags(test_spec.magnitudes(), ref_spec.magnitudes())
 
 
-def segmental_snr(
-    reference: AudioBuffer,
-    test: AudioBuffer,
-    frame_len: int = SEGSNR_FRAME_LEN,
-) -> float:
+def segmental_snr(reference: AudioBuffer, test: AudioBuffer) -> float:
     """Mean per-frame SNR (dB), clamped to [-10, 35], over active frames.
 
-    Frames are non-overlapping; a frame is active when the reference energy
-    is within 30 dB of the peak reference frame energy. The trailing partial
-    frame is dropped.
+    Frames are non-overlapping, SEGSNR_FRAME_LEN samples long; a frame is
+    active when the reference energy is within 30 dB of the peak reference
+    frame energy. The trailing partial frame is dropped.
     """
     if len(reference) != len(test):
         raise DataError(
             f"length mismatch: reference {len(reference)}, test {len(test)}"
         )
-    n_frames = len(reference) // frame_len
-    if n_frames < 1:
+    n = len(reference) // SEGSNR_FRAME_LEN * SEGSNR_FRAME_LEN
+    if n < 1:
         raise DataError("signals shorter than one metric frame")
-    ref = reference.samples[: n_frames * frame_len].reshape(n_frames, frame_len)
-    tst = test.samples[: n_frames * frame_len].reshape(n_frames, frame_len)
+    ref = reference.samples[:n].reshape(-1, SEGSNR_FRAME_LEN)
+    tst = test.samples[:n].reshape(-1, SEGSNR_FRAME_LEN)
     ref_energy = np.sum(ref**2, axis=1)
     peak = ref_energy.max()
     if peak <= 0.0:

@@ -188,19 +188,6 @@ def deconv2d(x: np.ndarray, w: np.ndarray, stride: tuple[int, int],
     return scatter(x, w, stride, out_hw, bias=bias)
 
 
-def deconv2d_grad_input(
-    gy: np.ndarray, w: np.ndarray, stride: tuple[int, int]
-) -> np.ndarray:
-    return gather(gy, w, stride)
-
-
-def deconv2d_grad_weights(
-    x: np.ndarray, gy: np.ndarray, stride: tuple[int, int], k_hw: tuple[int, int]
-) -> np.ndarray:
-    # For the transposed op the gradient tensor is the spatially larger one.
-    return weight_grad(gy, x, stride, k_hw)
-
-
 def deconv2d_grads(
     x: np.ndarray, gy: np.ndarray, w: np.ndarray, stride: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray]:

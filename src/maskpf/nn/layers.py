@@ -29,9 +29,9 @@ the fcnn's runs its layers' eval-mode `forward`s.
 
 A layer never writes into an array its caller passed in, except an Elu
 built with `inplace=True` by a caller that owns the buffers it feeds it.
-Eval-mode forwards of the conv, deconv, batch-norm, ELU and LSTM layers
-keep nothing for a backward pass, and their backward raises ConfigError
-unless the last forward ran in train mode.
+Eval-mode forwards keep nothing for a backward pass, and the backward of
+every layer that needs a saved array (all but dropout and padding) raises
+ConfigError unless the last forward ran in train mode.
 
 Layers are dtype-generic: every array a pass allocates follows the dtype
 of the layer's parameters and of its input, so a model cast with `astype`
@@ -124,21 +124,27 @@ class Dense(Layer):
         return {"w": self.gw, "b": self.gb}
 
     def forward(self, x, train=False):
-        self._x = x
+        self._x = x if train else None
         return x @ self.w + self.b
 
     def backward(self, gy):
+        require_train_forward(self._x, "a dense layer")
         self.gw += self._x.T @ gy
         self.gb += gy.sum(axis=0)
         return gy @ self.w.T
 
 
 class Relu(Layer):
+    def __init__(self):
+        self._mask: np.ndarray | None = None
+
     def forward(self, x, train=False):
-        self._mask = x > 0.0
-        return np.where(self._mask, x, 0.0)
+        mask = x > 0.0
+        self._mask = mask if train else None
+        return np.where(mask, x, 0.0)
 
     def backward(self, gy):
+        require_train_forward(self._mask, "a ReLU")
         return np.where(self._mask, gy, 0.0)
 
 
@@ -186,12 +192,15 @@ class ScaledSigmoid(Layer):
         if scale <= 0:
             raise ConfigError("scale must be positive")
         self.scale = scale
+        self._sig: np.ndarray | None = None
 
     def forward(self, x, train=False):
-        self._sig = sigmoid(x)
-        return self.scale * self._sig
+        sig = sigmoid(x)
+        self._sig = sig if train else None
+        return self.scale * sig
 
     def backward(self, gy):
+        require_train_forward(self._sig, "a scaled sigmoid")
         return gy * self.scale * self._sig * (1.0 - self._sig)
 
 

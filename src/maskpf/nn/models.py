@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..dsp import DEFAULT_STFT
+from ..dsp import N_PROCESSED
 from ..errors import ConfigError, DataError
 from . import kernels
 from .layers import (
@@ -57,7 +57,7 @@ from .layers import (
 )
 from .lstm import Lstm
 
-N_BINS = DEFAULT_STFT.n_processed
+N_BINS = N_PROCESSED
 
 MODEL_KINDS = ("fcnn", "lstm", "ced")
 

@@ -92,7 +92,7 @@ def synth_utterance(seed: int, duration_s: float = 2.0) -> AudioBuffer:
 
     out = np.zeros(n)
     out[EDGE_SILENCE : EDGE_SILENCE + body_len] = body
-    return AudioBuffer(out, label="clean")
+    return AudioBuffer(out)
 
 
 def synth_corpus(n_utterances: int, base_seed: int = 1000, duration_s: float = 2.0) -> list[AudioBuffer]:

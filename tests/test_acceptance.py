@@ -16,7 +16,14 @@ import numpy as np
 from maskpf.audio_io import write_wav
 from maskpf.cli import main as cli_main
 from maskpf.degrade import PRESETS, surrogate_code
-from maskpf.dsp import AudioBuffer, band_limit, istft, level_normalize, stft
+from maskpf.dsp import (
+    AudioBuffer,
+    analysis_frames,
+    band_limit,
+    istft,
+    level_normalize,
+    stft,
+)
 from maskpf.features import analyze_pair, build_dataset, infer_mask, input_stats
 from maskpf.mask import (
     HISTOGRAM_EDGES,
@@ -27,7 +34,6 @@ from maskpf.mask import (
     mask_histogram,
     modified_mask,
     oracle_sweep,
-    time_domain_frames,
 )
 from maskpf.metrics import log_spectral_distance, lsd_from_mags
 from maskpf.nn.loss import logmag_mse
@@ -80,9 +86,8 @@ def test_02_unbounded_oracle_inverts_the_degradation():
         clean, coded = coded_pair(buf, "q_low")
         pair = analyze_pair(clean, coded)
         irm = compute_irm(pair.clean_spec, pair.coded_spec)
-        n = pair.coded_spec.config.n_processed
-        coded_mags = pair.coded_spec.magnitudes(n)
-        clean_mags = pair.clean_spec.magnitudes(n)
+        coded_mags = pair.coded_spec.magnitudes()
+        clean_mags = pair.clean_spec.magnitudes()
         recovered = irm.values * coded_mags
         strong = coded_mags >= 1e-3
         rel = np.abs(recovered - clean_mags)[strong] / clean_mags[strong]
@@ -106,15 +111,14 @@ def test_03_bounded_oracle_sweep_shape():
                  oracle_sweep(pair.clean_spec, pair.coded_spec, bounds)]
         assert all(a >= b - 1e-12 for a, b in zip(sweep, sweep[1:]))
         per_bound.append(sweep)
-        n = pair.coded_spec.config.n_processed
         length = min(len(clean), len(coded))
         emask = envelope_mask(
             pair.clean_spec, pair.coded_spec,
-            time_domain_frames(clean.samples[:length]),
-            time_domain_frames(coded.samples[:length]))
+            analysis_frames(clean.samples[:length]),
+            analysis_frames(coded.samples[:length]))
         envelopes.append(lsd_from_mags(
-            emask.values * pair.coded_spec.magnitudes(n),
-            pair.clean_spec.magnitudes(n)))
+            emask.values * pair.coded_spec.magnitudes(),
+            pair.clean_spec.magnitudes()))
     means = np.mean(per_bound, axis=0)
     env_mean = float(np.mean(envelopes))
     print("criterion 3: bound lsd " +
@@ -212,8 +216,7 @@ def test_08_loss_equals_log_mask_distance_above_floor():
     pair = analyze_pair(clean, coded)
     irm = compute_irm(pair.clean_spec, pair.coded_spec, MaskConfig(guard=0.0))
     target = modified_mask(irm)
-    n = pair.coded_spec.config.n_processed
-    coded_mags = np.maximum(pair.coded_spec.magnitudes(n), 1e-3)
+    coded_mags = np.maximum(pair.coded_spec.magnitudes(), 1e-3)
     pred = rng.uniform(0.05, 2.0, target.values.shape)
     loss, _ = logmag_mse(pred, target.values, coded_mags)
     direct = float(np.mean(

@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 
 from maskpf.dsp import (
-    DEFAULT_STFT,
+    FRAME_LEN,
+    HOP,
     LOG_FLOOR,
+    N_PROCESSED,
     SAMPLE_RATE,
     AudioBuffer,
     FeatureMatrix,
     NormStats,
-    StftConfig,
     active_rms,
+    analysis_frames,
     band_limit,
     compute_norm_stats,
-    denormalize,
     frame_count,
     istft,
     level_normalize,
@@ -55,7 +56,19 @@ def test_stft_shapes_and_bins():
     buf = AudioBuffer(rng.standard_normal(4000) * 0.1)
     spec = stft(buf)
     assert spec.frames.shape == (frame_count(4000), 257)
-    assert spec.config.n_processed == 205
+    assert spec.magnitudes().shape == (frame_count(4000), 205)
+
+
+def test_analysis_frames_match_hop_layout():
+    """Frame t is samples [t*HOP, t*HOP + FRAME_LEN), read in place."""
+    rng = np.random.default_rng(13)
+    samples = rng.standard_normal(FRAME_LEN + 3 * HOP + 17)
+    frames = analysis_frames(samples)
+    assert frames.shape == (4, FRAME_LEN)
+    assert np.shares_memory(frames, samples)
+    for t in range(4):
+        start = t * HOP
+        assert np.array_equal(frames[t], samples[start : start + FRAME_LEN])
 
 
 def test_stft_rejects_short_signals():
@@ -107,8 +120,8 @@ def test_norm_stats_round_trip():
     mats = [FeatureMatrix(rng.standard_normal((40, 7)) * 3 + 1) for _ in range(3)]
     stats = compute_norm_stats(mats)
     normed = normalize(mats[0], stats)
-    back = denormalize(normed)
-    np.testing.assert_allclose(back.frames, mats[0].frames, atol=1e-12)
+    back = normed.frames * stats.std + stats.mean
+    np.testing.assert_allclose(back, mats[0].frames, atol=1e-12)
     stacked = np.concatenate([m.frames for m in mats], axis=0)
     np.testing.assert_allclose(stats.mean, stacked.mean(axis=0))
 
@@ -177,10 +190,10 @@ def test_band_limit_preserves_length_and_alignment():
 def test_band_limit_matches_direct_convolution():
     """Overlap-add convolution against the direct full convolution, same
     group-delay crop."""
-    from maskpf.dsp import _BAND_LIMIT_EDGES, _BAND_LIMIT_TAPS, _band_limit_filter
+    from maskpf.dsp import _band_limit_filter
 
     rng = np.random.default_rng(9)
-    h = _band_limit_filter(*_BAND_LIMIT_EDGES, _BAND_LIMIT_TAPS)
+    h = _band_limit_filter()
     delay = (len(h) - 1) // 2
     for n in (100, 1537, 16100):
         x = rng.standard_normal(n) * 0.3
@@ -195,12 +208,9 @@ def test_stft_filter_identity_reproduces_every_sample():
     rng = np.random.default_rng(10)
     for n in (300, 513, 1001, 16100):
         x = rng.standard_normal(n) * 0.3
-        out = stft_filter(AudioBuffer(x, label="coded"), lambda spec: spec)
-        assert out.label == "coded"
+        out = stft_filter(AudioBuffer(x), lambda spec: spec)
         assert out.samples.shape == (n,)
         np.testing.assert_allclose(out.samples, x, rtol=0, atol=1e-9)
-    relabeled = stft_filter(AudioBuffer(x), lambda spec: spec, label="enhanced")
-    assert relabeled.label == "enhanced"
 
 
 def test_level_normalize_hits_target():
@@ -233,20 +243,13 @@ def test_audio_buffer_validation():
         AudioBuffer(np.array([0.0, np.nan]))
 
 
-def test_stft_config_validation():
-    with pytest.raises(ConfigError):
-        StftConfig(frame_len=512, hop=128, fft_len=512, n_bins=257)
-    with pytest.raises(ConfigError):
-        StftConfig(frame_len=512, hop=256, fft_len=1024, n_bins=513)
-
-
 def test_default_config_matches_bandwidth():
-    # 205 bins at 31.25 Hz spacing put the processed edge at 6.375 kHz,
-    # the last bin strictly below 6.4 kHz
-    cfg = DEFAULT_STFT
-    bin_hz = SAMPLE_RATE / cfg.fft_len
+    # 32 ms frames at 50% overlap; 205 bins at 31.25 Hz spacing put the
+    # processed edge at 6.375 kHz, the last bin strictly below 6.4 kHz
+    assert FRAME_LEN == 2 * HOP == SAMPLE_RATE * 32 // 1000
+    bin_hz = SAMPLE_RATE / FRAME_LEN
     assert bin_hz == 31.25
-    assert (cfg.n_processed - 1) * bin_hz <= 6400.0 < cfg.n_processed * bin_hz
+    assert (N_PROCESSED - 1) * bin_hz <= 6400.0 < N_PROCESSED * bin_hz
 
 
 def test_real_cepstrum_of_a_stack_is_taken_row_by_row():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from maskpf.dsp import DEFAULT_STFT, NormStats
+from maskpf.dsp import N_PROCESSED
 from maskpf.errors import ConfigError, DataError
 from maskpf.features import (
     analyze_pair,
@@ -12,7 +12,6 @@ from maskpf.features import (
     input_stats,
     model_inputs,
 )
-from maskpf.mask import MaskConfig
 from maskpf.nn.models import CONTEXT_FRAMES, build_model, pad_context, window_inputs
 from maskpf.nn.train import Dataset
 from maskpf.degrade import PRESETS, surrogate_code
@@ -87,7 +86,7 @@ def test_input_stats_cover_processed_band():
     clean, coded = make_pair(seed=123)
     pair = analyze_pair(clean, coded)
     stats = input_stats([pair])
-    assert stats.mean.shape == (DEFAULT_STFT.n_processed,)
+    assert stats.mean.shape == (N_PROCESSED,)
     assert np.all(stats.std > 0)
     with pytest.raises(DataError):
         input_stats([])
@@ -96,7 +95,7 @@ def test_input_stats_cover_processed_band():
 def test_build_dataset_concatenates_and_respects_threshold():
     pairs = [analyze_pair(*make_pair(seed=s)) for s in (124, 125)]
     stats = input_stats(pairs)
-    ds = build_dataset(pairs, "fcnn", stats, MaskConfig())
+    ds = build_dataset(pairs, "fcnn", stats)
     total = sum(p.n_frames for p in pairs)
     assert ds.inputs.shape == (total, 820)
     assert ds.targets.shape == (total, 205)

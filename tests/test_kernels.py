@@ -17,8 +17,7 @@ from maskpf.nn.kernels import (
     conv2d_grad_input,
     conv2d_grad_weights,
     deconv2d,
-    deconv2d_grad_input,
-    deconv2d_grad_weights,
+    deconv2d_grads,
 )
 
 LAYOUTS = ["numpy", "nhwc"]
@@ -100,7 +99,7 @@ def test_decoder_shapes_match_loop_oracles(layout, shape):
     y = deconv2d(in_layout(x, layout), w, stride)
     assert np.allclose(y, deconv2d_loops(x, w, stride), atol=1e-11)
     gy = rng.standard_normal(y.shape)
-    gx = deconv2d_grad_input(in_layout(gy, layout), w, stride)
+    _, gx = deconv2d_grads(in_layout(x, layout), in_layout(gy, layout), w, stride)
     assert np.allclose(gx, conv2d_loops(gy, w, stride), atol=1e-11)
 
 
@@ -126,7 +125,7 @@ def test_deconv_adjointness(layout):
     w = rng.standard_normal((4, 3, 2, 3))
     y = deconv2d(in_layout(x, layout), w, stride)
     gy = rng.standard_normal(y.shape)
-    gx = deconv2d_grad_input(in_layout(gy, layout), w, stride)
+    _, gx = deconv2d_grads(in_layout(x, layout), in_layout(gy, layout), w, stride)
     assert np.allclose(np.sum(y * gy), np.sum(x * gx), rtol=1e-12)
 
 
@@ -144,11 +143,9 @@ def test_decoder_shapes_adjointness(layout, shape):
     w = rng.standard_normal((c_in, c_out, 2, 3))
     y = deconv2d(in_layout(x, layout), w, stride)
     gy = rng.standard_normal(y.shape)
-    gx = deconv2d_grad_input(in_layout(gy, layout), w, stride)
+    gw, gx = deconv2d_grads(in_layout(x, layout), in_layout(gy, layout), w, stride)
     assert np.isclose(np.sum(y * gy), np.sum(x * gx), rtol=1e-12)
     d = rng.standard_normal(w.shape)
-    gw = deconv2d_grad_weights(in_layout(x, layout), in_layout(gy, layout),
-                               stride, (2, 3))
     assert gw.shape == w.shape
     assert np.isclose(np.sum(deconv2d(x, d, stride) * gy), np.sum(gw * d),
                       rtol=1e-12)
@@ -177,8 +174,7 @@ def test_deconv_weight_grad_direction(layout):
     x = rng.standard_normal((2, 4, 5, 6))
     w = rng.standard_normal((4, 3, 2, 3))
     gy = rng.standard_normal(deconv2d(x, w, stride).shape)
-    gw = deconv2d_grad_weights(in_layout(x, layout), in_layout(gy, layout),
-                               stride, (2, 3))
+    gw, _ = deconv2d_grads(in_layout(x, layout), in_layout(gy, layout), w, stride)
     assert gw.shape == w.shape
     direction = rng.standard_normal(w.shape)
     h = 1e-6
@@ -288,7 +284,8 @@ def test_float32_decoder_shapes_match_loop_oracles(layout, shape):
     assert_f32_close(y, deconv2d_loops(x, w, stride),
                      deconv2d_loops(np.abs(x), np.abs(w), stride), c_in * 2 * 3)
     gy32, gy = f32_pair(rng, y.shape)
-    gx = deconv2d_grad_input(in_layout(gy32, layout), w32, stride)
+    _, gx = deconv2d_grads(in_layout(x32, layout), in_layout(gy32, layout),
+                           w32, stride)
     assert_f32_close(gx, conv2d_loops(gy, w, stride),
                      conv2d_loops(np.abs(gy), np.abs(w), stride), c_out * 2 * 3)
 
@@ -307,9 +304,10 @@ def test_float32_weight_grads_match_float64(layout):
                      conv2d_grad_weights(np.abs(x), np.abs(gy), stride, (2, 3)),
                      gy[:, 0].size)
     d32, d = f32_pair(rng, (3, 4, 5, 6))
-    gz32, gz = f32_pair(rng, deconv2d(d, np.zeros((4, 2, 2, 3)), stride).shape)
-    gw = deconv2d_grad_weights(in_layout(d32, layout), in_layout(gz32, layout),
-                               stride, (2, 3))
-    assert_f32_close(gw, deconv2d_grad_weights(d, gz, stride, (2, 3)),
-                     deconv2d_grad_weights(np.abs(d), np.abs(gz), stride, (2, 3)),
+    w = np.zeros((4, 2, 2, 3))
+    gz32, gz = f32_pair(rng, deconv2d(d, w, stride).shape)
+    gw, _ = deconv2d_grads(in_layout(d32, layout), in_layout(gz32, layout),
+                           w.astype(np.float32), stride)
+    assert_f32_close(gw, deconv2d_grads(d, gz, w, stride)[0],
+                     deconv2d_grads(np.abs(d), np.abs(gz), w, stride)[0],
                      d[:, 0].size)

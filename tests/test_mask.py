@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
-from maskpf.dsp import DEFAULT_STFT, AudioBuffer, Spectrogram, sqrt_hann, stft
+from maskpf.dsp import (
+    FRAME_LEN,
+    N_PROCESSED,
+    AudioBuffer,
+    Spectrogram,
+    analysis_frames,
+    sqrt_hann,
+    stft,
+)
 from maskpf.errors import ConfigError, DataError
 from maskpf.mask import (
-    CEPSTRUM_CUTOFF,
     HISTOGRAM_LABELS,
     MaskConfig,
     MaskMatrix,
@@ -16,19 +23,15 @@ from maskpf.mask import (
     envelope_mask,
     mask_histogram,
     modified_mask,
-    modified_target_mags,
     oracle_cepstrum_substitute,
     oracle_sweep,
-    time_domain_frames,
 )
 from maskpf.synth import synth_utterance
 
 
 def random_spec(rng, t_count=12):
-    frames = rng.standard_normal((t_count, DEFAULT_STFT.n_bins)) + 1j * rng.standard_normal(
-        (t_count, DEFAULT_STFT.n_bins)
-    )
-    return Spectrogram(frames, DEFAULT_STFT)
+    shape = (t_count, FRAME_LEN // 2 + 1)
+    return Spectrogram(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def test_irm_recovers_clean_exactly_with_zero_guard():
@@ -36,9 +39,8 @@ def test_irm_recovers_clean_exactly_with_zero_guard():
     clean = random_spec(rng)
     coded = random_spec(rng)
     irm = compute_irm(clean, coded, MaskConfig(guard=0.0))
-    n = DEFAULT_STFT.n_processed
-    recovered = irm.values * coded.magnitudes(n)
-    assert np.allclose(recovered, clean.magnitudes(n), rtol=1e-12, atol=0)
+    recovered = irm.values * coded.magnitudes()
+    assert np.allclose(recovered, clean.magnitudes(), rtol=1e-12, atol=0)
 
 
 def test_irm_guard_shifts_denominator():
@@ -47,8 +49,7 @@ def test_irm_guard_shifts_denominator():
     coded = random_spec(rng)
     guard = 1e-3
     irm = compute_irm(clean, coded, MaskConfig(guard=guard))
-    n = DEFAULT_STFT.n_processed
-    expect = clean.magnitudes(n) / (coded.magnitudes(n) + guard)
+    expect = clean.magnitudes() / (coded.magnitudes() + guard)
     assert np.array_equal(irm.values, expect)
 
 
@@ -76,18 +77,10 @@ def test_modified_mask_replaces_only_above_threshold():
     assert np.array_equal(out.values, [[0.0, 0.5, 2.0, 1.0, 1.0]])
 
 
-def test_modified_target_mags_is_product():
-    rng = np.random.default_rng(45)
-    coded = random_spec(rng, 8)
-    mask = MaskMatrix(rng.uniform(0, 2, (8, DEFAULT_STFT.n_processed)))
-    target = modified_target_mags(mask, coded)
-    assert np.array_equal(target, mask.values * coded.magnitudes(DEFAULT_STFT.n_processed))
-
-
 def test_apply_mask_leaves_upper_band_and_phase_alone():
     rng = np.random.default_rng(46)
     spec = random_spec(rng, 9)
-    n = DEFAULT_STFT.n_processed
+    n = N_PROCESSED
     mask = MaskMatrix(rng.uniform(0.2, 1.8, (9, n)))
     out = apply_mask(spec, mask)
     assert np.array_equal(out.frames[:, n:], spec.frames[:, n:])
@@ -113,7 +106,7 @@ def test_resynthesis_keeps_gain_out_of_the_passthrough_band():
 
     buf = synth_utterance(88, duration_s=1.5)
     spec = stft(buf)
-    n = spec.config.n_processed
+    n = N_PROCESSED
     gain = 1.7
 
     def band_ratios(mask_values):
@@ -179,9 +172,7 @@ def test_oracle_sweep_non_increasing_and_zero_at_inf():
     rng = np.random.default_rng(10)
     clean = stft(buf)
     noisy = Spectrogram(
-        clean.frames * np.exp(0.3 * rng.standard_normal(clean.frames.shape)),
-        clean.config,
-    )
+        clean.frames * np.exp(0.3 * rng.standard_normal(clean.frames.shape)))
     rows = oracle_sweep(clean, noisy, bounds=(1.0, 2.0, 4.0, 10.0, np.inf))
     dists = [d for _, d in rows]
     assert all(a >= b - 1e-12 for a, b in zip(dists, dists[1:]))
@@ -192,9 +183,9 @@ def test_oracle_sweep_non_increasing_and_zero_at_inf():
 def test_cepstrum_substitute_identity_preserves_spectrum():
     """Swapping an envelope with itself reproduces the windowed magnitudes."""
     rng = np.random.default_rng(11)
-    frame = rng.standard_normal(DEFAULT_STFT.frame_len)
+    frame = rng.standard_normal(FRAME_LEN)
     mags = oracle_cepstrum_substitute(frame, frame)
-    window = sqrt_hann(DEFAULT_STFT.frame_len)
+    window = sqrt_hann(FRAME_LEN)
     direct = np.abs(np.fft.rfft(frame * window))
     above = direct > 1e-6
     assert np.allclose(mags[above], direct[above], rtol=1e-9)
@@ -204,7 +195,7 @@ def test_cepstrum_substitute_moves_envelope_toward_clean():
     from maskpf.metrics import lsd_from_mags
 
     rng = np.random.default_rng(12)
-    n = DEFAULT_STFT.frame_len
+    n = FRAME_LEN
     t = np.arange(n)
     clean_frame = np.sin(2 * np.pi * 220 * t / 16000) * np.hanning(n)
     coded_frame = clean_frame * 0.5 + 0.2 * rng.standard_normal(n)
@@ -215,31 +206,12 @@ def test_cepstrum_substitute_moves_envelope_toward_clean():
     assert lsd_from_mags(swapped, clean_mags) < lsd_from_mags(coded_mags, clean_mags)
 
 
-def test_cepstrum_cutoff_validation():
-    frame = np.zeros(DEFAULT_STFT.frame_len)
-    with pytest.raises(ConfigError):
-        oracle_cepstrum_substitute(frame, frame, cutoff=0)
-    with pytest.raises(ConfigError):
-        oracle_cepstrum_substitute(frame, frame, cutoff=DEFAULT_STFT.frame_len)
-
-
-def test_time_domain_frames_match_hop_layout():
-    rng = np.random.default_rng(13)
-    samples = rng.standard_normal(DEFAULT_STFT.frame_len + 3 * DEFAULT_STFT.hop + 17)
-    frames = time_domain_frames(samples)
-    assert frames.shape == (4, DEFAULT_STFT.frame_len)
-    for t in range(4):
-        start = t * DEFAULT_STFT.hop
-        assert np.array_equal(frames[t], samples[start : start + DEFAULT_STFT.frame_len])
-
-
 def test_envelope_mask_identity_is_near_unity():
     buf = synth_utterance(seed=14, duration_s=0.6)
     spec = stft(buf)
-    frames_td = time_domain_frames(buf.samples)
-    mask = envelope_mask(spec, spec, frames_td, frames_td, cutoff=CEPSTRUM_CUTOFF)
-    n = DEFAULT_STFT.n_processed
-    mags = spec.magnitudes(n)
+    frames_td = analysis_frames(buf.samples)
+    mask = envelope_mask(spec, spec, frames_td, frames_td)
+    mags = spec.magnitudes()
     loud = mags > 1e-4
     assert np.allclose(mask.values[loud], 1.0, atol=1e-6)
 
@@ -253,15 +225,14 @@ def test_envelope_mask_matches_the_per_frame_substitution():
     rng = np.random.default_rng(15)
     clean = AudioBuffer(buf.samples + 0.01 * rng.standard_normal(len(buf)))
     coded = surrogate_code(clean, PRESETS["q_low"])
-    clean_td = time_domain_frames(clean.samples)
-    coded_td = time_domain_frames(coded.samples)
+    clean_td = analysis_frames(clean.samples)
+    coded_td = analysis_frames(coded.samples)
     coded_spec = stft(coded)
     mask = envelope_mask(stft(clean), coded_spec, clean_td, coded_td)
-    n = DEFAULT_STFT.n_processed
-    ref = np.array([oracle_cepstrum_substitute(a, b)[:n]
+    ref = np.array([oracle_cepstrum_substitute(a, b)[:N_PROCESSED]
                     for a, b in zip(clean_td, coded_td)])
-    ref /= coded_spec.magnitudes(n) + 1e-9
-    assert mask.shape == ref.shape == (coded_spec.n_frames, n)
+    ref /= coded_spec.magnitudes() + 1e-9
+    assert mask.shape == ref.shape == (coded_spec.n_frames, N_PROCESSED)
     assert np.all(np.abs(coded_td).max(axis=1) > 1e-3)  # every frame has energy
     np.testing.assert_allclose(mask.values, ref, rtol=0, atol=1e-12)
 
@@ -269,6 +240,6 @@ def test_envelope_mask_matches_the_per_frame_substitution():
 def test_envelope_mask_rejects_misaligned_frames():
     buf = synth_utterance(seed=16, duration_s=0.5)
     spec = stft(buf)
-    frames_td = time_domain_frames(buf.samples)
+    frames_td = analysis_frames(buf.samples)
     with pytest.raises(DataError):
         envelope_mask(spec, spec, frames_td, frames_td[:-1])

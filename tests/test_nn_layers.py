@@ -69,7 +69,7 @@ def test_dense_forward_and_grads():
     # parameter gradient against finite differences on w
     gy = np.random.default_rng(2).standard_normal((4, 3))
     zero_grads([layer])
-    layer.forward(x)
+    layer.forward(x, train=True)
     layer.backward(gy)
     h = 1e-6
     num = np.zeros_like(layer.w)
@@ -90,10 +90,10 @@ def test_grads_accumulate_until_zeroed():
     layer.init_weights(rng)
     x = rng.standard_normal((2, 3))
     gy = rng.standard_normal((2, 2))
-    layer.forward(x)
+    layer.forward(x, train=True)
     layer.backward(gy)
     once = layer.gw.copy()
-    layer.forward(x)
+    layer.forward(x, train=True)
     layer.backward(gy)
     assert np.allclose(layer.gw, 2 * once)
     zero_grads([layer])
@@ -228,7 +228,10 @@ def test_batchnorm_backward_needs_train_forward():
 NEEDS_TRAIN_FORWARD = {
     "conv2d": (lambda: Conv2d(2, 3, (2, 3), (1, 2)), (2, 2, 5, 9)),
     "deconv2d": (lambda: Deconv2d(3, 2, (2, 3), (1, 2)), (2, 3, 4, 5)),
+    "dense": (lambda: Dense(5, 3), (4, 5)),
     "elu": (Elu, (3, 7)),
+    "relu": (Relu, (3, 7)),
+    "scaled_sigmoid": (ScaledSigmoid, (3, 7)),
     "batchnorm": (lambda: BatchNorm(3), (4, 3)),
     "lstm": (lambda: Lstm(7, 5, dropout=0.2, recurrent_dropout=0.2), (3, 4, 7)),
 }

@@ -397,6 +397,18 @@ def test_lstm_eval_forward_keeps_nothing_for_backward():
     assert layer._steps is None and layer._hps is None and layer._xs is None
 
 
+def test_fcnn_infer_keeps_no_activations():
+    """Eval-mode forwards keep nothing for a backward pass, so after `infer`
+    an fcnn's layers hold only weights, gradients and statistics."""
+    model = build_model("fcnn", seed=22)
+    model.infer(np.random.default_rng(148).standard_normal((40, 205)))
+    kept = {id(a) for a in [*model.state().values(), *model.grads().values()]}
+    for name, layer in model._layers():
+        for attr, value in vars(layer).items():
+            for arr in _arrays(value):
+                assert id(arr) in kept, f"{name}.{attr}"
+
+
 def test_outputs_live_inside_mask_range():
     rng = np.random.default_rng(131)
     shapes = {"fcnn": (5, 820), "lstm": (5, 10, 205), "ced": (5, 1, 6, 205)}
