@@ -113,6 +113,15 @@ def sqrt_hann(frame_len: int) -> np.ndarray:
     return np.sqrt(0.5 - 0.5 * np.cos(2.0 * np.pi * i / frame_len))
 
 
+@lru_cache(maxsize=1)
+def analysis_window() -> np.ndarray:
+    """The FRAME_LEN-sample `sqrt_hann` window of `stft` and `istft`,
+    built once and read-only."""
+    window = sqrt_hann(FRAME_LEN)
+    window.setflags(write=False)
+    return window
+
+
 def frame_count(n_samples: int) -> int:
     """Number of full analysis frames; the trailing partial frame is dropped."""
     if n_samples < FRAME_LEN:
@@ -136,7 +145,7 @@ def analysis_frames(samples: np.ndarray) -> np.ndarray:
 
 def stft(buf: AudioBuffer) -> Spectrogram:
     """Windowed real FFT of the `analysis_frames` of a signal."""
-    frames = analysis_frames(buf.samples) * sqrt_hann(FRAME_LEN)
+    frames = analysis_frames(buf.samples) * analysis_window()
     return Spectrogram(np.fft.rfft(frames, axis=1))
 
 
@@ -146,12 +155,17 @@ def istft(spec: Spectrogram) -> AudioBuffer:
     Output length is (T-1)*HOP + FRAME_LEN. Edge samples (the first and
     last hop) carry incomplete window overlap; interior samples reconstruct
     exactly.
+
+    Frame t covers hop blocks t and t + 1 (FRAME_LEN is two hops). Each
+    block gets the previous frame's tail first and then its own frame's
+    head, the order of adding the frames one by one into zeros, so the sums
+    keep every bit of that loop, signed zeros included.
     """
-    frames = np.fft.irfft(spec.frames, n=FRAME_LEN, axis=1) * sqrt_hann(FRAME_LEN)
+    frames = np.fft.irfft(spec.frames, n=FRAME_LEN, axis=1) * analysis_window()
     out = np.zeros((spec.n_frames - 1) * HOP + FRAME_LEN)
-    for t in range(spec.n_frames):
-        start = t * HOP
-        out[start : start + FRAME_LEN] += frames[t]
+    blocks = out.reshape(spec.n_frames + 1, HOP)
+    blocks[1:] += frames[:, HOP:]
+    blocks[:-1] += frames[:, :HOP]
     return AudioBuffer(out)
 
 
@@ -198,17 +212,21 @@ def real_cepstrum(frame: np.ndarray, window: np.ndarray | None = None) -> np.nda
     c = real(IDFT(ln(max(|DFT(frame * window)|, LOG_FLOOR)))) along the last
     axis, same shape as the input. Pass an all-ones window to analyze the
     raw frame.
+
+    The log magnitude of a real frame is real and even, so the transforms
+    are real FFTs (`rfft`, then `irfft` of the half spectrum).
     """
     frame = np.asarray(frame, dtype=np.float64)
     if frame.ndim < 1:
         raise DataError("cepstrum input must hold at least one frame")
+    n = frame.shape[-1]
     if window is None:
-        window = sqrt_hann(frame.shape[-1])
+        window = analysis_window() if n == FRAME_LEN else sqrt_hann(n)
     if window.shape != frame.shape[-1:]:
         raise DataError("window length does not match frame length")
-    spectrum = np.fft.fft(frame * window, axis=-1)
+    spectrum = np.fft.rfft(frame * window, axis=-1)
     log_mag = np.log(np.maximum(np.abs(spectrum), LOG_FLOOR))
-    return np.fft.ifft(log_mag, axis=-1).real
+    return np.fft.irfft(log_mag, n=n, axis=-1)
 
 
 # Band-limiting surrogate: one linear-phase FIR doing 7 kHz low-pass plus

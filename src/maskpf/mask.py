@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import FRAME_LEN, N_PROCESSED, Spectrogram, real_cepstrum, sqrt_hann
+from .dsp import FRAME_LEN, N_PROCESSED, Spectrogram, analysis_window, real_cepstrum
 from .errors import ConfigError, DataError
 
 MAG_GUARD = 1e-9
@@ -157,18 +157,17 @@ def oracle_cepstrum_substitute(
     equal stacks (..., FRAME_LEN) of them, handled row by row. The low
     quefrencies [0, CEPSTRUM_CUTOFF) and their mirror image of the degraded
     real cepstrum are replaced with the clean frame's, then the log
-    spectrum is rebuilt. Returns the resulting 257-bin magnitude spectrum
-    of each frame.
+    spectrum is rebuilt, by a real FFT since the merged cepstrum is real.
+    Returns the resulting 257-bin magnitude spectrum of each frame.
     """
-    window = sqrt_hann(FRAME_LEN)
+    window = analysis_window()
     c_clean = real_cepstrum(clean_frame, window)
     c_coded = real_cepstrum(coded_frame, window)
     merged = c_coded
     merged[..., :CEPSTRUM_CUTOFF] = c_clean[..., :CEPSTRUM_CUTOFF]
     mirror = FRAME_LEN - np.arange(1, CEPSTRUM_CUTOFF)
     merged[..., mirror] = c_clean[..., mirror]
-    log_spectrum = np.fft.fft(merged, axis=-1).real
-    return np.exp(log_spectrum[..., : FRAME_LEN // 2 + 1])
+    return np.exp(np.fft.rfft(merged, axis=-1).real)
 
 
 def envelope_mask(

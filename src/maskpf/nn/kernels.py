@@ -17,7 +17,9 @@ gradient checks; mixing the two upcasts to float64), and padding is always
 Every image argument and result has the logical shape (N, C, H, W), but the
 work happens channels-last. `gather` and `weight_grad` copy the strided
 windows of the source once into an (N*OH*OW, KH*KW*A) matrix and make one
-matrix product with the weights or the small tensor. `scatter` makes one
+matrix product with the weights or the small tensor; a caller that
+already holds that matrix (`im2col`) passes it as `cols`, as a training
+convolution does from its forward to its weight gradient. `scatter` makes one
 matrix product into (N*OH*OW, KH*KW*B) tap columns and hands them to
 `col2im`, the one col2im, which the conv estimator's inference also calls
 on columns it made itself. `col2im` writes each output phase (row mod
@@ -58,18 +60,34 @@ def _im2col(src: np.ndarray, k_hw: tuple[int, int], stride: tuple[int, int],
     return np.ascontiguousarray(win).reshape(-1, kh * kw * src.shape[3])
 
 
+def _valid_hw(in_hw: tuple[int, int], k_hw: tuple[int, int],
+              stride: tuple[int, int]) -> tuple[int, int]:
+    """Output height and width of a valid strided window over in_hw."""
+    (h, wd), (kh, kw), (sh, sw) = in_hw, k_hw, stride
+    oh = (h - kh) // sh + 1
+    ow = (wd - kw) // sw + 1
+    if oh < 1 or ow < 1:
+        raise ConfigError(f"kernel {kh}x{kw} does not fit input {h}x{wd}")
+    return oh, ow
+
+
+def im2col(src: np.ndarray, k_hw: tuple[int, int],
+           stride: tuple[int, int]) -> np.ndarray:
+    """The im2col matrix of a logical (N, A, H, W) image for a valid
+    KH x KW window at `stride`: what `gather` and `weight_grad` take as
+    `cols`."""
+    src_t = _nhwc(src)
+    return _im2col(src_t, k_hw, stride, _valid_hw(src_t.shape[1:3], k_hw, stride))
+
+
 def gather(src: np.ndarray, w: np.ndarray, stride: tuple[int, int],
            cols: np.ndarray | None = None) -> np.ndarray:
     """Strided gather; conv2d forward and deconv2d input gradient. `cols`
     is src's im2col matrix for w's kernel, when the caller already has it."""
     src_t = _nhwc(src)
-    sh, sw = stride
-    n, h, wd, _ = src_t.shape
+    n = src_t.shape[0]
     b, _, kh, kw = w.shape
-    oh = (h - kh) // sh + 1
-    ow = (wd - kw) // sw + 1
-    if oh < 1 or ow < 1:
-        raise ConfigError(f"kernel {kh}x{kw} does not fit input {h}x{wd}")
+    oh, ow = _valid_hw(src_t.shape[1:3], (kh, kw), stride)
     if cols is None:
         cols = _im2col(src_t, (kh, kw), stride, (oh, ow))
     return (cols @ tap_matrix(w).T).reshape(n, oh, ow, b).transpose(0, 3, 1, 2)
@@ -161,9 +179,11 @@ def weight_grad(
 # ------------------------------------------------------- layer-facing API ---
 
 
-def conv2d(x: np.ndarray, w: np.ndarray, stride: tuple[int, int]) -> np.ndarray:
-    """Valid-padding convolution. x (N,C,H,W), w (F,C,KH,KW) -> (N,F,OH,OW)."""
-    return gather(x, w, stride)
+def conv2d(x: np.ndarray, w: np.ndarray, stride: tuple[int, int],
+           cols: np.ndarray | None = None) -> np.ndarray:
+    """Valid-padding convolution. x (N,C,H,W), w (F,C,KH,KW) -> (N,F,OH,OW).
+    `cols` is x's `im2col` for w's kernel, when the caller keeps it."""
+    return gather(x, w, stride, cols)
 
 
 def conv2d_grad_input(
@@ -173,9 +193,10 @@ def conv2d_grad_input(
 
 
 def conv2d_grad_weights(
-    x: np.ndarray, gy: np.ndarray, stride: tuple[int, int], k_hw: tuple[int, int]
+    x: np.ndarray, gy: np.ndarray, stride: tuple[int, int], k_hw: tuple[int, int],
+    cols: np.ndarray | None = None,
 ) -> np.ndarray:
-    return weight_grad(x, gy, stride, k_hw)
+    return weight_grad(x, gy, stride, k_hw, cols)
 
 
 def deconv2d(x: np.ndarray, w: np.ndarray, stride: tuple[int, int],

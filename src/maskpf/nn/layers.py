@@ -27,6 +27,14 @@ through the kernels and `elu` directly, not through these layers. Every
 eval pass, validation in training included, goes through `Model.infer`;
 the fcnn's runs its layers' eval-mode `forward`s.
 
+A backward pass writes every gradient of its layer into the grads()
+arrays, over whatever they held: nothing needs zeroing between steps,
+and two backward passes do not add up. It returns the gradient with
+respect to the layer's input, except in a layer built with
+`input_grad=False` (`Dense`, `Conv2d`, `Lstm`), which skips that work and
+returns None; each estimator builds its first layer so, since nothing
+reads the gradient of the network input.
+
 A layer never writes into an array its caller passed in, except an Elu
 built with `inplace=True` by a caller that owns the buffers it feeds it.
 Eval-mode forwards keep nothing for a backward pass, and the backward of
@@ -75,7 +83,7 @@ class Layer:
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, gy: np.ndarray) -> np.ndarray:
+    def backward(self, gy: np.ndarray) -> np.ndarray | None:
         raise NotImplementedError
 
 
@@ -107,11 +115,13 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...],
 
 
 class Dense(Layer):
-    def __init__(self, n_in: int, n_out: int, dtype=np.float64):
+    def __init__(self, n_in: int, n_out: int, dtype=np.float64,
+                 input_grad: bool = True):
         self.w = np.empty((n_in, n_out), dtype)
         self.b = np.zeros(n_out, dtype)
         self.gw = np.zeros((n_in, n_out), dtype)
         self.gb = np.zeros(n_out, dtype)
+        self.input_grad = input_grad
         self._x: np.ndarray | None = None
 
     def init_weights(self, rng):
@@ -125,13 +135,15 @@ class Dense(Layer):
 
     def forward(self, x, train=False):
         self._x = x if train else None
-        return x @ self.w + self.b
+        y = x @ self.w
+        y += self.b
+        return y
 
     def backward(self, gy):
         require_train_forward(self._x, "a dense layer")
-        self.gw += self._x.T @ gy
-        self.gb += gy.sum(axis=0)
-        return gy @ self.w.T
+        np.matmul(self._x.T, gy, out=self.gw)
+        np.sum(gy, axis=0, out=self.gb)
+        return gy @ self.w.T if self.input_grad else None
 
 
 class Relu(Layer):
@@ -311,10 +323,8 @@ class BatchNorm(Layer):
         rows = moved.reshape(-1, gy.shape[1])
         xhat = self._xhat
         m = rows.shape[0]
-        gbeta = np.einsum("mc->c", rows)
-        ggamma = np.einsum("mc,mc->c", rows, xhat)
-        self.ggamma += ggamma
-        self.gbeta += gbeta
+        gbeta = np.einsum("mc->c", rows, out=self.gbeta)
+        ggamma = np.einsum("mc,mc->c", rows, xhat, out=self.ggamma)
         # d/dx of gamma * (x - mean) * inv_std + beta, batch statistics included
         gx = xhat * (-ggamma / m)
         gx += rows
@@ -324,16 +334,22 @@ class BatchNorm(Layer):
 
 
 class Conv2d(Layer):
-    """Valid-padding strided 2-D convolution."""
+    """Valid-padding strided 2-D convolution.
+
+    A train-mode forward keeps the im2col matrix it multiplies, and the
+    backward pass takes the weight gradient from that same matrix."""
 
     def __init__(self, c_in: int, c_out: int, kernel: tuple[int, int],
-                 stride: tuple[int, int], dtype=np.float64):
+                 stride: tuple[int, int], dtype=np.float64,
+                 input_grad: bool = True):
         self.w = np.empty((c_out, c_in) + tuple(kernel), dtype)
         self.b = np.zeros(c_out, dtype)
         self.gw = np.zeros(self.w.shape, dtype)
         self.gb = np.zeros(c_out, dtype)
         self.stride = stride
+        self.input_grad = input_grad
         self._x: np.ndarray | None = None
+        self._cols: np.ndarray | None = None
 
     def init_weights(self, rng):
         c_out, c_in, kh, kw = self.w.shape
@@ -348,15 +364,19 @@ class Conv2d(Layer):
 
     def forward(self, x, train=False):
         self._x = x if train else None
-        y = kernels.conv2d(x, self.w, self.stride)
+        self._cols = (kernels.im2col(x, self.w.shape[2:], self.stride)
+                      if train else None)
+        y = kernels.conv2d(x, self.w, self.stride, cols=self._cols)
         y += self.b.reshape(1, -1, 1, 1)
         return y
 
     def backward(self, gy):
         require_train_forward(self._x, "a convolution")
-        self.gw += kernels.conv2d_grad_weights(
-            self._x, gy, self.stride, self.w.shape[2:])
-        self.gb += np.einsum("nchw->c", gy)
+        self.gw[...] = kernels.conv2d_grad_weights(
+            self._x, gy, self.stride, self.w.shape[2:], cols=self._cols)
+        np.einsum("nchw->c", gy, out=self.gb)
+        if not self.input_grad:
+            return None
         return kernels.conv2d_grad_input(
             gy, self.w, self.stride, self._x.shape[2:])
 
@@ -391,8 +411,8 @@ class Deconv2d(Layer):
     def backward(self, gy):
         require_train_forward(self._x, "a transposed convolution")
         gw, gx = kernels.deconv2d_grads(self._x, gy, self.w, self.stride)
-        self.gw += gw
-        self.gb += np.einsum("nchw->c", gy)
+        self.gw[...] = gw
+        np.einsum("nchw->c", gy, out=self.gb)
         return gx
 
 
@@ -465,6 +485,8 @@ class Sequential(Layer):
 
 
 def zero_grads(layers: list[Layer]) -> None:
+    """Set every grads() array of the layers to zero. A backward pass
+    writes its gradients whatever they held, so training never needs it."""
     for layer in layers:
         for g in layer.grads().values():
             g[...] = 0.0

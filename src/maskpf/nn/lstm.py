@@ -13,8 +13,9 @@ gradient into it.
 
 Input and recurrent dropout use one mask per sample held fixed across
 all time steps, the usual recipe for recurrent nets. Backward is full
-backpropagation through time and accumulates into the same grads()
-arrays the optimizer sees.
+backpropagation through time and writes the grads() arrays the optimizer
+sees, over whatever they held. A layer built with `input_grad=False`
+skips the input gradient and its GEMM and returns None.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ class Lstm(Layer):
     """Single LSTM layer returning the full output sequence (N, T, H)."""
 
     def __init__(self, n_in: int, n_units: int, dropout: float = 0.0,
-                 recurrent_dropout: float = 0.0, dtype=np.float64):
+                 recurrent_dropout: float = 0.0, dtype=np.float64,
+                 input_grad: bool = True):
         if not (0.0 <= dropout < 1.0 and 0.0 <= recurrent_dropout < 1.0):
             raise ConfigError("dropout rates must be in [0, 1)")
         h = n_units
@@ -49,6 +51,7 @@ class Lstm(Layer):
         self.gb = np.zeros(4 * h, dtype)
         self.dropout = dropout
         self.recurrent_dropout = recurrent_dropout
+        self.input_grad = input_grad
         self.rng = np.random.default_rng(0)
         self._mx = self._mh = self._xs = self._hps = self._steps = None
 
@@ -179,9 +182,11 @@ class Lstm(Layer):
                 dh_next = dhp if self._mh is None else dhp * self._mh
                 dc_next = dc * gf
         da_rows = da.reshape(-1, 4 * h)
-        self.gwx += self._xs.reshape(-1, self.n_in).T @ da_rows
-        self.gwh += self._hps.reshape(-1, h).T @ da_rows
-        self.gb += np.einsum("mg->g", da_rows)
+        np.matmul(self._xs.reshape(-1, self.n_in).T, da_rows, out=self.gwx)
+        np.matmul(self._hps.reshape(-1, h).T, da_rows, out=self.gwh)
+        np.einsum("mg->g", da_rows, out=self.gb)
+        if not self.input_grad:
+            return None
         gx = (da_rows @ self.wx.T).reshape(t_len, n, self.n_in)
         if self._mx is not None:
             gx *= self._mx

@@ -187,6 +187,9 @@ class Model:
             arr[...] = values[name]
 
     def zero_grads(self) -> None:
+        """Set every grads() array to zero. `backward` writes every one of
+        them, so training does not call this; it stays because the
+        benchmark's tracer (`perfbench/tracing.py`) wraps it by name."""
         zero_grads([layer for _, layer in self._layers()])
 
     def reseed(self, seed: int) -> None:
@@ -220,7 +223,11 @@ class Model:
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, gy: np.ndarray) -> np.ndarray:
+    def backward(self, gy: np.ndarray) -> None:
+        """Write every grads() array for the output gradient gy of the last
+        train-mode forward. The gradient of the network input is not
+        computed: each estimator builds its first layer with
+        `input_grad=False`, since nothing reads it."""
         raise NotImplementedError
 
     def infer(self, frames: np.ndarray, batch_size: int | None = None) -> np.ndarray:
@@ -274,7 +281,7 @@ class FcnnModel(Model):
         self.n_bins = n_bins
         n_in = n_bins * CONTEXT_FRAMES["fcnn"]
         self.net = Sequential([
-            ("dense1", Dense(n_in, 1024, dtype)),
+            ("dense1", Dense(n_in, 1024, dtype, input_grad=False)),
             ("relu1", Relu()),
             ("bn1", BatchNorm(1024, dtype=dtype)),
             ("drop1", Dropout(dropout)),
@@ -300,7 +307,7 @@ class FcnnModel(Model):
         return self.net.forward(x, train=train)
 
     def backward(self, gy):
-        return self.net.backward(gy)
+        self.net.backward(gy)
 
 
 class LstmModel(Model):
@@ -309,7 +316,8 @@ class LstmModel(Model):
     def __init__(self, n_bins: int = N_BINS, dropout: float = 0.1,
                  recurrent_dropout: float = 0.2, dtype=np.float64):
         self.n_bins = n_bins
-        self.lstm1 = Lstm(n_bins, 400, dropout, recurrent_dropout, dtype)
+        self.lstm1 = Lstm(n_bins, 400, dropout, recurrent_dropout, dtype,
+                          input_grad=False)
         self.lstm2 = Lstm(400, n_bins, dropout, recurrent_dropout, dtype)
         self.head = Dense(n_bins, n_bins, dtype)
         self.sig = ScaledSigmoid(MASK_SCALE)
@@ -361,7 +369,7 @@ class LstmModel(Model):
         g_last = self.head.backward(self.sig.backward(gy))
         g_seq = np.zeros((gy.shape[0], self._t_len, g_last.shape[1]), g_last.dtype)
         g_seq[:, -1] = g_last
-        return self.lstm1.backward(self.lstm2.backward(g_seq))
+        self.lstm1.backward(self.lstm2.backward(g_seq))
 
 
 class CedModel(Model):
@@ -399,7 +407,8 @@ class CedModel(Model):
         k, s = self.KERNEL, self.STRIDE
         self.enc = []
         for i, (ci, co) in enumerate([(1, 16), (16, 32), (32, 64), (64, 128)], 1):
-            self.enc.append((f"enc{i}", Conv2d(ci, co, k, s, dtype),
+            self.enc.append((f"enc{i}", Conv2d(ci, co, k, s, dtype,
+                                               input_grad=i > 1),
                              BatchNorm(co, dtype=dtype), Elu(inplace=True)))
         self.dec = []
         for i, (ci, co) in enumerate([(128, 64), (128, 32), (64, 16), (32, 1)], 1):
@@ -529,8 +538,7 @@ class CedModel(Model):
             _, conv, bn, act = self.enc[i]
             if i < 3:
                 g += skip_grads[i]  # g is the fresh output of a conv backward
-            g = conv.backward(bn.backward(act.backward(g)))
-        return g
+            g = conv.backward(bn.backward(act.backward(g)))  # None after enc1
 
 
 MODEL_CLASSES = {"fcnn": FcnnModel, "lstm": LstmModel, "ced": CedModel}

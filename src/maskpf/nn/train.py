@@ -5,6 +5,11 @@ builds a float32 model and `Dataset` holds float32 arrays, so the file
 saved from a trained model holds its weights exactly. A model passed in
 through `model=` trains in its own dtype.
 
+A training step is a train-mode forward, the loss, one backward pass and
+one Adam update. The backward pass writes every gradient array the
+update reads, whatever they held, so no step zeroes them first, and it
+computes no gradient of the network input.
+
 Each epoch's validation loss scores the masks `Model.infer` gives for
 the validation windows, the eval path `enhance` and `eval` take, and
 draws nothing from the dropout or shuffle streams.
@@ -241,7 +246,6 @@ def train_model(
             pred = model.forward(train_data.batch(idx), train=True)
             loss, grad = logmag_mse(
                 pred, train_data.targets[idx], train_data.mags[idx])
-            model.zero_grads()
             model.backward(grad)
             adam.step(model.grads())
             running += loss * len(idx)

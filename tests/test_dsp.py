@@ -13,8 +13,10 @@ from maskpf.dsp import (
     AudioBuffer,
     FeatureMatrix,
     NormStats,
+    Spectrogram,
     active_rms,
     analysis_frames,
+    analysis_window,
     band_limit,
     compute_norm_stats,
     frame_count,
@@ -36,6 +38,10 @@ def test_sqrt_hann_overlap_identity():
     assert w[0] == 0.0
     overlap = w[:256] ** 2 + w[256:] ** 2
     np.testing.assert_allclose(overlap, 1.0, atol=1e-12)
+    # stft's window is that array, built once and read-only
+    assert analysis_window() is analysis_window()
+    assert np.array_equal(analysis_window(), w)
+    assert not analysis_window().flags.writeable
 
 
 def test_sqrt_hann_rejects_odd():
@@ -90,6 +96,25 @@ def test_istft_output_length():
     x = np.random.default_rng(2).standard_normal(512 + 3 * 256)
     spec = stft(AudioBuffer(x))
     assert len(istft(spec)) == (spec.n_frames - 1) * 256 + 512
+
+
+def test_istft_matches_a_per_frame_overlap_add_bit_for_bit():
+    """The whole-array overlap-add gives the bits of adding the windowed
+    frames one by one into zeros, signed zeros included. Every frame
+    but three silent ones starts negative, so the window's zero first tap
+    makes it -0.0; the loop turns a lone -0.0 into +0.0."""
+    rng = np.random.default_rng(3)
+    td = rng.standard_normal((12, FRAME_LEN))
+    td[:, 0] = -np.abs(td[:, 0]) - 0.1
+    td[4:7] = -0.0
+    spec = Spectrogram(np.fft.rfft(td, axis=1))
+    frames = np.fft.irfft(spec.frames, n=FRAME_LEN, axis=1) * sqrt_hann(FRAME_LEN)
+    starts = np.delete(frames[:, 0], [4, 5, 6])
+    assert np.all((starts == 0.0) & np.signbit(starts))
+    want = np.zeros((spec.n_frames - 1) * HOP + FRAME_LEN)
+    for t in range(spec.n_frames):
+        want[t * HOP : t * HOP + FRAME_LEN] += frames[t]
+    assert istft(spec).samples.tobytes() == want.tobytes()
 
 
 def test_stft_frame_placement():

@@ -24,7 +24,15 @@ from maskpf.nn.layers import (
     Sequential,
     zero_grads,
 )
+from maskpf.nn import kernels
 from maskpf.nn.lstm import Lstm
+from maskpf.nn.models import (
+    CONTEXT_FRAMES,
+    MODEL_KINDS,
+    Model,
+    build_model,
+    window_inputs,
+)
 
 
 def numeric_input_grad(layer, x, gy, train=True, h=1e-6, reseed=None):
@@ -84,20 +92,50 @@ def test_dense_forward_and_grads():
     assert np.allclose(layer.gb, gy.sum(axis=0))
 
 
-def test_grads_accumulate_until_zeroed():
+def _reseed(net):
+    """Restart a layer's or a model's dropout stream at a fixed seed."""
+    net.reseed(7 if isinstance(net, Model) else np.random.default_rng(7))
+
+
+def _grad_bytes_after_a_step(net, x, gy, fill):
+    """Every grads() array, as bytes, after filling them with `fill` and
+    running one train-mode forward and backward."""
+    for g in net.grads().values():
+        g[...] = fill
+    _reseed(net)
+    net.forward(x, train=True)
+    net.backward(gy)
+    return {name: g.tobytes() for name, g in net.grads().items()}
+
+
+def test_backward_writes_grads_whatever_they_held():
+    """Every parameter layer class and every estimator kind: a backward
+    pass over grads filled with NaN leaves the bits a pass over zeroed
+    grads leaves, so no step needs to zero them first."""
     rng = np.random.default_rng(101)
-    layer = Dense(3, 2)
-    layer.init_weights(rng)
-    x = rng.standard_normal((2, 3))
-    gy = rng.standard_normal((2, 2))
-    layer.forward(x, train=True)
-    layer.backward(gy)
-    once = layer.gw.copy()
-    layer.forward(x, train=True)
-    layer.backward(gy)
-    assert np.allclose(layer.gw, 2 * once)
-    zero_grads([layer])
-    assert np.all(layer.gw == 0.0)
+    cases = [
+        (Dense(5, 3), (4, 5)),
+        (BatchNorm(3), (4, 3)),
+        (BatchNorm(3), (2, 3, 4, 5)),
+        (Conv2d(2, 3, (2, 3), (1, 2)), (2, 2, 5, 9)),
+        (Deconv2d(3, 2, (2, 3), (1, 2)), (2, 3, 4, 5)),
+        (Lstm(7, 5, dropout=0.2, recurrent_dropout=0.2), (3, 4, 7)),
+    ]
+    runs = []
+    for layer, shape in cases:
+        layer.init_weights(rng)
+        runs.append((type(layer).__name__, layer, rng.standard_normal(shape)))
+    for kind in MODEL_KINDS:
+        rows = rng.standard_normal((5 + CONTEXT_FRAMES[kind], 205))
+        runs.append((kind, build_model(kind, seed=3, dtype=np.float32),
+                     window_inputs(kind, rows).astype(np.float32)))
+    for name, net, x in runs:
+        _reseed(net)
+        y = net.forward(x, train=True)
+        gy = rng.standard_normal(y.shape).astype(y.dtype)
+        from_zeros = _grad_bytes_after_a_step(net, x, gy, 0.0)
+        from_nan = _grad_bytes_after_a_step(net, x, gy, np.nan)
+        assert from_nan == from_zeros, name
 
 
 def test_relu_and_elu_pointwise():
@@ -261,6 +299,57 @@ def test_conv2d_grads():
     layer.init_weights(rng)
     x = rng.standard_normal((2, 2, 5, 9))
     check_input_grad(layer, x, seed=11)
+
+
+def test_conv2d_weight_grad_from_its_kept_im2col_is_bit_equal():
+    """The weight gradient a conv takes from the im2col matrix its
+    train-mode forward kept has the bits of `kernels.weight_grad` building
+    that matrix afresh, in both dtypes and for a channels-last input."""
+    rng = np.random.default_rng(114)
+    for dtype in (np.float64, np.float32):
+        layer = Conv2d(2, 3, (2, 3), (1, 2), dtype)
+        layer.init_weights(rng)
+        x = rng.standard_normal((2, 2, 5, 9)).astype(dtype)
+        for src in (x, np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)):
+            y = layer.forward(src, train=True)
+            gy = rng.standard_normal(y.shape).astype(dtype)
+            layer.backward(gy)
+            want = kernels.weight_grad(src, gy, (1, 2), (2, 3))
+            assert layer.gw.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_eval_conv2d_forward_keeps_no_im2col():
+    rng = np.random.default_rng(115)
+    layer = Conv2d(2, 3, (2, 3), (1, 2))
+    layer.init_weights(rng)
+    x = rng.standard_normal((2, 2, 5, 9))
+    train_y = layer.forward(x, train=True)
+    assert layer._cols is not None
+    eval_y = layer.forward(x, train=False)
+    assert layer._cols is None and layer._x is None
+    assert np.array_equal(train_y, eval_y)
+
+
+def test_first_layers_skip_the_input_gradient():
+    """A layer built with input_grad=False writes the same grads and
+    returns None; built the default way it returns its input gradient."""
+    rng = np.random.default_rng(116)
+    cases = [
+        (lambda g: Dense(5, 3, input_grad=g), (4, 5)),
+        (lambda g: Conv2d(2, 3, (2, 3), (1, 2), input_grad=g), (2, 2, 5, 9)),
+        (lambda g: Lstm(7, 5, input_grad=g), (3, 4, 7)),
+    ]
+    for make, shape in cases:
+        full, first = make(True), make(False)
+        full.init_weights(np.random.default_rng(1))
+        first.init_weights(np.random.default_rng(1))
+        x = rng.standard_normal(shape)
+        gy = rng.standard_normal(full.forward(x, train=True).shape)
+        first.forward(x, train=True)
+        assert full.backward(gy).shape == shape
+        assert first.backward(gy) is None
+        for name, g in full.grads().items():
+            assert np.array_equal(g, first.grads()[name]), name
 
 
 def test_deconv2d_grads():

@@ -197,19 +197,27 @@ def _arrays(value):
     return []
 
 
+# The shape of one example's output of each kind's last parameter layer.
+HEAD_OUT = {"fcnn": (205,), "lstm": (205,), "ced": (1, 1, 205)}
+
+
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_float32_forward_and_backward_stay_float32(kind):
     """A float32 model trains in float32: its output, every cache a layer
-    keeps for the backward pass (dropout masks included), the input
-    gradient, every grads() array and the Adam update stay float32."""
+    keeps for the backward pass (dropout masks included), a layer's input
+    gradient, every grads() array and the Adam update stay float32. The
+    model's backward returns None: no gradient of the network input."""
     rng = np.random.default_rng(140)
     model = build_model(kind, seed=17, dtype=np.float32)
     model.reseed(5)
     rows = rng.standard_normal((6 + CONTEXT_FRAMES[kind] - 1, 205))
     x = window_inputs(kind, rows).astype(np.float32)
     y = model.forward(x, train=True)
-    model.zero_grads()
-    gx = model.backward(rng.standard_normal(y.shape).astype(np.float32))
+    gy = rng.standard_normal(y.shape).astype(np.float32)
+    assert model.backward(gy) is None
+    layers = dict(model._layers())
+    g_head = layers["sig"].backward(gy).reshape(y.shape[0], *HEAD_OUT[kind])
+    gx = layers["dense3" if kind == "fcnn" else "head"].backward(g_head)
     assert y.dtype == gx.dtype == np.float32
     caches = [(f"{name}.{attr}", arr) for name, layer in model._layers()
               for attr, value in vars(layer).items() for arr in _arrays(value)
