@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -196,8 +197,8 @@ def _parse_bounds(text: str) -> list[float]:
             out.append(float(token))
         except ValueError as exc:
             raise ConfigError(f"bad bound {token!r}") from exc
-        if out[-1] <= 0:
-            raise ConfigError("bounds must be positive")
+        if not out[-1] > 0:  # NaN fails too
+            raise ConfigError(f"bounds must be positive, got {token!r}")
     if not out:
         raise ConfigError("no bounds given")
     return out
@@ -240,14 +241,6 @@ def _oracle_worker(job) -> list[float]:
 
 
 def cmd_train(args) -> int:
-    train_entries, manifest_dir = _load_split(args, "train")
-    val_entries, _ = _load_split(args, "val")
-    out_dir = _ensure_out(args.out_dir)
-    train_pairs, val_pairs = (
-        [pair for _, _, pair in _map_ordered(
-            _analyze_worker, [(e, manifest_dir) for e in entries], args.jobs)]
-        for entries in (train_entries, val_entries))
-    stats = input_stats(train_pairs)
     config = TrainConfig(
         kind=args.kind,
         learning_rate=args.lr,
@@ -257,6 +250,14 @@ def cmd_train(args) -> int:
         min_delta=args.min_delta,
         seed=args.seed,
     )
+    train_entries, manifest_dir = _load_split(args, "train")
+    val_entries, _ = _load_split(args, "val")
+    out_dir = _ensure_out(args.out_dir)
+    train_pairs, val_pairs = (
+        [pair for _, _, pair in _map_ordered(
+            _analyze_worker, [(e, manifest_dir) for e in entries], args.jobs)]
+        for entries in (train_entries, val_entries))
+    stats = input_stats(train_pairs)
     train_data = build_dataset(train_pairs, args.kind, stats)
     val_data = build_dataset(val_pairs, args.kind, stats)
     result = train_model(config, train_data, val_data)
@@ -511,6 +512,13 @@ def _apply_config(args: argparse.Namespace, raw_argv: list[str]) -> None:
         elif action.type in (int, float):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"config key {key!r} must be a number")
+            # JSON's NaN and Infinity parse, and so does 1e400, as inf.
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an integer beyond the float range
+                finite = False
+            if not finite:
+                raise ConfigError(f"config key {key!r} must be a finite number")
             if action.type is int and float(value) != int(value):
                 raise ConfigError(f"config key {key!r} must be an integer")
             value = action.type(value)
@@ -531,6 +539,8 @@ def main(argv: list[str] | None = None) -> int:
             _apply_config(args, raw_argv)
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except MaskpfError as exc:
         print(f"maskpf {args.command}: error: {exc}", file=sys.stderr)

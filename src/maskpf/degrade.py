@@ -35,63 +35,52 @@ from .dsp import (
 )
 from .errors import ConfigError, DataError
 
-_TILT_EDGE_HZ = 6400.0
+# The three presets form one degradation family. The deterministic
+# spectral tilt is identical everywhere: it sets in at TILT_START_HZ,
+# reaches its full depth TILT_DEPTH (natural-log units) at the
+# processed-band edge TILT_EDGE_HZ (6.4 kHz), holds it above, and stays
+# below the ln(2) a mask bounded by 2 can undo, so corrections learned at
+# one severity transfer to the others. The quantization step grows
+# linearly with frequency, to (1 + STEP_SLOPE) times its 0 Hz value at
+# the Nyquist bin, in every preset too.
+TILT_START_HZ = 2000.0
+TILT_EDGE_HZ = 6400.0
+TILT_DEPTH = 0.55
+STEP_SLOPE = 0.5
 
 
 @dataclass(frozen=True)
 class DegradeProfile:
-    """Knobs of the surrogate degrader.
+    """One preset of the surrogate degrader: its severity and its seed.
 
     step_base    quantization step for the log magnitude (natural-log units)
-                 at 0 Hz; the step grows linearly to step_base*(1+step_slope)
-                 at the Nyquist bin.
+                 at 0 Hz; it grows with frequency by STEP_SLOPE.
     jitter_sigma standard deviation of the random log-magnitude jitter at
                  0 Hz, scaled by the same frequency growth as the step.
-    hf_start_hz  frequency above which deterministic attenuation sets in.
-    hf_max       attenuation (natural-log units) reached at the processed-band
-                 edge (6.4 kHz) and held constant above it.
     seed         mixed with a hash of the samples so each utterance gets its
-                 own reproducible noise.
+                 own reproducible noise; an int >= 0.
     """
 
     name: str
     step_base: float
-    step_slope: float
     jitter_sigma: float
-    hf_start_hz: float
-    hf_max: float
     seed: int = 0
 
     def __post_init__(self):
-        if self.step_base <= 0 or self.step_slope < 0:
-            raise ConfigError("step_base must be > 0 and step_slope >= 0")
-        if self.jitter_sigma < 0 or self.hf_max < 0:
-            raise ConfigError("jitter_sigma and hf_max must be >= 0")
-        if not 0 < self.hf_start_hz < SAMPLE_RATE / 2:
-            raise ConfigError("hf_start_hz must be inside (0, Nyquist)")
+        if not (self.step_base > 0 and self.jitter_sigma >= 0):
+            raise ConfigError("step_base must be > 0 and jitter_sigma >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-# The three presets form one degradation family. The deterministic
-# spectral tilt is identical everywhere, reaches its full depth at the
-# processed-band edge, and stays below the ln(2) a mask bounded by 2 can
-# undo, so corrections learned at one severity transfer to the others.
 # Severity comes from the quantization step and the jitter level alone,
 # and both are kept moderate: past a point, extra quantization noise
 # pushes the ideal ratio above the mask cap so often that the training
 # targets collapse to 1 and the tilt itself stops being learnable.
 PRESETS = {
-    "q_low": DegradeProfile(
-        "q_low", step_base=0.45, step_slope=0.5, jitter_sigma=0.05,
-        hf_start_hz=2000.0, hf_max=0.55, seed=101,
-    ),
-    "q_mid": DegradeProfile(
-        "q_mid", step_base=0.28, step_slope=0.5, jitter_sigma=0.04,
-        hf_start_hz=2000.0, hf_max=0.55, seed=102,
-    ),
-    "q_high": DegradeProfile(
-        "q_high", step_base=0.15, step_slope=0.5, jitter_sigma=0.02,
-        hf_start_hz=2000.0, hf_max=0.55, seed=103,
-    ),
+    "q_low": DegradeProfile("q_low", step_base=0.45, jitter_sigma=0.05, seed=101),
+    "q_mid": DegradeProfile("q_mid", step_base=0.28, jitter_sigma=0.04, seed=102),
+    "q_high": DegradeProfile("q_high", step_base=0.15, jitter_sigma=0.02, seed=103),
 }
 
 
@@ -116,10 +105,10 @@ def surrogate_code(buf: AudioBuffer, profile: DegradeProfile) -> AudioBuffer:
     """
     rng = _content_seed(profile, buf.samples)
     freqs = np.fft.rfftfreq(FRAME_LEN, 1.0 / SAMPLE_RATE)
-    growth = 1.0 + profile.step_slope * freqs / freqs[-1]
+    growth = 1.0 + STEP_SLOPE * freqs / freqs[-1]
     step = profile.step_base * growth
-    hf_span = max(_TILT_EDGE_HZ - profile.hf_start_hz, 1.0)
-    atten = profile.hf_max * np.clip((freqs - profile.hf_start_hz) / hf_span, 0.0, 1.0)
+    atten = TILT_DEPTH * np.clip(
+        (freqs - TILT_START_HZ) / (TILT_EDGE_HZ - TILT_START_HZ), 0.0, 1.0)
 
     def code(spec: Spectrogram) -> Spectrogram:
         log_mag = np.log(np.maximum(np.abs(spec.frames), LOG_FLOOR))

@@ -89,18 +89,6 @@ class NormStats:
             raise ConfigError("std values must be positive")
 
 
-@dataclass
-class FeatureMatrix:
-    """Log-magnitude features over the processed bins, shape (T, N_PROCESSED)."""
-
-    frames: np.ndarray
-
-    def __post_init__(self):
-        self.frames = np.ascontiguousarray(self.frames, dtype=np.float64)
-        if self.frames.ndim != 2:
-            raise DataError("feature matrix must be 2-D")
-
-
 def sqrt_hann(frame_len: int) -> np.ndarray:
     """Square root of the periodic Hann window.
 
@@ -184,26 +172,29 @@ def stft_filter(buf: AudioBuffer, modify) -> AudioBuffer:
     return AudioBuffer(out.samples[FRAME_LEN : FRAME_LEN + len(buf)])
 
 
-def log_magnitude(spec: Spectrogram) -> FeatureMatrix:
-    """Natural-log magnitudes of the processed bins, floored at LOG_FLOOR."""
-    return FeatureMatrix(np.log(np.maximum(spec.magnitudes(), LOG_FLOOR)))
+def log_magnitude(spec: Spectrogram) -> np.ndarray:
+    """Natural-log magnitudes of the processed bins, floored at LOG_FLOOR:
+    the (T, N_PROCESSED) features."""
+    return np.log(np.maximum(spec.magnitudes(), LOG_FLOOR))
 
 
-def compute_norm_stats(feature_list: list[FeatureMatrix]) -> NormStats:
-    """Per-bin global mean/std over a training split; std floored at 1e-6."""
+def compute_norm_stats(feature_list: list[np.ndarray]) -> NormStats:
+    """Per-bin global mean/std over a training split's (T, K) features; std
+    floored at 1e-6."""
     if not feature_list:
         raise DataError("cannot compute normalization stats from an empty split")
-    stacked = np.concatenate([f.frames for f in feature_list], axis=0)
+    stacked = np.concatenate(feature_list, axis=0)
     mean = stacked.mean(axis=0)
     std = np.maximum(stacked.std(axis=0), 1e-6)
     return NormStats(mean, std)
 
 
-def normalize(features: FeatureMatrix, stats: NormStats | None) -> FeatureMatrix:
-    """Standardize features with the per-bin stats of the training split."""
+def normalize(features: np.ndarray, stats: NormStats | None) -> np.ndarray:
+    """Standardize (T, K) features with the per-bin stats of the training
+    split."""
     if stats is None:
         raise ConfigError("normalization stats are missing")
-    return FeatureMatrix((features.frames - stats.mean) / stats.std)
+    return (features - stats.mean) / stats.std
 
 
 def real_cepstrum(frame: np.ndarray, window: np.ndarray | None = None) -> np.ndarray:

@@ -1,12 +1,12 @@
 """Feature windowing and dataset assembly for the estimators.
 
 Inputs are normalized log magnitudes of the degraded signal over the
-`dsp.N_PROCESSED` = 205 processed bins, and targets are the modified
-ratio masks of the default `MaskConfig`. Each estimator sees a causal
-context ending at the frame being predicted: the dense net a flat stack
-of 4 frames, the recurrent net a 10-step sequence, the conv net a
-6-frame image. Frames before the start of the utterance are filled by
-repeating the first frame.
+`dsp.N_PROCESSED` = 205 processed bins, plain (T, 205) float64 arrays,
+and targets are the modified ratio masks of `mask.modified_mask`. Each
+estimator sees a causal context ending at the frame being predicted: the
+dense net a flat stack of 4 frames, the recurrent net a 10-step
+sequence, the conv net a 6-frame image. Frames before the start of the
+utterance are filled by repeating the first frame.
 
 Training data holds frames, not windows (`build_dataset`): each
 utterance's padded frames once, in float32, the training dtype, with one
@@ -27,7 +27,6 @@ import numpy as np
 
 from .dsp import (
     AudioBuffer,
-    FeatureMatrix,
     NormStats,
     Spectrogram,
     compute_norm_stats,
@@ -54,7 +53,7 @@ class UtterancePair:
 
     clean_spec: Spectrogram
     coded_spec: Spectrogram
-    coded_logmag: FeatureMatrix
+    coded_logmag: np.ndarray  # log_magnitude(coded_spec)
 
     @property
     def n_frames(self) -> int:
@@ -84,20 +83,18 @@ def build_dataset(pairs: list[UtterancePair], kind: str, stats: NormStats) -> Da
     magnitudes."""
     frames, targets, mags = [], [], []
     for pair in pairs:
-        frames.append(normalize(pair.coded_logmag, stats).frames)
+        frames.append(normalize(pair.coded_logmag, stats))
         irm = compute_irm(pair.clean_spec, pair.coded_spec)
         targets.append(modified_mask(irm).values)
         mags.append(pair.coded_spec.magnitudes())
     return Dataset.from_utterances(kind, frames, targets, mags)
 
 
-def infer_mask(model, stats: NormStats, coded_spec: Spectrogram,
-               batch_size: int | None = None) -> MaskMatrix:
+def infer_mask(model, stats: NormStats, coded_spec: Spectrogram) -> MaskMatrix:
     """Run one estimator over an utterance's degraded spectrogram.
 
     The normalized frames go straight to `model.infer`, which builds the
-    context windows block by block; `batch_size` overrides the model's own
-    block size.
+    context windows block by block, in the model's own block size.
     """
-    feats = normalize(log_magnitude(coded_spec), stats).frames
-    return MaskMatrix(model.infer(feats, batch_size=batch_size))
+    feats = normalize(log_magnitude(coded_spec), stats)
+    return MaskMatrix(model.infer(feats))

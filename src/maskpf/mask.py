@@ -5,6 +5,10 @@ mask application (including the cepstral-envelope variant).
 Masks are real, non-negative gains on the processed bins, shape
 (T, dsp.N_PROCESSED) = (T, 205). Applying a mask scales STFT magnitudes
 and keeps the degraded phase.
+
+The target is fixed: the ratio mask divides by the degraded magnitude
+plus `MAG_GUARD`, and the modified mask replaces every ratio above
+`MASK_THRESHOLD` = 2 by `MASK_REPLACEMENT` = 1.
 """
 
 from __future__ import annotations
@@ -17,26 +21,10 @@ from .dsp import FRAME_LEN, N_PROCESSED, Spectrogram, analysis_window, real_ceps
 from .errors import ConfigError, DataError
 
 MAG_GUARD = 1e-9
-
-
-@dataclass(frozen=True)
-class MaskConfig:
-    """Parameters of the modified ratio-mask target.
-
-    Ratios above `threshold` are judged unreliable (the degraded bin carries
-    too little energy to be boosted cleanly) and are replaced by
-    `replacement`.
-    """
-
-    guard: float = MAG_GUARD
-    threshold: float = 2.0
-    replacement: float = 1.0
-
-    def __post_init__(self):
-        if self.guard < 0:
-            raise ConfigError("guard must be non-negative")
-        if self.threshold <= 0 or self.replacement < 0:
-            raise ConfigError("threshold must be > 0 and replacement >= 0")
+# Ratios above the threshold are judged unreliable (the degraded bin carries
+# too little energy to be boosted cleanly) and are replaced.
+MASK_THRESHOLD = 2.0
+MASK_REPLACEMENT = 1.0
 
 
 @dataclass
@@ -59,34 +47,31 @@ class MaskMatrix:
         return self.values.shape
 
 
-def compute_irm(
-    clean: Spectrogram, coded: Spectrogram, config: MaskConfig = MaskConfig()
-) -> MaskMatrix:
-    """Ideal ratio mask |clean| / (|coded| + guard) over the processed bins."""
+def compute_irm(clean: Spectrogram, coded: Spectrogram) -> MaskMatrix:
+    """Ideal ratio mask |clean| / (|coded| + MAG_GUARD) over the processed
+    bins."""
     if clean.n_frames != coded.n_frames:
         raise DataError(
             f"frame count mismatch: clean has {clean.n_frames}, "
             f"coded has {coded.n_frames}"
         )
-    return MaskMatrix(clean.magnitudes() / (coded.magnitudes() + config.guard))
+    return MaskMatrix(clean.magnitudes() / (coded.magnitudes() + MAG_GUARD))
 
 
 def bound_mask(mask: MaskMatrix, bound: float) -> MaskMatrix:
     """Cap every gain at `bound`. A bound of +inf is the identity."""
-    if bound <= 0:
+    if not bound > 0:  # NaN fails too
         raise ConfigError("bound must be positive")
     return MaskMatrix(np.minimum(mask.values, bound))
 
 
-def modified_mask(mask: MaskMatrix, config: MaskConfig = MaskConfig()) -> MaskMatrix:
+def modified_mask(mask: MaskMatrix) -> MaskMatrix:
     """Replace gains above the reliability threshold with a fixed value.
 
-    Gains <= threshold pass through untouched; everything else becomes
-    `replacement`. This is the training target for the estimators.
+    Gains <= MASK_THRESHOLD pass through untouched; everything else becomes
+    MASK_REPLACEMENT. This is the training target for the estimators.
     """
-    values = np.where(
-        mask.values <= config.threshold, mask.values, config.replacement
-    )
+    values = np.where(mask.values <= MASK_THRESHOLD, mask.values, MASK_REPLACEMENT)
     return MaskMatrix(values)
 
 

@@ -137,8 +137,6 @@ def _parse_header(path: str, blob: bytes) -> dict:
     if config.kind != kind:
         raise DataError(f"{path}: train_config kind {config.kind!r} "
                         f"does not match the model kind {kind!r}")
-    if type(config.seed) is not int or config.seed < 0:
-        raise DataError(f"{path}: train_config seed must be an int >= 0")
     if not isinstance(header.get("tensors"), list):
         raise DataError(f"{path}: header has no tensor list")
     return header

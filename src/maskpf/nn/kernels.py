@@ -9,8 +9,9 @@ layers need, in both directions:
 
 Convolution forward is a gather; its input gradient is a scatter; a
 transposed convolution is the same two kernels with the roles swapped, and
-both weight gradients are the third pattern. Results take the dtype of
-their operands (float32 in training and inference, float64 in the
+both weight gradients are the third pattern. The layers (`Conv2d`,
+`Deconv2d`) call these three and `im2col` directly. Results take the dtype
+of their operands (float32 in training and inference, float64 in the
 gradient checks; mixing the two upcasts to float64), and padding is always
 "valid" (the higher layers do any zero padding themselves).
 
@@ -82,8 +83,9 @@ def im2col(src: np.ndarray, k_hw: tuple[int, int],
 
 def gather(src: np.ndarray, w: np.ndarray, stride: tuple[int, int],
            cols: np.ndarray | None = None) -> np.ndarray:
-    """Strided gather; conv2d forward and deconv2d input gradient. `cols`
-    is src's im2col matrix for w's kernel, when the caller already has it."""
+    """Strided gather; convolution forward and transposed-convolution input
+    gradient. `cols` is src's im2col matrix for w's kernel, when the caller
+    already has it."""
     src_t = _nhwc(src)
     n = src_t.shape[0]
     b, _, kh, kw = w.shape
@@ -142,10 +144,10 @@ def scatter(
     out_hw: tuple[int, int],
     bias: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Strided scatter-add; deconv2d forward and conv2d input gradient,
-    plus `bias` per output channel when given. One matrix product makes
-    every tap's columns, and `col2im` writes them into a fresh
-    channels-last buffer."""
+    """Strided scatter-add; transposed-convolution forward and convolution
+    input gradient, plus `bias` per output channel when given. One matrix
+    product makes every tap's columns, and `col2im` writes them into a
+    fresh channels-last buffer."""
     src_t = _nhwc(src)
     sh, sw = stride
     n, oh, ow, n_a = src_t.shape
@@ -166,8 +168,8 @@ def weight_grad(
     k_hw: tuple[int, int],
     cols: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Kernel gradient; serves conv2d and deconv2d weight updates. `cols` is
-    big's im2col matrix, when the caller already has it."""
+    """Kernel gradient of a convolution and of a transposed convolution.
+    `cols` is big's im2col matrix, when the caller already has it."""
     big_t, small_t = _nhwc(big), _nhwc(small)
     n_a, n_b = big_t.shape[3], small_t.shape[3]
     if cols is None:
@@ -175,47 +177,3 @@ def weight_grad(
     out = small_t.reshape(-1, n_b).T @ cols
     return out.reshape(n_b, k_hw[0], k_hw[1], n_a).transpose(0, 3, 1, 2)
 
-
-# ------------------------------------------------------- layer-facing API ---
-
-
-def conv2d(x: np.ndarray, w: np.ndarray, stride: tuple[int, int],
-           cols: np.ndarray | None = None) -> np.ndarray:
-    """Valid-padding convolution. x (N,C,H,W), w (F,C,KH,KW) -> (N,F,OH,OW).
-    `cols` is x's `im2col` for w's kernel, when the caller keeps it."""
-    return gather(x, w, stride, cols)
-
-
-def conv2d_grad_input(
-    gy: np.ndarray, w: np.ndarray, stride: tuple[int, int], in_hw: tuple[int, int]
-) -> np.ndarray:
-    return scatter(gy, w, stride, in_hw)
-
-
-def conv2d_grad_weights(
-    x: np.ndarray, gy: np.ndarray, stride: tuple[int, int], k_hw: tuple[int, int],
-    cols: np.ndarray | None = None,
-) -> np.ndarray:
-    return weight_grad(x, gy, stride, k_hw, cols)
-
-
-def deconv2d(x: np.ndarray, w: np.ndarray, stride: tuple[int, int],
-             bias: np.ndarray | None = None) -> np.ndarray:
-    """Valid transposed convolution, plus bias (F,) when given. x (N,C,H,W),
-    w (C,F,KH,KW); the output is (N, F, s*(H-1)+KH, s*(W-1)+KW)."""
-    _, _, h, wd = x.shape
-    _, _, kh, kw = w.shape
-    out_hw = (stride[0] * (h - 1) + kh, stride[1] * (wd - 1) + kw)
-    return scatter(x, w, stride, out_hw, bias=bias)
-
-
-def deconv2d_grads(
-    x: np.ndarray, gy: np.ndarray, w: np.ndarray, stride: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(weight gradient, input gradient) of deconv2d(x, w, stride) for the
-    output gradient gy. Both are products with the same im2col matrix of gy,
-    which is built once here."""
-    k_hw = w.shape[2:]
-    cols = _im2col(_nhwc(gy), k_hw, stride, x.shape[2:])
-    return (weight_grad(gy, x, stride, k_hw, cols),
-            gather(gy, w, stride, cols))

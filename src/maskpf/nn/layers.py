@@ -42,8 +42,11 @@ every layer that needs a saved array (all but dropout and padding) raises
 ConfigError unless the last forward ran in train mode.
 
 Layers are dtype-generic: every array a pass allocates follows the dtype
-of the layer's parameters and of its input, so a model cast with `astype`
-to float32 computes in float32 throughout.
+of the layer's parameters and of its input, so a model built in float32
+computes in float32 throughout.
+
+The mask heads' output range (`MASK_SCALE`) and batch norm's smoothing
+and variance floor (`BN_MOMENTUM`, `BN_EPS`) are constants of this module.
 """
 
 from __future__ import annotations
@@ -52,6 +55,10 @@ import numpy as np
 
 from ..errors import ConfigError
 from . import kernels
+
+MASK_SCALE = 2.0  # mask heads output gains in (0, MASK_SCALE)
+BN_MOMENTUM = 0.99  # weight of the old running statistic per training batch
+BN_EPS = 1e-3  # added to every variance before its square root
 
 
 class Layer:
@@ -72,13 +79,6 @@ class Layer:
     def init_weights(self, rng: np.random.Generator) -> None:
         """Draw the initial weights from rng (in float64, then rounded to
         the layer's dtype); a layer without weights draws nothing."""
-
-    def astype(self, dtype) -> None:
-        """Recast every floating-point array the layer holds (weights,
-        gradients, statistics) to dtype."""
-        for name, value in list(vars(self).items()):
-            if isinstance(value, np.ndarray) and value.dtype.kind == "f":
-                setattr(self, name, value.astype(dtype, copy=False))
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
@@ -198,33 +198,30 @@ class Elu(Layer):
 
 
 class ScaledSigmoid(Layer):
-    """Sigmoid stretched to (0, scale); the output range of mask heads."""
+    """Sigmoid stretched to (0, MASK_SCALE); the output range of mask heads."""
 
-    def __init__(self, scale: float = 2.0):
-        if scale <= 0:
-            raise ConfigError("scale must be positive")
-        self.scale = scale
+    def __init__(self):
         self._sig: np.ndarray | None = None
 
     def forward(self, x, train=False):
         sig = sigmoid(x)
         self._sig = sig if train else None
-        return self.scale * sig
+        return MASK_SCALE * sig
 
     def backward(self, gy):
         require_train_forward(self._sig, "a scaled sigmoid")
-        return gy * self.scale * self._sig * (1.0 - self._sig)
+        return gy * MASK_SCALE * self._sig * (1.0 - self._sig)
 
 
 class Dropout(Layer):
-    """Inverted dropout. Without an rng it holds a fixed placeholder stream
-    until `reseed`; `build_model` always reseeds."""
+    """Inverted dropout. It holds a fixed placeholder stream until
+    `reseed`; `build_model` always reseeds."""
 
-    def __init__(self, rate: float, rng: np.random.Generator | None = None):
+    def __init__(self, rate: float):
         if not 0.0 <= rate < 1.0:
             raise ConfigError("dropout rate must be in [0, 1)")
         self.rate = rate
-        self.rng = np.random.default_rng(0) if rng is None else rng
+        self.rng = np.random.default_rng(0)
         self._mask: np.ndarray | None = None
 
     def reseed(self, rng):
@@ -250,8 +247,8 @@ class BatchNorm(Layer):
     Works on (N, C) and (N, C, H, W) alike, always on the (M, C) matrix of
     channel vectors; that matrix is a view of channels-last input and a
     copy of any other. Running statistics are updated with exponential
-    smoothing during training and used verbatim at eval time; they travel
-    with the model file but receive no gradient.
+    smoothing (`BN_MOMENTUM`) during training and used verbatim at eval
+    time; they travel with the model file but receive no gradient.
 
     At eval time the layer is an affine map per channel, so `fold` can
     merge it into the conv before it, as the conv estimator's `infer` does.
@@ -259,16 +256,13 @@ class BatchNorm(Layer):
     training (`train._eval_loss`) runs too.
     """
 
-    def __init__(self, n_channels: int, momentum: float = 0.99, eps: float = 1e-3,
-                 dtype=np.float64):
+    def __init__(self, n_channels: int, dtype=np.float64):
         self.gamma = np.ones(n_channels, dtype)
         self.beta = np.zeros(n_channels, dtype)
         self.run_mean = np.zeros(n_channels, dtype)
         self.run_var = np.ones(n_channels, dtype)
         self.ggamma = np.zeros(n_channels, dtype)
         self.gbeta = np.zeros(n_channels, dtype)
-        self.momentum = momentum
-        self.eps = eps
         self._xhat: np.ndarray | None = None
 
     def params(self):
@@ -290,9 +284,9 @@ class BatchNorm(Layer):
             mean = np.einsum("mc->c", rows) / m
             xhat = rows - mean
             var = np.einsum("mc,mc->c", xhat, xhat) / m
-            self.run_mean[...] = self.momentum * self.run_mean + (1 - self.momentum) * mean
-            self.run_var[...] = self.momentum * self.run_var + (1 - self.momentum) * var
-            self._inv_std = 1.0 / np.sqrt(var + self.eps)
+            self.run_mean[...] = BN_MOMENTUM * self.run_mean + (1 - BN_MOMENTUM) * mean
+            self.run_var[...] = BN_MOMENTUM * self.run_var + (1 - BN_MOMENTUM) * var
+            self._inv_std = 1.0 / np.sqrt(var + BN_EPS)
             xhat *= self._inv_std
             self._xhat = xhat
             y = xhat * self.gamma
@@ -305,7 +299,7 @@ class BatchNorm(Layer):
         return np.moveaxis(y.reshape(moved.shape), -1, 1)
 
     def _eval_scale(self) -> np.ndarray:
-        return self.gamma / np.sqrt(self.run_var + self.eps)
+        return self.gamma / np.sqrt(self.run_var + BN_EPS)
 
     def fold(self, w: np.ndarray, b: np.ndarray,
              axis: int) -> tuple[np.ndarray, np.ndarray]:
@@ -366,23 +360,26 @@ class Conv2d(Layer):
         self._x = x if train else None
         self._cols = (kernels.im2col(x, self.w.shape[2:], self.stride)
                       if train else None)
-        y = kernels.conv2d(x, self.w, self.stride, cols=self._cols)
+        y = kernels.gather(x, self.w, self.stride, cols=self._cols)
         y += self.b.reshape(1, -1, 1, 1)
         return y
 
     def backward(self, gy):
         require_train_forward(self._x, "a convolution")
-        self.gw[...] = kernels.conv2d_grad_weights(
+        self.gw[...] = kernels.weight_grad(
             self._x, gy, self.stride, self.w.shape[2:], cols=self._cols)
         np.einsum("nchw->c", gy, out=self.gb)
         if not self.input_grad:
             return None
-        return kernels.conv2d_grad_input(
-            gy, self.w, self.stride, self._x.shape[2:])
+        return kernels.scatter(gy, self.w, self.stride, self._x.shape[2:])
 
 
 class Deconv2d(Layer):
-    """Valid-padding strided transposed convolution (upsampling)."""
+    """Valid-padding strided transposed convolution (upsampling): input
+    (N, C, H, W), output (N, F, s*(H-1)+KH, s*(W-1)+KW).
+
+    The weight and input gradients are products with the same im2col
+    matrix of the output gradient, which the backward pass builds once."""
 
     def __init__(self, c_in: int, c_out: int, kernel: tuple[int, int],
                  stride: tuple[int, int], dtype=np.float64):
@@ -406,14 +403,17 @@ class Deconv2d(Layer):
 
     def forward(self, x, train=False):
         self._x = x if train else None
-        return kernels.deconv2d(x, self.w, self.stride, bias=self.b)
+        (sh, sw), (kh, kw) = self.stride, self.w.shape[2:]
+        out_hw = (sh * (x.shape[2] - 1) + kh, sw * (x.shape[3] - 1) + kw)
+        return kernels.scatter(x, self.w, self.stride, out_hw, bias=self.b)
 
     def backward(self, gy):
         require_train_forward(self._x, "a transposed convolution")
-        gw, gx = kernels.deconv2d_grads(self._x, gy, self.w, self.stride)
-        self.gw[...] = gw
+        k_hw = self.w.shape[2:]
+        cols = kernels.im2col(gy, k_hw, self.stride)
+        self.gw[...] = kernels.weight_grad(gy, self._x, self.stride, k_hw, cols)
         np.einsum("nchw->c", gy, out=self.gb)
-        return gx
+        return kernels.gather(gy, self.w, self.stride, cols)
 
 
 class PadHighFreq(Layer):
@@ -448,40 +448,6 @@ def collect(named_layers: list[tuple[str, Layer]],
     return {f"{name}.{key}": arr
             for name, layer in named_layers
             for key, arr in getattr(layer, method)().items()}
-
-
-class Sequential(Layer):
-    """Plain layer chain with namespaced parameter dictionaries."""
-
-    def __init__(self, named_layers: list[tuple[str, Layer]]):
-        self.named_layers = named_layers
-
-    def params(self):
-        return collect(self.named_layers, "params")
-
-    def grads(self):
-        return collect(self.named_layers, "grads")
-
-    def state(self):
-        return collect(self.named_layers, "state")
-
-    def reseed(self, rng):
-        for _, layer in self.named_layers:
-            layer.reseed(rng)
-
-    def init_weights(self, rng):
-        for _, layer in self.named_layers:
-            layer.init_weights(rng)
-
-    def forward(self, x, train=False):
-        for _, layer in self.named_layers:
-            x = layer.forward(x, train=train)
-        return x
-
-    def backward(self, gy):
-        for _, layer in reversed(self.named_layers):
-            gy = layer.backward(gy)
-        return gy
 
 
 def zero_grads(layers: list[Layer]) -> None:

@@ -4,9 +4,10 @@ All of them map a context of degraded log-magnitude frames to one mask
 frame of 205 gains in (0, 2):
 
   fcnn  four stacked frames flattened to 820 inputs, two 1024-unit hidden
-        layers with relu, batch norm, and dropout 0.2.
+        layers with relu, batch norm, and dropout 0.2 (`FCNN_DROPOUT`).
   lstm  ten-step sequences through LSTM(400) then LSTM(205), mask read
-        from the last step via a dense layer.
+        from the last step via a dense layer; input dropout 0.1 and
+        recurrent dropout 0.2 (`LSTM_DROPOUT`, `LSTM_RECURRENT_DROPOUT`).
   ced   six frames as a 1-channel image through a strided conv encoder
         (16/32/64/128 channels) and a mirrored transposed-conv decoder
         with skip concatenation, finished by a time-collapsing conv.
@@ -40,6 +41,7 @@ from ..dsp import N_PROCESSED
 from ..errors import ConfigError, DataError
 from . import kernels
 from .layers import (
+    MASK_SCALE,
     BatchNorm,
     Conv2d,
     Deconv2d,
@@ -49,7 +51,6 @@ from .layers import (
     Layer,
     Relu,
     ScaledSigmoid,
-    Sequential,
     collect,
     elu,
     sigmoid,
@@ -63,7 +64,9 @@ MODEL_KINDS = ("fcnn", "lstm", "ced")
 
 CONTEXT_FRAMES = {"fcnn": 4, "lstm": 10, "ced": 6}
 
-MASK_SCALE = 2.0
+FCNN_DROPOUT = 0.2
+LSTM_DROPOUT = 0.1
+LSTM_RECURRENT_DROPOUT = 0.2
 
 REFERENCE_PARAM_COUNTS = {"fcnn": 2_108_621, "lstm": 1_468_120, "ced": 147_292}
 
@@ -214,12 +217,6 @@ class Model:
         """The weights' dtype, which every array of a pass follows."""
         return next(iter(self.params().values())).dtype
 
-    def astype(self, dtype) -> "Model":
-        """Recast every array of every layer to dtype, in place."""
-        for _, layer in self._layers():
-            layer.astype(dtype)
-        return self
-
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
 
@@ -276,25 +273,24 @@ class Model:
 class FcnnModel(Model):
     kind = "fcnn"
 
-    def __init__(self, n_bins: int = N_BINS, dropout: float = 0.2,
-                 dtype=np.float64):
+    def __init__(self, n_bins: int = N_BINS, dtype=np.float64):
         self.n_bins = n_bins
         n_in = n_bins * CONTEXT_FRAMES["fcnn"]
-        self.net = Sequential([
+        self.layers = [
             ("dense1", Dense(n_in, 1024, dtype, input_grad=False)),
             ("relu1", Relu()),
             ("bn1", BatchNorm(1024, dtype=dtype)),
-            ("drop1", Dropout(dropout)),
+            ("drop1", Dropout(FCNN_DROPOUT)),
             ("dense2", Dense(1024, 1024, dtype)),
             ("relu2", Relu()),
             ("bn2", BatchNorm(1024, dtype=dtype)),
-            ("drop2", Dropout(dropout)),
+            ("drop2", Dropout(FCNN_DROPOUT)),
             ("dense3", Dense(1024, n_bins, dtype)),
-            ("sig", ScaledSigmoid(MASK_SCALE)),
-        ])
+            ("sig", ScaledSigmoid()),
+        ]
 
     def _layers(self):
-        return self.net.named_layers
+        return self.layers
 
     def init_weights(self, rng):
         # One draw that once seeded the dropout stream; `build_model`
@@ -304,23 +300,26 @@ class FcnnModel(Model):
         super().init_weights(rng)
 
     def forward(self, x, train=False):
-        return self.net.forward(x, train=train)
+        for _, layer in self.layers:
+            x = layer.forward(x, train=train)
+        return x
 
     def backward(self, gy):
-        self.net.backward(gy)
+        for _, layer in reversed(self.layers):
+            gy = layer.backward(gy)
 
 
 class LstmModel(Model):
     kind = "lstm"
 
-    def __init__(self, n_bins: int = N_BINS, dropout: float = 0.1,
-                 recurrent_dropout: float = 0.2, dtype=np.float64):
+    def __init__(self, n_bins: int = N_BINS, dtype=np.float64):
         self.n_bins = n_bins
-        self.lstm1 = Lstm(n_bins, 400, dropout, recurrent_dropout, dtype,
-                          input_grad=False)
-        self.lstm2 = Lstm(400, n_bins, dropout, recurrent_dropout, dtype)
+        self.lstm1 = Lstm(n_bins, 400, LSTM_DROPOUT, LSTM_RECURRENT_DROPOUT,
+                          dtype, input_grad=False)
+        self.lstm2 = Lstm(400, n_bins, LSTM_DROPOUT, LSTM_RECURRENT_DROPOUT,
+                          dtype)
         self.head = Dense(n_bins, n_bins, dtype)
-        self.sig = ScaledSigmoid(MASK_SCALE)
+        self.sig = ScaledSigmoid()
         self._work = Workspace()
 
     def _layers(self):
@@ -415,7 +414,7 @@ class CedModel(Model):
             self.dec.append((f"dec{i}", Deconv2d(ci, co, k, s, dtype),
                              BatchNorm(co, dtype=dtype), Elu(inplace=True)))
         self.head = Conv2d(1, 1, (CONTEXT_FRAMES["ced"], 1), (1, 1), dtype)
-        self.sig = ScaledSigmoid(MASK_SCALE)
+        self.sig = ScaledSigmoid()
         self._work = Workspace()
 
     def _layers(self):
@@ -520,7 +519,7 @@ class CedModel(Model):
                   out=masks)
         masks += self.head.b
         sigmoid(masks, out=masks)
-        masks *= self.sig.scale
+        masks *= MASK_SCALE
 
     def backward(self, gy):
         n = gy.shape[0]

@@ -54,12 +54,20 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # Written so that NaN fails each check: every comparison with NaN
+        # is false.
         if self.kind not in MODEL_KINDS:
             raise ConfigError(f"kind must be one of {MODEL_KINDS}")
-        if self.batch_size < 1 or self.max_epochs < 1:
+        if not (self.batch_size >= 1 and self.max_epochs >= 1):
             raise ConfigError("batch_size and max_epochs must be >= 1")
-        if self.patience < 1 or self.min_delta < 0:
-            raise ConfigError("patience must be >= 1 and min_delta >= 0")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ConfigError(
+                f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if not (self.patience >= 1 and np.isfinite(self.min_delta)
+                and self.min_delta >= 0):
+            raise ConfigError("patience must be >= 1 and min_delta finite and >= 0")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError(f"seed must be an int >= 0, got {self.seed!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -27,7 +27,6 @@ from maskpf.dsp import (
 from maskpf.features import analyze_pair, build_dataset, infer_mask, input_stats
 from maskpf.mask import (
     HISTOGRAM_EDGES,
-    MaskConfig,
     apply_mask,
     compute_irm,
     envelope_mask,
@@ -214,7 +213,7 @@ def test_08_loss_equals_log_mask_distance_above_floor():
     clean = synth_corpus(1, base_seed=941, duration_s=1.0)[0]
     clean, coded = coded_pair(clean, "q_mid")
     pair = analyze_pair(clean, coded)
-    irm = compute_irm(pair.clean_spec, pair.coded_spec, MaskConfig(guard=0.0))
+    irm = compute_irm(pair.clean_spec, pair.coded_spec)
     target = modified_mask(irm)
     coded_mags = np.maximum(pair.coded_spec.magnitudes(), 1e-3)
     pred = rng.uniform(0.05, 2.0, target.values.shape)
@@ -286,7 +285,7 @@ def test_10_histogram_partitions_everything():
 
     buf = prep(synth_corpus(1, base_seed=951, duration_s=1.0)[0])
     spec = stft(buf)
-    identity = compute_irm(spec, spec, MaskConfig(guard=1e-9))
+    identity = compute_irm(spec, spec)
     ident_hist = mask_histogram([identity])
     print(f"criterion 10: identity-pair mass in [0,1] = "
           f"{ident_hist.fractions[0]:.12f}")

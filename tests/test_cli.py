@@ -6,10 +6,13 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import maskpf
 from maskpf import cli
 from maskpf.audio_io import read_wav, write_wav
 from maskpf.cli import _enhance_one, main
@@ -18,7 +21,7 @@ from maskpf.dsp import AudioBuffer, NormStats, band_limit
 from maskpf.features import analyze_pair, build_dataset, input_stats
 from maskpf.metrics import log_spectral_distance, segmental_snr
 from maskpf.nn.io import load_model, save_model
-from maskpf.nn.models import MODEL_KINDS, N_BINS, build_model
+from maskpf.nn.models import MODEL_KINDS, N_BINS, build_model, empty_model
 from maskpf.nn.train import TrainConfig, train_model
 from scipy.io import wavfile
 
@@ -110,6 +113,9 @@ def test_oracle_rejects_bad_bounds(tmp_path, manifest_path, capsys):
     assert main(["oracle", "--manifest", manifest_path, "--out-dir", str(out),
                  "--bounds", "-1"]) == 2
     capsys.readouterr()
+    assert main(["oracle", "--manifest", manifest_path, "--out-dir", str(out),
+                 "--bounds", "nan"]) == 2
+    assert "bounds must be positive" in capsys.readouterr().err
 
 
 def test_train_outputs(trained_dir):
@@ -415,10 +421,12 @@ def test_config_rejects_bad_values(tmp_path, manifest_path, capsys):
         {"jobs": 2.5},         # not an integer
         {"jobs": 0},           # fewer than one worker
         ["split", "val"],      # not an object
+        '{"jobs": NaN}',       # JSON text that parses to a non-finite number
+        '{"seed": 1e400}',     # parses to inf
     ]
     for i, payload in enumerate(cases):
         cfg = tmp_path / f"cfg{i}.json"
-        cfg.write_text(json.dumps(payload))
+        cfg.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         assert main(["stats", "--manifest", manifest_path,
                      "--out-dir", out, "--config", str(cfg)]) == 2
     bad = tmp_path / "bad.json"
@@ -446,6 +454,24 @@ def test_degrade_seed_offsets_jitter(tmp_path, corpus_dir):
 
 def clean_wavs(corpus_dir, n=3):
     return [os.path.join(corpus_dir, "wav", f"utt0{i}.wav") for i in range(n)]
+
+
+@pytest.mark.parametrize("command, seed", [("train", "-1"), ("degrade", "-500")])
+def test_negative_seed_exits_2_without_a_traceback(tmp_path, manifest_path,
+                                                   corpus_dir, command, seed):
+    """A negative --seed is a configuration error naming the flag. The
+    command runs in a child process, whose stderr would show a traceback."""
+    extra = {"train": ["--manifest", manifest_path],
+             "degrade": ["--preset", "q_low", *clean_wavs(corpus_dir, 1)]}
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(maskpf.__file__))}
+    run = subprocess.run(
+        [sys.executable, "-m", "maskpf.cli", command, "--out-dir",
+         str(tmp_path / command), "--seed", seed, *extra[command]],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 2, run.stderr
+    assert "Traceback" not in run.stderr
+    assert "--seed" in run.stderr
 
 
 def test_enhance_and_degrade_jobs_parity(tmp_path, corpus_dir, trained_dir):
@@ -585,7 +611,9 @@ def test_float32_eval_lsd_matches_float64_inference(tmp_path, manifest_path,
 
     def widened(path):
         net, stats, header = real(path)
-        return net.astype(np.float64), stats, header
+        wide = empty_model(net.kind, dtype=np.float64)
+        wide.load_state(net.state())
+        return wide, stats, header
 
     monkeypatch.setattr(cli, "load_model", widened)
     assert main(argv + ["--out-dir", str(tmp_path / "f64")]) == 0
@@ -739,6 +767,8 @@ MALFORMED_MODELS = {
     "train_config_unknown_kind": (_train_field("kind", "gru"), None),
     "train_config_kind_mismatch": (_train_field("kind", "fcnn"), None),
     "train_config_bad_seed": (_train_field("seed", "x"), None),
+    "train_config_negative_seed": (_train_field("seed", -1), None),
+    "train_config_nan_lr": (_train_field("learning_rate", math.nan), None),
     "no_context_frames": (_without("context_frames"), None),
     "wrong_context_frames": (_with("context_frames", 6), None),
     "missing_tensor": _drop_tensor("head.b"),

@@ -85,21 +85,13 @@ def test_surrogate_keeps_phase_structure():
 
 def test_profile_validation():
     with pytest.raises(ConfigError):
-        DegradeProfile("bad", step_base=0.0, step_slope=1.0, jitter_sigma=0.1,
-                       hf_start_hz=3000.0, hf_max=1.0)
+        DegradeProfile("bad", step_base=0.0, jitter_sigma=0.1)
     with pytest.raises(ConfigError):
-        DegradeProfile("bad", step_base=0.5, step_slope=1.0, jitter_sigma=-0.1,
-                       hf_start_hz=3000.0, hf_max=1.0)
+        DegradeProfile("bad", step_base=0.5, jitter_sigma=-0.1)
     with pytest.raises(ConfigError):
-        DegradeProfile("bad", step_base=0.5, step_slope=1.0, jitter_sigma=0.1,
-                       hf_start_hz=9000.0, hf_max=1.0)
+        DegradeProfile("bad", step_base=0.5, jitter_sigma=0.1, seed=-1)
     with pytest.raises(ConfigError):
         get_profile("nonsense")
-
-
-def test_presets_share_the_same_tilt():
-    profiles = list(PRESETS.values())
-    assert len({(p.hf_start_hz, p.hf_max) for p in profiles}) == 1
 
 
 def test_align_pair_recovers_known_shift():

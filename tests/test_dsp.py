@@ -11,7 +11,6 @@ from maskpf.dsp import (
     N_PROCESSED,
     SAMPLE_RATE,
     AudioBuffer,
-    FeatureMatrix,
     NormStats,
     Spectrogram,
     active_rms,
@@ -136,24 +135,24 @@ def test_log_magnitude_floor_and_shape():
     x = np.zeros(1024)
     x[100] = 0.5
     feats = log_magnitude(stft(AudioBuffer(x)))
-    assert feats.frames.shape[1] == 205
-    assert np.all(feats.frames >= np.log(LOG_FLOOR) - 1e-12)
+    assert feats.shape[1] == 205
+    assert np.all(feats >= np.log(LOG_FLOOR) - 1e-12)
 
 
 def test_norm_stats_round_trip():
     rng = np.random.default_rng(3)
-    mats = [FeatureMatrix(rng.standard_normal((40, 7)) * 3 + 1) for _ in range(3)]
+    mats = [rng.standard_normal((40, 7)) * 3 + 1 for _ in range(3)]
     stats = compute_norm_stats(mats)
     normed = normalize(mats[0], stats)
-    back = normed.frames * stats.std + stats.mean
-    np.testing.assert_allclose(back, mats[0].frames, atol=1e-12)
-    stacked = np.concatenate([m.frames for m in mats], axis=0)
+    back = normed * stats.std + stats.mean
+    np.testing.assert_allclose(back, mats[0], atol=1e-12)
+    stacked = np.concatenate(mats, axis=0)
     np.testing.assert_allclose(stats.mean, stacked.mean(axis=0))
 
 
 def test_normalize_requires_stats():
     with pytest.raises(ConfigError):
-        normalize(FeatureMatrix(np.zeros((2, 2))), None)
+        normalize(np.zeros((2, 2)), None)
 
 
 def test_norm_stats_reject_zero_std():

@@ -115,13 +115,3 @@ def test_infer_mask_end_to_end_shape_and_range():
     assert mask.shape == (pair.n_frames, 205)
     assert np.all(mask.values > 0.0)
     assert np.all(mask.values < 2.0)
-
-
-def test_infer_mask_batching_is_invisible():
-    clean, coded = make_pair(seed=127)
-    pair = analyze_pair(clean, coded)
-    stats = input_stats([pair])
-    model = build_model("fcnn", seed=6)
-    a = infer_mask(model, stats, pair.coded_spec, batch_size=16)
-    b = infer_mask(model, stats, pair.coded_spec, batch_size=1000)
-    assert np.allclose(a.values, b.values, atol=1e-12)

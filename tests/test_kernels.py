@@ -12,13 +12,6 @@ import pytest
 
 from maskpf.errors import ConfigError
 from maskpf.nn import kernels
-from maskpf.nn.kernels import (
-    conv2d,
-    conv2d_grad_input,
-    conv2d_grad_weights,
-    deconv2d,
-    deconv2d_grads,
-)
 
 LAYOUTS = ["numpy", "nhwc"]
 
@@ -32,6 +25,23 @@ def in_layout(x, layout):
     if layout == "numpy":
         return np.ascontiguousarray(x)
     return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def deconv(x, w, stride, bias=None):
+    """The transposed convolution onto its full output, as `Deconv2d` runs
+    it: (N, C, H, W) -> (N, F, s*(H-1)+KH, s*(W-1)+KW)."""
+    (sh, sw), (kh, kw) = stride, w.shape[2:]
+    out_hw = (sh * (x.shape[2] - 1) + kh, sw * (x.shape[3] - 1) + kw)
+    return kernels.scatter(x, w, stride, out_hw, bias=bias)
+
+
+def deconv_grads(x, gy, w, stride):
+    """(weight gradient, input gradient) of `deconv` for the output
+    gradient gy, both from one im2col matrix of gy, as `Deconv2d` takes
+    them."""
+    cols = kernels.im2col(gy, w.shape[2:], stride)
+    return (kernels.weight_grad(gy, x, stride, w.shape[2:], cols),
+            kernels.gather(gy, w, stride, cols))
 
 
 def conv2d_loops(x, w, stride):
@@ -72,7 +82,7 @@ def test_conv2d_matches_loop_oracle(layout, stride):
     rng = np.random.default_rng(90)
     x = rng.standard_normal((2, 3, 9, 11))
     w = rng.standard_normal((4, 3, 2, 3))
-    got = conv2d(in_layout(x, layout), w, stride)
+    got = kernels.gather(in_layout(x, layout), w, stride)
     assert np.allclose(got, conv2d_loops(x, w, stride), atol=1e-12)
 
 
@@ -82,7 +92,7 @@ def test_deconv2d_matches_loop_oracle(layout, stride):
     rng = np.random.default_rng(91)
     x = rng.standard_normal((2, 4, 5, 6))
     w = rng.standard_normal((4, 3, 2, 3))
-    got = deconv2d(in_layout(x, layout), w, stride)
+    got = deconv(in_layout(x, layout), w, stride)
     assert np.allclose(got, deconv2d_loops(x, w, stride), atol=1e-12)
 
 
@@ -96,10 +106,10 @@ def test_decoder_shapes_match_loop_oracles(layout, shape):
     stride = (1, 2)
     x = rng.standard_normal((2, c_in, h, wd))
     w = rng.standard_normal((c_in, c_out, 2, 3))
-    y = deconv2d(in_layout(x, layout), w, stride)
+    y = deconv(in_layout(x, layout), w, stride)
     assert np.allclose(y, deconv2d_loops(x, w, stride), atol=1e-11)
     gy = rng.standard_normal(y.shape)
-    _, gx = deconv2d_grads(in_layout(x, layout), in_layout(gy, layout), w, stride)
+    _, gx = deconv_grads(in_layout(x, layout), in_layout(gy, layout), w, stride)
     assert np.allclose(gx, conv2d_loops(gy, w, stride), atol=1e-11)
 
 
@@ -111,9 +121,9 @@ def test_conv_adjointness(layout):
     stride = (1, 2)
     x = rng.standard_normal((3, 2, 7, 12))
     w = rng.standard_normal((5, 2, 2, 3))
-    y = conv2d(in_layout(x, layout), w, stride)
+    y = kernels.gather(in_layout(x, layout), w, stride)
     gy = rng.standard_normal(y.shape)
-    gx = conv2d_grad_input(in_layout(gy, layout), w, stride, (7, 12))
+    gx = kernels.scatter(in_layout(gy, layout), w, stride, (7, 12))
     assert np.allclose(np.sum(y * gy), np.sum(x * gx), rtol=1e-12)
 
 
@@ -123,9 +133,9 @@ def test_deconv_adjointness(layout):
     stride = (1, 2)
     x = rng.standard_normal((2, 4, 6, 5))
     w = rng.standard_normal((4, 3, 2, 3))
-    y = deconv2d(in_layout(x, layout), w, stride)
+    y = deconv(in_layout(x, layout), w, stride)
     gy = rng.standard_normal(y.shape)
-    _, gx = deconv2d_grads(in_layout(x, layout), in_layout(gy, layout), w, stride)
+    _, gx = deconv_grads(in_layout(x, layout), in_layout(gy, layout), w, stride)
     assert np.allclose(np.sum(y * gy), np.sum(x * gx), rtol=1e-12)
 
 
@@ -141,13 +151,13 @@ def test_decoder_shapes_adjointness(layout, shape):
     stride = (1, 2)
     x = rng.standard_normal((3, c_in, h, wd))
     w = rng.standard_normal((c_in, c_out, 2, 3))
-    y = deconv2d(in_layout(x, layout), w, stride)
+    y = deconv(in_layout(x, layout), w, stride)
     gy = rng.standard_normal(y.shape)
-    gw, gx = deconv2d_grads(in_layout(x, layout), in_layout(gy, layout), w, stride)
+    gw, gx = deconv_grads(in_layout(x, layout), in_layout(gy, layout), w, stride)
     assert np.isclose(np.sum(y * gy), np.sum(x * gx), rtol=1e-12)
     d = rng.standard_normal(w.shape)
     assert gw.shape == w.shape
-    assert np.isclose(np.sum(deconv2d(x, d, stride) * gy), np.sum(gw * d),
+    assert np.isclose(np.sum(deconv(x, d, stride) * gy), np.sum(gw * d),
                       rtol=1e-12)
 
 
@@ -157,13 +167,13 @@ def test_weight_grad_matches_finite_difference_direction(layout):
     stride = (1, 2)
     x = rng.standard_normal((2, 3, 6, 9))
     w = rng.standard_normal((4, 3, 2, 3))
-    gy = rng.standard_normal(conv2d(x, w, stride).shape)
-    gw = conv2d_grad_weights(in_layout(x, layout), in_layout(gy, layout),
+    gy = rng.standard_normal(kernels.gather(x, w, stride).shape)
+    gw = kernels.weight_grad(in_layout(x, layout), in_layout(gy, layout),
                              stride, (2, 3))
     direction = rng.standard_normal(w.shape)
     h = 1e-6
-    lhs = (np.sum(conv2d(x, w + h * direction, stride) * gy)
-           - np.sum(conv2d(x, w - h * direction, stride) * gy)) / (2 * h)
+    lhs = (np.sum(kernels.gather(x, w + h * direction, stride) * gy)
+           - np.sum(kernels.gather(x, w - h * direction, stride) * gy)) / (2 * h)
     assert np.isclose(lhs, np.sum(gw * direction), rtol=1e-6)
 
 
@@ -173,13 +183,13 @@ def test_deconv_weight_grad_direction(layout):
     stride = (1, 2)
     x = rng.standard_normal((2, 4, 5, 6))
     w = rng.standard_normal((4, 3, 2, 3))
-    gy = rng.standard_normal(deconv2d(x, w, stride).shape)
-    gw, _ = deconv2d_grads(in_layout(x, layout), in_layout(gy, layout), w, stride)
+    gy = rng.standard_normal(deconv(x, w, stride).shape)
+    gw, _ = deconv_grads(in_layout(x, layout), in_layout(gy, layout), w, stride)
     assert gw.shape == w.shape
     direction = rng.standard_normal(w.shape)
     h = 1e-6
-    lhs = (np.sum(deconv2d(x, w + h * direction, stride) * gy)
-           - np.sum(deconv2d(x, w - h * direction, stride) * gy)) / (2 * h)
+    lhs = (np.sum(deconv(x, w + h * direction, stride) * gy)
+           - np.sum(deconv(x, w - h * direction, stride) * gy)) / (2 * h)
     assert np.isclose(lhs, np.sum(gw * direction), rtol=1e-6)
 
 
@@ -187,7 +197,7 @@ def test_kernel_too_large_rejected():
     x = np.zeros((1, 1, 3, 3))
     w = np.zeros((1, 1, 5, 5))
     with pytest.raises(ConfigError):
-        conv2d(x, w, (1, 1))
+        kernels.gather(x, w, (1, 1))
 
 
 def test_scatter_output_too_small_rejected():
@@ -226,7 +236,7 @@ def test_col2im_writes_a_strided_view_once_with_bias(kernel, stride):
     assert np.all(parent[outside] == 7.0)
     got = kernels.scatter(x, w, stride, (h + 1, wd + 1), bias=bias)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    got = deconv2d(in_layout(x, "nhwc"), w, stride, bias=bias)
+    got = deconv(in_layout(x, "nhwc"), w, stride, bias=bias)
     np.testing.assert_allclose(got, want[:, :, :h, :wd], rtol=0, atol=1e-12)
 
 
@@ -256,7 +266,7 @@ def test_float32_conv2d_matches_loop_oracle(layout, stride):
     rng = np.random.default_rng(90)
     x32, x = f32_pair(rng, (2, 3, 9, 11))
     w32, w = f32_pair(rng, (4, 3, 2, 3))
-    got = conv2d(in_layout(x32, layout), w32, stride)
+    got = kernels.gather(in_layout(x32, layout), w32, stride)
     assert_f32_close(got, conv2d_loops(x, w, stride),
                      conv2d_loops(np.abs(x), np.abs(w), stride), 3 * 2 * 3)
 
@@ -267,7 +277,7 @@ def test_float32_deconv2d_matches_loop_oracle(layout, stride):
     rng = np.random.default_rng(91)
     x32, x = f32_pair(rng, (2, 4, 5, 6))
     w32, w = f32_pair(rng, (4, 3, 2, 3))
-    got = deconv2d(in_layout(x32, layout), w32, stride)
+    got = deconv(in_layout(x32, layout), w32, stride)
     assert_f32_close(got, deconv2d_loops(x, w, stride),
                      deconv2d_loops(np.abs(x), np.abs(w), stride), 4 * 2 * 3)
 
@@ -280,11 +290,11 @@ def test_float32_decoder_shapes_match_loop_oracles(layout, shape):
     stride = (1, 2)
     x32, x = f32_pair(rng, (2, c_in, h, wd))
     w32, w = f32_pair(rng, (c_in, c_out, 2, 3))
-    y = deconv2d(in_layout(x32, layout), w32, stride)
+    y = deconv(in_layout(x32, layout), w32, stride)
     assert_f32_close(y, deconv2d_loops(x, w, stride),
                      deconv2d_loops(np.abs(x), np.abs(w), stride), c_in * 2 * 3)
     gy32, gy = f32_pair(rng, y.shape)
-    _, gx = deconv2d_grads(in_layout(x32, layout), in_layout(gy32, layout),
+    _, gx = deconv_grads(in_layout(x32, layout), in_layout(gy32, layout),
                            w32, stride)
     assert_f32_close(gx, conv2d_loops(gy, w, stride),
                      conv2d_loops(np.abs(gy), np.abs(w), stride), c_out * 2 * 3)
@@ -297,17 +307,17 @@ def test_float32_weight_grads_match_float64(layout):
     rng = np.random.default_rng(98)
     stride = (1, 2)
     x32, x = f32_pair(rng, (2, 3, 6, 9))
-    gy32, gy = f32_pair(rng, conv2d(x, np.zeros((4, 3, 2, 3)), stride).shape)
-    gw = conv2d_grad_weights(in_layout(x32, layout), in_layout(gy32, layout),
+    gy32, gy = f32_pair(rng, kernels.gather(x, np.zeros((4, 3, 2, 3)), stride).shape)
+    gw = kernels.weight_grad(in_layout(x32, layout), in_layout(gy32, layout),
                              stride, (2, 3))
-    assert_f32_close(gw, conv2d_grad_weights(x, gy, stride, (2, 3)),
-                     conv2d_grad_weights(np.abs(x), np.abs(gy), stride, (2, 3)),
+    assert_f32_close(gw, kernels.weight_grad(x, gy, stride, (2, 3)),
+                     kernels.weight_grad(np.abs(x), np.abs(gy), stride, (2, 3)),
                      gy[:, 0].size)
     d32, d = f32_pair(rng, (3, 4, 5, 6))
     w = np.zeros((4, 2, 2, 3))
-    gz32, gz = f32_pair(rng, deconv2d(d, w, stride).shape)
-    gw, _ = deconv2d_grads(in_layout(d32, layout), in_layout(gz32, layout),
+    gz32, gz = f32_pair(rng, deconv(d, w, stride).shape)
+    gw, _ = deconv_grads(in_layout(d32, layout), in_layout(gz32, layout),
                            w.astype(np.float32), stride)
-    assert_f32_close(gw, deconv2d_grads(d, gz, w, stride)[0],
-                     deconv2d_grads(np.abs(d), np.abs(gz), w, stride)[0],
+    assert_f32_close(gw, deconv_grads(d, gz, w, stride)[0],
+                     deconv_grads(np.abs(d), np.abs(gz), w, stride)[0],
                      d[:, 0].size)

@@ -15,7 +15,7 @@ from maskpf.dsp import (
 from maskpf.errors import ConfigError, DataError
 from maskpf.mask import (
     HISTOGRAM_LABELS,
-    MaskConfig,
+    MAG_GUARD,
     MaskMatrix,
     apply_mask,
     bound_mask,
@@ -34,12 +34,12 @@ def random_spec(rng, t_count=12):
     return Spectrogram(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def test_irm_recovers_clean_exactly_with_zero_guard():
+def test_irm_recovers_clean_exactly_through_its_guard():
     rng = np.random.default_rng(41)
     clean = random_spec(rng)
     coded = random_spec(rng)
-    irm = compute_irm(clean, coded, MaskConfig(guard=0.0))
-    recovered = irm.values * coded.magnitudes()
+    irm = compute_irm(clean, coded)
+    recovered = irm.values * (coded.magnitudes() + MAG_GUARD)
     assert np.allclose(recovered, clean.magnitudes(), rtol=1e-12, atol=0)
 
 
@@ -47,9 +47,8 @@ def test_irm_guard_shifts_denominator():
     rng = np.random.default_rng(42)
     clean = random_spec(rng)
     coded = random_spec(rng)
-    guard = 1e-3
-    irm = compute_irm(clean, coded, MaskConfig(guard=guard))
-    expect = clean.magnitudes() / (coded.magnitudes() + guard)
+    irm = compute_irm(clean, coded)
+    expect = clean.magnitudes() / (coded.magnitudes() + MAG_GUARD)
     assert np.array_equal(irm.values, expect)
 
 
@@ -161,7 +160,7 @@ def test_histogram_pools_multiple_matrices():
 def test_identity_pair_mass_sits_in_first_bucket():
     buf = synth_utterance(seed=9, duration_s=0.8)
     spec = stft(buf)
-    irm = compute_irm(spec, spec, MaskConfig(guard=1e-9))
+    irm = compute_irm(spec, spec)
     hist = mask_histogram([irm])
     assert hist.fractions[0] == 1.0
     assert irm.values.max() <= 1.0

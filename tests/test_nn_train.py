@@ -430,6 +430,11 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
         TrainConfig(patience=0)
+    for bad in ({"seed": -1}, {"seed": 1.5}, {"learning_rate": np.nan},
+                {"learning_rate": np.inf}, {"min_delta": np.nan},
+                {"max_epochs": np.nan}):
+        with pytest.raises(ConfigError):
+            TrainConfig(**bad)
 
 
 # SHA-256 of the model file that `_trained_file_digests` writes for each
