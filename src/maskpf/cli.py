@@ -51,15 +51,7 @@ from .degrade import (
     split_entries,
     surrogate_code,
 )
-from .dsp import (
-    FRAME_LEN,
-    HOP,
-    AudioBuffer,
-    analysis_frames,
-    band_limit,
-    frame_count,
-    stft_filter,
-)
+from .dsp import FRAME_LEN, HOP, AudioBuffer, band_limit, frame_count, stft_filter
 from .errors import ConfigError, DataError, MaskpfError
 from .features import analyze_pair, build_dataset, infer_mask, input_stats
 from .mask import (
@@ -145,16 +137,16 @@ def _load_split(args, split: str) -> tuple[list[ManifestEntry], str]:
 
 
 def _analyze_worker(job):
-    """Resolve and analyze the pair of an (entry, manifest_dir, ...) job."""
-    clean, coded = resolve_pair(job[0], job[1])
-    return clean, coded, analyze_pair(clean, coded)
+    """The `UtterancePair` of an (entry, manifest_dir, ...) job: its
+    spectrograms only, so --jobs workers send no audio back."""
+    return analyze_pair(*resolve_pair(job[0], job[1]))
 
 
 # ------------------------------------------------------------------ stats --
 
 
 def _stats_worker(job: tuple[ManifestEntry, str]) -> np.ndarray:
-    _, _, pair = _analyze_worker(job)
+    pair = _analyze_worker(job)
     hist = mask_histogram([compute_irm(pair.clean_spec, pair.coded_spec)])
     return np.append(hist.counts, hist.total)
 
@@ -225,13 +217,11 @@ def cmd_oracle(args) -> int:
 
 def _oracle_worker(job) -> list[float]:
     _, _, bounds, with_envelope = job
-    clean, coded, pair = _analyze_worker(job)
+    pair = _analyze_worker(job)
     sweep = oracle_sweep(pair.clean_spec, pair.coded_spec, tuple(bounds))
     values = [lsd for _, lsd in sweep]
     if with_envelope:
-        emask = envelope_mask(pair.clean_spec, pair.coded_spec,
-                              analysis_frames(clean.samples),
-                              analysis_frames(coded.samples))
+        emask = envelope_mask(pair.clean_spec, pair.coded_spec)
         enhanced = emask.values * pair.coded_spec.magnitudes()
         values.append(lsd_from_mags(enhanced, pair.clean_spec.magnitudes()))
     return values
@@ -254,8 +244,8 @@ def cmd_train(args) -> int:
     val_entries, _ = _load_split(args, "val")
     out_dir = _ensure_out(args.out_dir)
     train_pairs, val_pairs = (
-        [pair for _, _, pair in _map_ordered(
-            _analyze_worker, [(e, manifest_dir) for e in entries], args.jobs)]
+        _map_ordered(_analyze_worker, [(e, manifest_dir) for e in entries],
+                     args.jobs)
         for entries in (train_entries, val_entries))
     stats = input_stats(train_pairs)
     train_data = build_dataset(train_pairs, args.kind, stats)
@@ -383,8 +373,7 @@ def _degrade_worker(job) -> str:
 
 
 def cmd_degrade(args) -> int:
-    profile = get_profile(args.preset)
-    profile = replace(profile, seed=profile.seed + args.seed)
+    profile = replace(get_profile(args.preset), offset=args.seed)
     out_dir = _ensure_out(args.out_dir)
     jobs = [(p, out_dir, profile, args.format) for p in args.inputs]
     written = _map_ordered(_degrade_worker, jobs, args.jobs)
@@ -463,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("degrade", help="apply a surrogate-degradation preset")
     add_common(p, manifest=False,
-               seed_help="offset added to the preset's jitter seed")
+               seed_help="jitter seed, mixed in with the preset's own seed")
     p.add_argument("--preset", required=True, choices=sorted(PRESETS))
     p.add_argument("--format", default="pcm16", choices=["pcm16", "float32"])
     p.add_argument("inputs", nargs="+", help="clean WAV files")

@@ -51,26 +51,31 @@ STEP_SLOPE = 0.5
 
 @dataclass(frozen=True)
 class DegradeProfile:
-    """One preset of the surrogate degrader: its severity and its seed.
+    """One preset of the surrogate degrader: its severity and its seeds.
 
     step_base    quantization step for the log magnitude (natural-log units)
                  at 0 Hz; it grows with frequency by STEP_SLOPE.
     jitter_sigma standard deviation of the random log-magnitude jitter at
                  0 Hz, scaled by the same frequency growth as the step.
-    seed         mixed with a hash of the samples so each utterance gets its
-                 own reproducible noise; an int >= 0.
+    seed         the preset's own jitter seed; an int >= 0.
+    offset       the caller's seed (`degrade --seed`); an int >= 0.
+
+    The jitter stream of an utterance is seeded by the entropy words
+    (seed, hash of the samples, offset): each (preset, offset) pair has its
+    own streams, and offset 0 draws what (seed, hash) alone would.
     """
 
-    name: str
     step_base: float
     jitter_sigma: float
     seed: int = 0
+    offset: int = 0
 
     def __post_init__(self):
         if not (self.step_base > 0 and self.jitter_sigma >= 0):
             raise ConfigError("step_base must be > 0 and jitter_sigma >= 0")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.seed < 0 or self.offset < 0:
+            raise ConfigError(
+                f"seed and offset must be >= 0, got {self.seed}, {self.offset}")
 
 
 # Severity comes from the quantization step and the jitter level alone,
@@ -78,9 +83,9 @@ class DegradeProfile:
 # pushes the ideal ratio above the mask cap so often that the training
 # targets collapse to 1 and the tilt itself stops being learnable.
 PRESETS = {
-    "q_low": DegradeProfile("q_low", step_base=0.45, jitter_sigma=0.05, seed=101),
-    "q_mid": DegradeProfile("q_mid", step_base=0.28, jitter_sigma=0.04, seed=102),
-    "q_high": DegradeProfile("q_high", step_base=0.15, jitter_sigma=0.02, seed=103),
+    "q_low": DegradeProfile(step_base=0.45, jitter_sigma=0.05, seed=101),
+    "q_mid": DegradeProfile(step_base=0.28, jitter_sigma=0.04, seed=102),
+    "q_high": DegradeProfile(step_base=0.15, jitter_sigma=0.02, seed=103),
 }
 
 
@@ -94,7 +99,8 @@ def get_profile(name: str) -> DegradeProfile:
 
 def _content_seed(profile: DegradeProfile, samples: np.ndarray) -> np.random.Generator:
     digest = zlib.crc32(samples.tobytes())
-    return np.random.default_rng(np.random.SeedSequence([profile.seed, digest]))
+    return np.random.default_rng(
+        np.random.SeedSequence([profile.seed, digest, profile.offset]))
 
 
 def surrogate_code(buf: AudioBuffer, profile: DegradeProfile) -> AudioBuffer:

@@ -1,6 +1,7 @@
-"""Signal-domain primitives: windows, STFT/iSTFT, log-magnitude features,
-real cepstrum, and the preprocessing surrogates (band limiting, active-level
-normalization) applied ahead of coding and evaluation.
+"""Signal-domain primitives: the analysis window, STFT/iSTFT,
+log-magnitude features, the real cepstrum of STFT rows, and the
+preprocessing surrogates (band limiting, active-level normalization)
+applied ahead of coding and evaluation.
 
 The analysis framing is fixed and defined here once: 16 kHz audio, 32 ms
 frames (`FRAME_LEN` samples) at 50% overlap (`HOP`), a real FFT of
@@ -89,23 +90,16 @@ class NormStats:
             raise ConfigError("std values must be positive")
 
 
-def sqrt_hann(frame_len: int) -> np.ndarray:
-    """Square root of the periodic Hann window.
-
-    Satisfies w^2[i] + w^2[i + frame_len/2] == 1, which makes the 50%
-    overlap-add analysis/synthesis pair exactly reconstructing.
-    """
-    if frame_len < 2 or frame_len % 2 != 0:
-        raise ConfigError("frame_len must be even and >= 2")
-    i = np.arange(frame_len)
-    return np.sqrt(0.5 - 0.5 * np.cos(2.0 * np.pi * i / frame_len))
-
-
 @lru_cache(maxsize=1)
 def analysis_window() -> np.ndarray:
-    """The FRAME_LEN-sample `sqrt_hann` window of `stft` and `istft`,
-    built once and read-only."""
-    window = sqrt_hann(FRAME_LEN)
+    """The square root of the periodic FRAME_LEN-sample Hann window, the
+    window of `stft` and `istft`, built once and read-only.
+
+    Satisfies w^2[i] + w^2[i + HOP] == 1, which makes the 50% overlap-add
+    analysis/synthesis pair exactly reconstructing.
+    """
+    i = np.arange(FRAME_LEN)
+    window = np.sqrt(0.5 - 0.5 * np.cos(2.0 * np.pi * i / FRAME_LEN))
     window.setflags(write=False)
     return window
 
@@ -197,27 +191,20 @@ def normalize(features: np.ndarray, stats: NormStats | None) -> np.ndarray:
     return (features - stats.mean) / stats.std
 
 
-def real_cepstrum(frame: np.ndarray, window: np.ndarray | None = None) -> np.ndarray:
-    """Real cepstrum of an analysis frame, or of each row of a stack of them.
+def real_cepstrum(spectra: np.ndarray) -> np.ndarray:
+    """Real cepstrum of each frame whose `stft` row is given.
 
-    c = real(IDFT(ln(max(|DFT(frame * window)|, LOG_FLOOR)))) along the last
-    axis, same shape as the input. Pass an all-ones window to analyze the
-    raw frame.
-
-    The log magnitude of a real frame is real and even, so the transforms
-    are real FFTs (`rfft`, then `irfft` of the half spectrum).
+    `spectra` holds STFT rows, shape (..., FRAME_LEN // 2 + 1); the result
+    c = real(IDFT(ln(max(|S|, LOG_FLOOR)))) has shape (..., FRAME_LEN). The
+    log magnitude of a real frame is real and even, so the inverse is a
+    real FFT of the half spectrum.
     """
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.ndim < 1:
-        raise DataError("cepstrum input must hold at least one frame")
-    n = frame.shape[-1]
-    if window is None:
-        window = analysis_window() if n == FRAME_LEN else sqrt_hann(n)
-    if window.shape != frame.shape[-1:]:
-        raise DataError("window length does not match frame length")
-    spectrum = np.fft.rfft(frame * window, axis=-1)
-    log_mag = np.log(np.maximum(np.abs(spectrum), LOG_FLOOR))
-    return np.fft.irfft(log_mag, n=n, axis=-1)
+    spectra = np.asarray(spectra)
+    if spectra.ndim < 1 or spectra.shape[-1] != FRAME_LEN // 2 + 1:
+        raise DataError(
+            f"cepstrum input must be STFT rows of {FRAME_LEN // 2 + 1} bins")
+    log_mag = np.log(np.maximum(np.abs(spectra), LOG_FLOOR))
+    return np.fft.irfft(log_mag, n=FRAME_LEN, axis=-1)
 
 
 # Band-limiting surrogate: one linear-phase FIR doing 7 kHz low-pass plus

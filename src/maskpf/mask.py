@@ -1,6 +1,8 @@
 """Time-frequency mask math: ratio-mask targets, bounding, the modified
 training target that caps unreasonable gains, mask statistics, and oracle
-mask application (including the cepstral-envelope variant).
+mask application (including the cepstral-envelope variant, which reads
+the clean and degraded spectrograms and takes its cepstra from their STFT
+rows).
 
 Masks are real, non-negative gains on the processed bins, shape
 (T, dsp.N_PROCESSED) = (T, 205). Applying a mask scales STFT magnitudes
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import FRAME_LEN, N_PROCESSED, Spectrogram, analysis_window, real_cepstrum
+from .dsp import FRAME_LEN, N_PROCESSED, Spectrogram, real_cepstrum
 from .errors import ConfigError, DataError
 
 MAG_GUARD = 1e-9
@@ -47,14 +49,18 @@ class MaskMatrix:
         return self.values.shape
 
 
-def compute_irm(clean: Spectrogram, coded: Spectrogram) -> MaskMatrix:
-    """Ideal ratio mask |clean| / (|coded| + MAG_GUARD) over the processed
-    bins."""
+def _check_aligned(clean: Spectrogram, coded: Spectrogram) -> None:
     if clean.n_frames != coded.n_frames:
         raise DataError(
             f"frame count mismatch: clean has {clean.n_frames}, "
             f"coded has {coded.n_frames}"
         )
+
+
+def compute_irm(clean: Spectrogram, coded: Spectrogram) -> MaskMatrix:
+    """Ideal ratio mask |clean| / (|coded| + MAG_GUARD) over the processed
+    bins."""
+    _check_aligned(clean, coded)
     return MaskMatrix(clean.magnitudes() / (coded.magnitudes() + MAG_GUARD))
 
 
@@ -133,52 +139,40 @@ def mask_histogram(masks: list[MaskMatrix]) -> MaskHistogram:
 CEPSTRUM_CUTOFF = 64
 
 
-def oracle_cepstrum_substitute(
-    clean_frame: np.ndarray, coded_frame: np.ndarray
-) -> np.ndarray:
-    """Swap the spectral envelope of a degraded frame for the clean one.
+def oracle_cepstrum_substitute(clean: np.ndarray, coded: np.ndarray) -> np.ndarray:
+    """Swap the spectral envelope of degraded frames for the clean ones.
 
-    Both frames are time-domain analysis frames of length FRAME_LEN, or
-    equal stacks (..., FRAME_LEN) of them, handled row by row. The low
-    quefrencies [0, CEPSTRUM_CUTOFF) and their mirror image of the degraded
-    real cepstrum are replaced with the clean frame's, then the log
-    spectrum is rebuilt, by a real FFT since the merged cepstrum is real.
-    Returns the resulting 257-bin magnitude spectrum of each frame.
+    Both arguments are STFT rows of equal shape (..., FRAME_LEN // 2 + 1),
+    handled row by row. The low quefrencies [0, CEPSTRUM_CUTOFF) and their
+    mirror image of the degraded real cepstrum are replaced with the clean
+    frame's, then the log spectrum is rebuilt, by a real FFT since the
+    merged cepstrum is real. Returns the resulting 257-bin magnitude
+    spectrum of each frame.
     """
-    window = analysis_window()
-    c_clean = real_cepstrum(clean_frame, window)
-    c_coded = real_cepstrum(coded_frame, window)
-    merged = c_coded
+    c_clean = real_cepstrum(clean)
+    merged = real_cepstrum(coded)
     merged[..., :CEPSTRUM_CUTOFF] = c_clean[..., :CEPSTRUM_CUTOFF]
     mirror = FRAME_LEN - np.arange(1, CEPSTRUM_CUTOFF)
     merged[..., mirror] = c_clean[..., mirror]
     return np.exp(np.fft.rfft(merged, axis=-1).real)
 
 
-def envelope_mask(
-    clean: Spectrogram,
-    coded: Spectrogram,
-    clean_frames_td: np.ndarray,
-    coded_frames_td: np.ndarray,
-) -> MaskMatrix:
+def envelope_mask(clean: Spectrogram, coded: Spectrogram) -> MaskMatrix:
     """Oracle mask from cepstral envelope substitution in every frame.
 
-    `*_frames_td` are the raw (unwindowed) time-domain analysis frames,
-    shape (T, FRAME_LEN), aligned with the spectrograms (`dsp.analysis_frames`
-    of each signal). All frames go through `oracle_cepstrum_substitute` as
-    one stack. `clean` is not read.
+    The cepstra come from the two spectrograms' rows, all frames as one
+    stack through `oracle_cepstrum_substitute`; the substituted magnitudes
+    are divided by the degraded ones over the processed bins.
     """
-    expected = (coded.n_frames, FRAME_LEN)
-    if clean_frames_td.shape != expected or coded_frames_td.shape != expected:
-        raise DataError("time-domain frames do not match the spectrogram")
-    mags = oracle_cepstrum_substitute(clean_frames_td, coded_frames_td)
+    _check_aligned(clean, coded)
+    mags = oracle_cepstrum_substitute(clean.frames, coded.frames)
     return MaskMatrix(mags[:, :N_PROCESSED] / (coded.magnitudes() + MAG_GUARD))
 
 
 def oracle_sweep(
     clean: Spectrogram,
     coded: Spectrogram,
-    bounds: tuple[float, ...] = (1.0, 2.0, 5.0, np.inf),
+    bounds: tuple[float, ...],
 ) -> list[tuple[float, float]]:
     """Distortion left by the bounded oracle mask, per bound.
 

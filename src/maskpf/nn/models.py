@@ -326,11 +326,6 @@ class LstmModel(Model):
         return [("lstm1", self.lstm1), ("lstm2", self.lstm2),
                 ("head", self.head), ("sig", self.sig)]
 
-    def reseed(self, seed: int) -> None:
-        rng = np.random.default_rng(seed)
-        self.lstm1.reseed(rng)
-        self.lstm2.reseed(rng)
-
     def forward(self, x, train=False):
         if x.ndim != 3:
             raise ConfigError("recurrent estimator expects (N, T, D) input")

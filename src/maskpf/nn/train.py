@@ -66,6 +66,11 @@ class TrainConfig:
         if not (self.patience >= 1 and np.isfinite(self.min_delta)
                 and self.min_delta >= 0):
             raise ConfigError("patience must be >= 1 and min_delta finite and >= 0")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ConfigError(
+                f"beta1 and beta2 must be in [0, 1), got {self.beta1}, {self.beta2}")
+        if not (np.isfinite(self.adam_eps) and self.adam_eps > 0):
+            raise ConfigError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
         if type(self.seed) is not int or self.seed < 0:
             raise ConfigError(f"seed must be an int >= 0, got {self.seed!r}")
 

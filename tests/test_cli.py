@@ -81,13 +81,17 @@ def test_stats_csv_and_header(tmp_path, manifest_path, capsys):
 
 
 def test_stats_jobs_parity(tmp_path, manifest_path):
-    a = tmp_path / "a"
-    b = tmp_path / "b"
-    assert main(["stats", "--manifest", manifest_path, "--out-dir", str(a),
-                 "--split", "train", "--jobs", "1"]) == 0
-    assert main(["stats", "--manifest", manifest_path, "--out-dir", str(b),
-                 "--split", "train", "--jobs", "2"]) == 0
-    assert (a / "stats.csv").read_bytes() == (b / "stats.csv").read_bytes()
+    """stats, and oracle with the envelope row, write the same bytes at
+    --jobs 1 and 2, on a split of three utterances so two workers run."""
+    for argv, written in ((["stats"], "stats.csv"),
+                          (["oracle", "--envelope"], "oracle.csv")):
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"{argv[0]}{jobs}"
+            assert main([*argv, "--manifest", manifest_path, "--out-dir",
+                         str(out), "--split", "train", "--jobs", jobs]) == 0
+            outputs.append((out / written).read_bytes())
+        assert outputs[0] == outputs[1], argv[0]
 
 
 def test_oracle_sweep_descends(tmp_path, manifest_path):
@@ -769,6 +773,8 @@ MALFORMED_MODELS = {
     "train_config_bad_seed": (_train_field("seed", "x"), None),
     "train_config_negative_seed": (_train_field("seed", -1), None),
     "train_config_nan_lr": (_train_field("learning_rate", math.nan), None),
+    "train_config_nan_beta1": (_train_field("beta1", math.nan), None),
+    "train_config_negative_adam_eps": (_train_field("adam_eps", -1.0), None),
     "no_context_frames": (_without("context_frames"), None),
     "wrong_context_frames": (_with("context_frames", 6), None),
     "missing_tensor": _drop_tensor("head.b"),

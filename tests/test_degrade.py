@@ -1,5 +1,8 @@
 """Surrogate degrader determinism, alignment, and manifest handling."""
 
+import zlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from maskpf.degrade import (
     PRESETS,
     DegradeProfile,
     ManifestEntry,
+    _content_seed,
     align_pair,
     get_profile,
     load_manifest,
@@ -43,6 +47,23 @@ def test_surrogate_differs_across_content_and_preset():
     assert len(ax) != len(ay) or not np.array_equal(ax.samples, ay.samples)
     bx = surrogate_code(x, PRESETS["q_low"])
     assert not np.array_equal(ax.samples, bx.samples)
+
+
+def test_seed_offsets_do_not_collide_across_presets():
+    """The preset seeds are consecutive (101, 102, 103), so adding the
+    offset to them would give q_low at offset 1 the jitter of q_mid at
+    offset 0. The offset is an entropy word of its own instead; offset 0
+    keeps the draws of the preset's seed and the content hash alone."""
+    samples = prepped().samples
+    low_1 = replace(PRESETS["q_low"], offset=1)
+    mid_0 = PRESETS["q_mid"]
+    draws = [_content_seed(p, samples).standard_normal(1000)
+             for p in (low_1, mid_0, PRESETS["q_low"])]
+    assert not np.array_equal(draws[0], draws[1])
+    assert not np.array_equal(draws[0], draws[2])
+    digest = zlib.crc32(samples.tobytes())
+    own = np.random.default_rng(np.random.SeedSequence([101, digest]))
+    assert np.array_equal(draws[2], own.standard_normal(1000))
 
 
 def test_surrogate_preserves_length_and_exact_zeros():
@@ -85,11 +106,13 @@ def test_surrogate_keeps_phase_structure():
 
 def test_profile_validation():
     with pytest.raises(ConfigError):
-        DegradeProfile("bad", step_base=0.0, jitter_sigma=0.1)
+        DegradeProfile(step_base=0.0, jitter_sigma=0.1)
     with pytest.raises(ConfigError):
-        DegradeProfile("bad", step_base=0.5, jitter_sigma=-0.1)
+        DegradeProfile(step_base=0.5, jitter_sigma=-0.1)
     with pytest.raises(ConfigError):
-        DegradeProfile("bad", step_base=0.5, jitter_sigma=0.1, seed=-1)
+        DegradeProfile(step_base=0.5, jitter_sigma=0.1, seed=-1)
+    with pytest.raises(ConfigError):
+        DegradeProfile(step_base=0.5, jitter_sigma=0.1, offset=-1)
     with pytest.raises(ConfigError):
         get_profile("nonsense")
 

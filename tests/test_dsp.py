@@ -24,7 +24,6 @@ from maskpf.dsp import (
     log_magnitude,
     normalize,
     real_cepstrum,
-    sqrt_hann,
     stft,
     stft_filter,
 )
@@ -32,20 +31,15 @@ from maskpf.errors import ConfigError, DataError
 
 
 def test_sqrt_hann_overlap_identity():
-    w = sqrt_hann(512)
+    w = analysis_window()
     assert w.shape == (512,)
     assert w[0] == 0.0
     overlap = w[:256] ** 2 + w[256:] ** 2
     np.testing.assert_allclose(overlap, 1.0, atol=1e-12)
-    # stft's window is that array, built once and read-only
-    assert analysis_window() is analysis_window()
-    assert np.array_equal(analysis_window(), w)
-    assert not analysis_window().flags.writeable
-
-
-def test_sqrt_hann_rejects_odd():
-    with pytest.raises(ConfigError):
-        sqrt_hann(511)
+    np.testing.assert_allclose(w ** 2, np.hanning(513)[:512], atol=1e-12)
+    # stft's window is built once and read-only
+    assert analysis_window() is w
+    assert not w.flags.writeable
 
 
 def test_frame_count_matches_layout():
@@ -107,7 +101,7 @@ def test_istft_matches_a_per_frame_overlap_add_bit_for_bit():
     td[:, 0] = -np.abs(td[:, 0]) - 0.1
     td[4:7] = -0.0
     spec = Spectrogram(np.fft.rfft(td, axis=1))
-    frames = np.fft.irfft(spec.frames, n=FRAME_LEN, axis=1) * sqrt_hann(FRAME_LEN)
+    frames = np.fft.irfft(spec.frames, n=FRAME_LEN, axis=1) * analysis_window()
     starts = np.delete(frames[:, 0], [4, 5, 6])
     assert np.all((starts == 0.0) & np.signbit(starts))
     want = np.zeros((spec.n_frames - 1) * HOP + FRAME_LEN)
@@ -163,18 +157,20 @@ def test_norm_stats_reject_zero_std():
 def test_real_cepstrum_matches_direct_formula():
     rng = np.random.default_rng(4)
     frame = rng.standard_normal(512)
-    w = sqrt_hann(512)
-    c = real_cepstrum(frame, w)
+    w = analysis_window()
+    c = real_cepstrum(np.fft.rfft(frame * w))
     spectrum = np.fft.fft(frame * w)
     expected = np.fft.ifft(np.log(np.maximum(np.abs(spectrum), LOG_FLOOR))).real
     np.testing.assert_allclose(c, expected, atol=1e-12)
     assert c.shape == (512,)
+    with pytest.raises(DataError):
+        real_cepstrum(frame)  # a time-domain frame, not 257 STFT bins
 
 
 def test_real_cepstrum_is_symmetric():
     # log magnitude of a real frame is even, so its cepstrum is too
-    frame = np.random.default_rng(5).standard_normal(512)
-    c = real_cepstrum(frame)
+    buf = AudioBuffer(np.random.default_rng(5).standard_normal(512))
+    c = real_cepstrum(stft(buf).frames[0])
     np.testing.assert_allclose(c[1:], c[:0:-1], atol=1e-10)
 
 
@@ -277,8 +273,8 @@ def test_default_config_matches_bandwidth():
 
 
 def test_real_cepstrum_of_a_stack_is_taken_row_by_row():
-    frames = np.random.default_rng(6).standard_normal((3, 512))
-    stacked = real_cepstrum(frames)
+    spec = stft(AudioBuffer(np.random.default_rng(6).standard_normal(1024)))
+    stacked = real_cepstrum(spec.frames)
     assert stacked.shape == (3, 512)
-    for row, frame in zip(stacked, frames):
+    for row, frame in zip(stacked, spec.frames):
         np.testing.assert_allclose(row, real_cepstrum(frame), rtol=0, atol=1e-12)

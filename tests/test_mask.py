@@ -5,15 +5,17 @@ import pytest
 
 from maskpf.dsp import (
     FRAME_LEN,
+    LOG_FLOOR,
     N_PROCESSED,
     AudioBuffer,
     Spectrogram,
     analysis_frames,
-    sqrt_hann,
+    analysis_window,
     stft,
 )
 from maskpf.errors import ConfigError, DataError
 from maskpf.mask import (
+    CEPSTRUM_CUTOFF,
     HISTOGRAM_LABELS,
     MAG_GUARD,
     MaskMatrix,
@@ -182,10 +184,9 @@ def test_oracle_sweep_non_increasing_and_zero_at_inf():
 def test_cepstrum_substitute_identity_preserves_spectrum():
     """Swapping an envelope with itself reproduces the windowed magnitudes."""
     rng = np.random.default_rng(11)
-    frame = rng.standard_normal(FRAME_LEN)
-    mags = oracle_cepstrum_substitute(frame, frame)
-    window = sqrt_hann(FRAME_LEN)
-    direct = np.abs(np.fft.rfft(frame * window))
+    spectrum = np.fft.rfft(rng.standard_normal(FRAME_LEN) * analysis_window())
+    mags = oracle_cepstrum_substitute(spectrum, spectrum)
+    direct = np.abs(spectrum)
     above = direct > 1e-6
     assert np.allclose(mags[above], direct[above], rtol=1e-9)
 
@@ -198,47 +199,72 @@ def test_cepstrum_substitute_moves_envelope_toward_clean():
     t = np.arange(n)
     clean_frame = np.sin(2 * np.pi * 220 * t / 16000) * np.hanning(n)
     coded_frame = clean_frame * 0.5 + 0.2 * rng.standard_normal(n)
-    window = sqrt_hann(n)
-    clean_mags = np.abs(np.fft.rfft(clean_frame * window))[None, :]
-    coded_mags = np.abs(np.fft.rfft(coded_frame * window))[None, :]
-    swapped = oracle_cepstrum_substitute(clean_frame, coded_frame)[None, :]
+    clean_spectrum = np.fft.rfft(clean_frame * analysis_window())
+    coded_spectrum = np.fft.rfft(coded_frame * analysis_window())
+    clean_mags = np.abs(clean_spectrum)[None, :]
+    coded_mags = np.abs(coded_spectrum)[None, :]
+    swapped = oracle_cepstrum_substitute(clean_spectrum, coded_spectrum)[None, :]
     assert lsd_from_mags(swapped, clean_mags) < lsd_from_mags(coded_mags, clean_mags)
 
 
 def test_envelope_mask_identity_is_near_unity():
     buf = synth_utterance(seed=14, duration_s=0.6)
     spec = stft(buf)
-    frames_td = analysis_frames(buf.samples)
-    mask = envelope_mask(spec, spec, frames_td, frames_td)
+    mask = envelope_mask(spec, spec)
     mags = spec.magnitudes()
     loud = mags > 1e-4
     assert np.allclose(mask.values[loud], 1.0, atol=1e-6)
 
 
-def test_envelope_mask_matches_the_per_frame_substitution():
-    """The batched mask against a loop of per-frame substitutions, on a
-    coded pair with energy in every frame."""
+def _coded_pair_with_energy_at_both_edges():
     from maskpf.degrade import PRESETS, surrogate_code
 
     buf = synth_utterance(seed=15, duration_s=1.2)
     rng = np.random.default_rng(15)
     clean = AudioBuffer(buf.samples + 0.01 * rng.standard_normal(len(buf)))
     coded = surrogate_code(clean, PRESETS["q_low"])
-    clean_td = analysis_frames(clean.samples)
     coded_td = analysis_frames(coded.samples)
-    coded_spec = stft(coded)
-    mask = envelope_mask(stft(clean), coded_spec, clean_td, coded_td)
+    assert np.all(np.abs(coded_td).max(axis=1) > 1e-3)  # every frame has energy
+    return clean, coded
+
+
+def test_envelope_mask_matches_the_per_frame_substitution():
+    """The batched mask against a loop of per-frame substitutions."""
+    clean, coded = _coded_pair_with_energy_at_both_edges()
+    clean_spec, coded_spec = stft(clean), stft(coded)
+    mask = envelope_mask(clean_spec, coded_spec)
     ref = np.array([oracle_cepstrum_substitute(a, b)[:N_PROCESSED]
-                    for a, b in zip(clean_td, coded_td)])
+                    for a, b in zip(clean_spec.frames, coded_spec.frames)])
     ref /= coded_spec.magnitudes() + 1e-9
     assert mask.shape == ref.shape == (coded_spec.n_frames, N_PROCESSED)
-    assert np.all(np.abs(coded_td).max(axis=1) > 1e-3)  # every frame has energy
     np.testing.assert_allclose(mask.values, ref, rtol=0, atol=1e-12)
+
+
+def test_envelope_mask_matches_the_time_domain_oracle():
+    """The mask from the two spectrograms equals, bit for bit, the oracle
+    computed from the raw frames of both signals: window, real FFT, log
+    magnitude, inverse real FFT, envelope merge, real FFT, exp."""
+    clean, coded = _coded_pair_with_energy_at_both_edges()
+    cepstra = []
+    for buf in (clean, coded):
+        spectra = np.fft.rfft(analysis_frames(buf.samples) * analysis_window(),
+                              axis=-1)
+        log_mag = np.log(np.maximum(np.abs(spectra), LOG_FLOOR))
+        cepstra.append(np.fft.irfft(log_mag, n=FRAME_LEN, axis=-1))
+    merged = cepstra[1]
+    quefrencies = np.r_[0:CEPSTRUM_CUTOFF, FRAME_LEN - CEPSTRUM_CUTOFF + 1:FRAME_LEN]
+    merged[:, quefrencies] = cepstra[0][:, quefrencies]
+    mags = np.exp(np.fft.rfft(merged, axis=-1).real)
+    coded_spec = stft(coded)
+    ref = mags[:, :N_PROCESSED] / (coded_spec.magnitudes() + 1e-9)
+    assert np.array_equal(envelope_mask(stft(clean), coded_spec).values, ref)
 
 
 def test_envelope_mask_rejects_misaligned_frames():
     buf = synth_utterance(seed=16, duration_s=0.5)
     spec = stft(buf)
-    frames_td = analysis_frames(buf.samples)
+    shorter = Spectrogram(spec.frames[:-1])
     with pytest.raises(DataError):
-        envelope_mask(spec, spec, frames_td, frames_td[:-1])
+        envelope_mask(spec, shorter)
+    with pytest.raises(DataError):
+        envelope_mask(shorter, spec)

@@ -432,7 +432,9 @@ def test_train_config_validation():
         TrainConfig(patience=0)
     for bad in ({"seed": -1}, {"seed": 1.5}, {"learning_rate": np.nan},
                 {"learning_rate": np.inf}, {"min_delta": np.nan},
-                {"max_epochs": np.nan}):
+                {"max_epochs": np.nan}, {"beta1": np.nan}, {"beta1": -0.1},
+                {"beta2": 1.0}, {"adam_eps": -1.0}, {"adam_eps": 0.0},
+                {"adam_eps": np.nan}, {"adam_eps": np.inf}):
         with pytest.raises(ConfigError):
             TrainConfig(**bad)
 
