@@ -12,8 +12,10 @@ Subcommands:
 Every command writes its outputs plus a run_header.json (the resolved
 arguments and package version; no timestamps) into --out-dir. A JSON
 file passed as --config supplies defaults for the optional flags of the
-chosen subcommand; flags given on the command line win. Exit codes: 0
-ok, 2 bad configuration or arguments, 3 bad data, 4 numeric failure.
+chosen subcommand, each value parsed as the same text given as that flag
+would be; flags given on the command line win, abbreviated or not. Exit
+codes: 0 ok, 2 bad configuration or arguments, 3 bad data, 4 numeric
+failure.
 
 Every command sends its per-file work through `_map_ordered`, with one
 worker function at every --jobs value. `enhance` and `eval` load the
@@ -29,7 +31,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import multiprocessing
 import os
 import sys
@@ -55,7 +56,7 @@ from .dsp import FRAME_LEN, HOP, AudioBuffer, band_limit, frame_count, stft_filt
 from .errors import ConfigError, DataError, MaskpfError
 from .features import analyze_pair, build_dataset, infer_mask, input_stats
 from .mask import (
-    HISTOGRAM_LABELS,
+    MaskHistogram,
     apply_mask,
     compute_irm,
     envelope_mask,
@@ -145,10 +146,9 @@ def _analyze_worker(job):
 # ------------------------------------------------------------------ stats --
 
 
-def _stats_worker(job: tuple[ManifestEntry, str]) -> np.ndarray:
+def _stats_worker(job: tuple[ManifestEntry, str]) -> MaskHistogram:
     pair = _analyze_worker(job)
-    hist = mask_histogram([compute_irm(pair.clean_spec, pair.coded_spec)])
-    return np.append(hist.counts, hist.total)
+    return mask_histogram([compute_irm(pair.clean_spec, pair.coded_spec)])
 
 
 def cmd_stats(args) -> int:
@@ -156,20 +156,19 @@ def cmd_stats(args) -> int:
     out_dir = _ensure_out(args.out_dir)
     results = _map_ordered(
         _stats_worker, [(e, manifest_dir) for e in entries], args.jobs)
-    groups: dict[str, np.ndarray] = {}
-    members: dict[str, int] = {}
-    for entry, result in zip(entries, results):
+    groups: dict[str, list[MaskHistogram]] = {}
+    for entry, hist in zip(entries, results):
         key = entry.surrogate_preset() if entry.uses_surrogate() else "file"
-        groups[key] = groups.get(key, 0) + result
-        members[key] = members.get(key, 0) + 1
+        groups.setdefault(key, []).append(hist)
     rows = []
     for key in sorted(groups):
-        counts, total = groups[key][:-1], int(groups[key][-1])
-        rows.extend(
-            [key, label, int(c), _fmt(c / total)]
-            for label, c in zip(HISTOGRAM_LABELS, counts)
-        )
-        print(f"stats: {key}: {members[key]} utterances, {total} mask values")
+        hists = groups[key]
+        pooled = MaskHistogram(sum(h.counts for h in hists),
+                               sum(h.total for h in hists))
+        rows.extend([key, label, count, _fmt(fraction)]
+                    for label, count, fraction in pooled.rows())
+        print(f"stats: {key}: {len(hists)} utterances, "
+              f"{pooled.total} mask values")
     _write_csv(os.path.join(out_dir, "stats.csv"),
                ["source", "bucket", "count", "fraction"], rows)
     _write_header(out_dir, "stats", args)
@@ -265,7 +264,7 @@ def cmd_train(args) -> int:
         "best_epoch": result.best_epoch,
         "best_val_loss": result.best_val_loss,
         "epochs_run": len(result.history),
-        "val_evaluations": result.val_evaluations,
+        "val_evaluations": len(result.history),
         "stopped_early": result.stopped_early,
         "param_count": result.model.param_count(),
         "train_examples": len(train_data),
@@ -281,6 +280,21 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------- enhance --
 
 
+def _output_paths(inputs: list[str], out_dir: str, suffix: str) -> list[str]:
+    """The file each input writes: its stem plus suffix, in out_dir. Two
+    inputs that would write the same file are a ConfigError, raised before
+    any work starts."""
+    written: dict[str, str] = {}
+    for in_path in inputs:
+        stem = os.path.splitext(os.path.basename(in_path))[0]
+        out_path = os.path.join(out_dir, stem + suffix)
+        if out_path in written:
+            raise ConfigError(f"inputs {written[out_path]!r} and {in_path!r} "
+                              f"would both write {out_path}")
+        written[out_path] = in_path
+    return list(written)
+
+
 def _enhance_one(model, stats, coded: AudioBuffer) -> AudioBuffer:
     def enhance(spec):
         return apply_mask(spec, infer_mask(model, stats, spec))
@@ -289,18 +303,16 @@ def _enhance_one(model, stats, coded: AudioBuffer) -> AudioBuffer:
 
 
 def _enhance_worker(job) -> str:
-    in_path, out_dir, fmt = job
+    in_path, out_path, fmt = job
     coded = band_limit(read_wav(in_path))
-    enhanced = _enhance_one(*_MODEL, coded)
-    stem = os.path.splitext(os.path.basename(in_path))[0]
-    out_path = os.path.join(out_dir, f"{stem}.enhanced.wav")
-    write_wav(out_path, enhanced, fmt)
+    write_wav(out_path, _enhance_one(*_MODEL, coded), fmt)
     return out_path
 
 
 def cmd_enhance(args) -> int:
+    out_paths = _output_paths(args.inputs, args.out_dir, ".enhanced.wav")
     out_dir = _ensure_out(args.out_dir)
-    jobs = [(p, out_dir, args.format) for p in args.inputs]
+    jobs = [(p, out, args.format) for p, out in zip(args.inputs, out_paths)]
     written = _map_ordered(_enhance_worker, jobs, args.jobs,
                            partial(_use_model, args.model))
     _write_header(out_dir, "enhance", args)
@@ -364,18 +376,17 @@ def cmd_eval(args) -> int:
 
 
 def _degrade_worker(job) -> str:
-    in_path, out_dir, profile, fmt = job
-    coded = surrogate_code(load_clean(in_path), profile)
-    stem = os.path.splitext(os.path.basename(in_path))[0]
-    out_path = os.path.join(out_dir, f"{stem}.coded.wav")
-    write_wav(out_path, coded, fmt)
+    in_path, out_path, profile, fmt = job
+    write_wav(out_path, surrogate_code(load_clean(in_path), profile), fmt)
     return out_path
 
 
 def cmd_degrade(args) -> int:
     profile = replace(get_profile(args.preset), offset=args.seed)
+    out_paths = _output_paths(args.inputs, args.out_dir, ".coded.wav")
     out_dir = _ensure_out(args.out_dir)
-    jobs = [(p, out_dir, profile, args.format) for p in args.inputs]
+    jobs = [(p, out, profile, args.format)
+            for p, out in zip(args.inputs, out_paths)]
     written = _map_ordered(_degrade_worker, jobs, args.jobs)
     _write_header(out_dir, "degrade", args)
     for path in written:
@@ -386,12 +397,9 @@ def cmd_degrade(args) -> int:
 # ------------------------------------------------------------------ parse --
 
 
-# Populated by build_parser: command -> {dest: argparse action} for the
-# optional flags a --config file may supply.
-_CONFIG_ACTIONS: dict[str, dict[str, argparse.Action]] = {}
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser,
+                            dict[str, argparse.ArgumentParser]]:
+    """The maskpf parser, and its subcommand parsers by command name."""
     parser = argparse.ArgumentParser(
         prog="maskpf",
         description="Mask-based spectral post-filter for degraded speech.",
@@ -429,12 +437,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit an estimator")
     add_common(p, seed_help="weight initialization and batch shuffling seed")
-    p.add_argument("--kind", default="fcnn", choices=list(MODEL_KINDS))
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--patience", type=int, default=5)
-    p.add_argument("--min-delta", type=float, default=1e-4)
+    p.add_argument("--kind", default=TrainConfig.kind, choices=list(MODEL_KINDS))
+    p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
+    p.add_argument("--min-delta", type=float, default=TrainConfig.min_delta)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("enhance", help="apply a trained model to WAV files")
@@ -458,25 +466,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="+", help="clean WAV files")
     p.set_defaults(func=cmd_degrade)
 
-    _CONFIG_ACTIONS.clear()
-    for name, sp in sub.choices.items():
-        _CONFIG_ACTIONS[name] = {
-            a.dest: a
-            for a in sp._actions
-            if a.option_strings and not a.required
-            and a.dest not in ("help", "config")
-        }
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config(args: argparse.Namespace, raw_argv: list[str]) -> None:
-    """Fill optional flags from the JSON file named by --config.
+def _config_defaults(command: argparse.ArgumentParser, path: str) -> dict:
+    """The defaults that the JSON object in the file at path gives the
+    optional flags of one subcommand, keyed by dest (batch_size, say).
 
-    Keys use the flag's dest name (for example batch_size). A flag the
-    user typed explicitly keeps its command-line value.
+    Each value is parsed as the same text typed after its flag would be,
+    through the flag's own type and choices: a string as written, anything
+    else as json.dumps writes it. A store_true flag takes a JSON boolean.
     """
     try:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             loaded = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
@@ -484,48 +486,39 @@ def _apply_config(args: argparse.Namespace, raw_argv: list[str]) -> None:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(loaded, dict):
         raise ConfigError("config file must hold a JSON object")
-    allowed = _CONFIG_ACTIONS[args.command]
-    for key in sorted(loaded):
-        if key not in allowed:
-            raise ConfigError(
-                f"config key {key!r} is not an optional flag of "
-                f"{args.command!r}; have {sorted(allowed)}")
-        action = allowed[key]
-        flag = action.option_strings[-1]
-        if any(tok == flag or tok.startswith(flag + "=") for tok in raw_argv):
-            continue
-        value = loaded[key]
+    allowed = {a.dest: a for a in command._actions
+               if a.option_strings and not a.required
+               and a.dest not in ("help", "config")}
+    defaults = {}
+    for key, value in sorted(loaded.items()):
+        action = allowed.get(key)
+        if action is None:
+            raise ConfigError(f"config key {key!r} is not an optional flag "
+                              f"of {command.prog!r}; have {sorted(allowed)}")
         if action.nargs == 0:
             if not isinstance(value, bool):
                 raise ConfigError(f"config key {key!r} must be a boolean")
-        elif action.type in (int, float):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"config key {key!r} must be a number")
-            # JSON's NaN and Infinity parse, and so does 1e400, as inf.
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # an integer beyond the float range
-                finite = False
-            if not finite:
-                raise ConfigError(f"config key {key!r} must be a finite number")
-            if action.type is int and float(value) != int(value):
-                raise ConfigError(f"config key {key!r} must be an integer")
-            value = action.type(value)
-        elif not isinstance(value, str):
-            raise ConfigError(f"config key {key!r} must be a string")
-        if action.choices is not None and value not in action.choices:
-            raise ConfigError(
-                f"config key {key!r} must be one of {list(action.choices)}")
-        setattr(args, action.dest, value)
+            defaults[key] = value
+            continue
+        text = value if isinstance(value, str) else json.dumps(value)
+        try:  # the two calls argparse makes on a typed flag's text
+            defaults[key] = command._get_value(action, text)
+            command._check_value(action, defaults[key])
+        except argparse.ArgumentError as exc:
+            raise ConfigError(f"config key {key!r}: {exc.message}") from exc
+    return defaults
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    raw_argv = list(sys.argv[1:] if argv is None else argv)
-    args = parser.parse_args(raw_argv)
+    parser, commands = build_parser()
+    args = parser.parse_args(argv)
     try:
-        if getattr(args, "config", None):
-            _apply_config(args, raw_argv)
+        if args.config:
+            # The file's values become the subcommand's defaults, so a flag
+            # typed on the command line, abbreviated or not, wins.
+            command = commands[args.command]
+            command.set_defaults(**_config_defaults(command, args.config))
+            args = parser.parse_args(argv)
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         if args.seed < 0:

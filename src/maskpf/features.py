@@ -16,7 +16,7 @@ through `window_inputs`, the builder `Model.infer` uses. Validation,
 same windows block by block, and the conv net computes its encoder once
 per frame rather than once per window: `enhance` and `eval` run it on an
 utterance's frames (`infer_mask` here), validation on a dataset's stacked
-rows. `model_inputs` stacks every window of one utterance at once.
+rows.
 """
 
 from __future__ import annotations
@@ -34,17 +34,9 @@ from .dsp import (
     normalize,
     stft,
 )
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .mask import MaskMatrix, compute_irm, modified_mask
-from .nn.models import CONTEXT_FRAMES, MODEL_KINDS, pad_context, window_inputs
 from .nn.train import Dataset
-
-
-def model_inputs(kind: str, features: np.ndarray) -> np.ndarray:
-    """Window normalized features into the shape one estimator consumes."""
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"unknown estimator kind {kind!r}")
-    return window_inputs(kind, pad_context(features, CONTEXT_FRAMES[kind]))
 
 
 @dataclass

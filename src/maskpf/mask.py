@@ -120,20 +120,10 @@ def mask_histogram(masks: list[MaskMatrix]) -> MaskHistogram:
     """Pool gains from all matrices and bucket them by magnitude."""
     if not masks:
         raise DataError("histogram needs at least one mask matrix")
-    counts = np.zeros(len(HISTOGRAM_EDGES) + 1, dtype=np.int64)
-    total = 0
-    for m in masks:
-        v = m.values.ravel()
-        counts += np.array(
-            [
-                np.count_nonzero(v <= 1.0),
-                np.count_nonzero((v > 1.0) & (v <= 2.0)),
-                np.count_nonzero((v > 2.0) & (v <= 5.0)),
-                np.count_nonzero(v > 5.0),
-            ]
-        )
-        total += v.size
-    return MaskHistogram(counts, total)
+    values = np.concatenate([m.values.ravel() for m in masks])
+    counts = np.bincount(np.searchsorted(HISTOGRAM_EDGES, values),
+                         minlength=len(HISTOGRAM_LABELS))
+    return MaskHistogram(counts, values.size)
 
 
 CEPSTRUM_CUTOFF = 64

@@ -25,18 +25,11 @@ BLOCK = 1 << 16
 
 
 class Adam:
-    def __init__(
-        self,
-        params: dict[str, np.ndarray],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
-        if lr < 0:
-            raise ConfigError("learning rate must be >= 0")
-        if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
-            raise ConfigError("betas must be in [0, 1)")
+    """Takes its settings as given: `train_model` passes the validated
+    values of a `TrainConfig`."""
+
+    def __init__(self, params: dict[str, np.ndarray], lr: float, beta1: float,
+                 beta2: float, eps: float):
         self.params = params
         self.lr = lr
         self.beta1 = beta1

@@ -25,6 +25,7 @@ import math
 import os
 import struct
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -46,7 +47,7 @@ def save_model(path: str, model: Model, stats: NormStats,
         "format_version": FORMAT_VERSION,
         "kind": model.kind,
         "context_frames": model.context_frames,
-        "train_config": config.to_dict(),
+        "train_config": asdict(config),
         "tensors": [
             {"name": name, "shape": list(arr.shape)} for name, arr in tensors
         ],

@@ -23,7 +23,7 @@ exception and is only reported, never used.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,9 +74,6 @@ class TrainConfig:
         if type(self.seed) is not int or self.seed < 0:
             raise ConfigError(f"seed must be an int >= 0, got {self.seed!r}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class EpochLog:
@@ -94,14 +91,15 @@ class TrainResult:
     best_epoch: int
     best_val_loss: float
     stopped_early: bool
-    val_evaluations: int
 
 
 class EarlyStopping:
     """Stop after `patience` epochs without a val-loss drop of min_delta.
 
     Keeps a copy of the best-epoch weights so training can hand back the
-    best model rather than the last one.
+    best model rather than the last one. The first update always stores
+    one: any finite loss beats the initial inf, and `logmag_mse` raises on
+    a non-finite loss.
     """
 
     def __init__(self, patience: int, min_delta: float):
@@ -123,8 +121,7 @@ class EarlyStopping:
         return self.counter >= self.patience
 
     def restore(self, model: Model) -> None:
-        if self.best_state is not None:
-            model.load_state(self.best_state)
+        model.load_state(self.best_state)
 
 
 @dataclass
@@ -247,7 +244,6 @@ def train_model(
         np.random.SeedSequence([config.seed, 0xD5]))
     stopper = EarlyStopping(config.patience, config.min_delta)
     history: list[EpochLog] = []
-    val_evals = 0
     stopped_early = False
 
     for epoch in range(1, config.max_epochs + 1):
@@ -264,7 +260,6 @@ def train_model(
             running += loss * len(idx)
         train_loss = running / len(train_data)
         val_loss = _eval_loss(model, val_data)
-        val_evals += 1
         history.append(EpochLog(
             epoch, train_loss, val_loss, config.learning_rate,
             time.perf_counter() - t0))
@@ -273,12 +268,10 @@ def train_model(
             break
 
     stopper.restore(model)
-    best_epoch = stopper.best_epoch if stopper.best_state is not None else 0
     return TrainResult(
         model=model,
         history=history,
-        best_epoch=best_epoch,
+        best_epoch=stopper.best_epoch,
         best_val_loss=float(stopper.best_loss),
         stopped_early=stopped_early,
-        val_evaluations=val_evals,
     )

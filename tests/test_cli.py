@@ -442,6 +442,88 @@ def test_config_rejects_bad_values(tmp_path, manifest_path, capsys):
     capsys.readouterr()
 
 
+def test_abbreviated_flags_beat_the_config(tmp_path, manifest_path):
+    """argparse takes any unique prefix of a flag, and so does the rule
+    that a typed flag wins over the config file."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bounds": "1,2", "split": "val"}))
+    out = tmp_path / "oracle"
+    assert main(["oracle", "--manifest", manifest_path, "--out-dir", str(out),
+                 "--config", str(cfg), "--spl", "test", "--bou", "5"]) == 0
+    assert read_header(out)["args"]["split"] == "test"
+    assert read_header(out)["args"]["bounds"] == "5"
+    assert [r[0] for r in read_rows(out / "oracle.csv")[1:]] == ["5"]
+
+
+def test_config_values_parse_as_the_same_text_given_as_flags(
+        tmp_path, manifest_path, capsys):
+    """A config value goes through its flag's own parsing: a string as
+    written, anything else as json.dumps writes it."""
+    cfg = tmp_path / "bounds.json"
+    cfg.write_text(json.dumps({"bounds": 5}))
+    out = tmp_path / "oracle"
+    assert main(["oracle", "--manifest", manifest_path, "--out-dir", str(out),
+                 "--config", str(cfg)]) == 0
+    assert read_header(out)["args"]["bounds"] == "5"
+
+    cfg = tmp_path / "jobs.json"
+    cfg.write_text(json.dumps({"jobs": 3.0}))
+    assert main(["stats", "--manifest", manifest_path, "--out-dir",
+                 str(tmp_path / "stats"), "--config", str(cfg)]) == 2
+    assert "invalid int value: '3.0'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["stats", "--manifest", manifest_path, "--out-dir",
+              str(tmp_path / "stats"), "--jobs", "3.0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_config_and_flags_write_the_same_args(tmp_path, manifest_path):
+    settings = {"kind": "ced", "epochs": 2, "lr": 0.01}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings))
+    common = ["train", "--manifest", manifest_path, "--seed", "4"]
+    assert main([*common, "--out-dir", str(tmp_path / "flags"),
+                 "--kind", "ced", "--epochs", "2", "--lr", "0.01"]) == 0
+    assert main([*common, "--out-dir", str(tmp_path / "config"),
+                 "--config", str(cfg)]) == 0
+    by_flags, by_config = (read_header(tmp_path / d)["args"]
+                           for d in ("flags", "config"))
+    assert by_config.pop("config") == str(cfg)
+    assert by_flags.pop("config") is None
+    by_flags.pop("out_dir")
+    by_config.pop("out_dir")
+    assert by_flags == by_config
+    assert {k: by_config[k] for k in settings} == settings
+
+
+@pytest.mark.parametrize("command", ["degrade", "enhance"])
+@pytest.mark.parametrize("same_file", [False, True])
+def test_inputs_that_would_write_one_file_are_rejected(
+        tmp_path, corpus_dir, trained_dir, monkeypatch, capsys, command,
+        same_file):
+    """Two inputs with one stem would write one output file, so the
+    command exits 2 naming both, before it loads a model or writes a file."""
+    first = os.path.join(corpus_dir, "wav", "utt01.wav")
+    second = first
+    if not same_file:
+        other = tmp_path / "other"
+        other.mkdir()
+        second = str(other / "utt01.wav")
+        with open(first, "rb") as src, open(second, "wb") as dst:
+            dst.write(src.read())
+    loads = count_model_loads(monkeypatch)
+    extra = {"degrade": ["--preset", "q_low"],
+             "enhance": ["--model", os.path.join(trained_dir, "model.mpf1")]}
+    out = tmp_path / "out"
+    assert main([command, "--out-dir", str(out), *extra[command],
+                 "--jobs", "2", first, second]) == 2
+    err = capsys.readouterr().err
+    assert repr(first) in err and repr(second) in err
+    assert loads == []
+    assert not out.exists()
+
+
 def test_degrade_seed_offsets_jitter(tmp_path, corpus_dir):
     clean_wav = os.path.join(corpus_dir, "wav", "utt01.wav")
     outs = {}

@@ -9,8 +9,8 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from helpers_grad import model_grad_check
+from helpers_windows import model_inputs
 from maskpf.errors import ConfigError, DataError
-from maskpf.features import model_inputs
 from maskpf.nn.adam import Adam
 from maskpf.nn.lstm import Lstm
 from maskpf.nn.models import (
@@ -231,7 +231,7 @@ def test_float32_forward_and_backward_stay_float32(kind):
         assert arr.dtype == np.float32, name
     for name, arr in model.grads().items():
         assert arr.dtype == np.float32, name
-    adam = Adam(model.params())
+    adam = Adam(model.params(), lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8)
     adam.step(model.grads())
     for name, arr in model.state().items():
         assert arr.dtype == np.float32, name

@@ -13,7 +13,7 @@ import pathlib
 
 import maskpf
 
-SETTABLE_VALUES = 104
+SETTABLE_VALUES = 99
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
