@@ -56,7 +56,7 @@ from .dsp import FRAME_LEN, HOP, AudioBuffer, band_limit, frame_count, stft_filt
 from .errors import ConfigError, DataError, MaskpfError
 from .features import analyze_pair, build_dataset, infer_mask, input_stats
 from .mask import (
-    MaskHistogram,
+    HISTOGRAM_LABELS,
     apply_mask,
     compute_irm,
     envelope_mask,
@@ -146,9 +146,9 @@ def _analyze_worker(job):
 # ------------------------------------------------------------------ stats --
 
 
-def _stats_worker(job: tuple[ManifestEntry, str]) -> MaskHistogram:
+def _stats_worker(job: tuple[ManifestEntry, str]) -> np.ndarray:
     pair = _analyze_worker(job)
-    return mask_histogram([compute_irm(pair.clean_spec, pair.coded_spec)])
+    return mask_histogram(compute_irm(pair.clean_spec, pair.coded_spec))
 
 
 def cmd_stats(args) -> int:
@@ -156,19 +156,18 @@ def cmd_stats(args) -> int:
     out_dir = _ensure_out(args.out_dir)
     results = _map_ordered(
         _stats_worker, [(e, manifest_dir) for e in entries], args.jobs)
-    groups: dict[str, list[MaskHistogram]] = {}
-    for entry, hist in zip(entries, results):
+    groups: dict[str, list[np.ndarray]] = {}
+    for entry, counts in zip(entries, results):
         key = entry.surrogate_preset() if entry.uses_surrogate() else "file"
-        groups.setdefault(key, []).append(hist)
+        groups.setdefault(key, []).append(counts)
     rows = []
     for key in sorted(groups):
-        hists = groups[key]
-        pooled = MaskHistogram(sum(h.counts for h in hists),
-                               sum(h.total for h in hists))
-        rows.extend([key, label, count, _fmt(fraction)]
-                    for label, count, fraction in pooled.rows())
-        print(f"stats: {key}: {len(hists)} utterances, "
-              f"{pooled.total} mask values")
+        counts = sum(groups[key])
+        total = int(counts.sum())
+        rows.extend([key, label, int(count), _fmt(count / total)]
+                    for label, count in zip(HISTOGRAM_LABELS, counts))
+        print(f"stats: {key}: {len(groups[key])} utterances, "
+              f"{total} mask values")
     _write_csv(os.path.join(out_dir, "stats.csv"),
                ["source", "bucket", "count", "fraction"], rows)
     _write_header(out_dir, "stats", args)
@@ -221,7 +220,7 @@ def _oracle_worker(job) -> list[float]:
     values = [lsd for _, lsd in sweep]
     if with_envelope:
         emask = envelope_mask(pair.clean_spec, pair.coded_spec)
-        enhanced = emask.values * pair.coded_spec.magnitudes()
+        enhanced = emask * pair.coded_spec.magnitudes()
         values.append(lsd_from_mags(enhanced, pair.clean_spec.magnitudes()))
     return values
 
@@ -282,8 +281,9 @@ def cmd_train(args) -> int:
 
 def _output_paths(inputs: list[str], out_dir: str, suffix: str) -> list[str]:
     """The file each input writes: its stem plus suffix, in out_dir. Two
-    inputs that would write the same file are a ConfigError, raised before
-    any work starts."""
+    inputs that would write the same file, or an output that is one of the
+    inputs, are a ConfigError, raised before any work starts."""
+    real_inputs = {os.path.realpath(p): p for p in inputs}
     written: dict[str, str] = {}
     for in_path in inputs:
         stem = os.path.splitext(os.path.basename(in_path))[0]
@@ -291,6 +291,10 @@ def _output_paths(inputs: list[str], out_dir: str, suffix: str) -> list[str]:
         if out_path in written:
             raise ConfigError(f"inputs {written[out_path]!r} and {in_path!r} "
                               f"would both write {out_path}")
+        overwritten = real_inputs.get(os.path.realpath(out_path))
+        if overwritten is not None:
+            raise ConfigError(f"input {in_path!r} would write {out_path}, "
+                              f"overwriting input {overwritten!r}")
         written[out_path] = in_path
     return list(written)
 

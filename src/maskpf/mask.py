@@ -4,9 +4,13 @@ mask application (including the cepstral-envelope variant, which reads
 the clean and degraded spectrograms and takes its cepstra from their STFT
 rows).
 
-Masks are real, non-negative gains on the processed bins, shape
-(T, dsp.N_PROCESSED) = (T, 205). Applying a mask scales STFT magnitudes
-and keeps the degraded phase.
+Masks are plain arrays of real, non-negative gains on the processed
+bins, shape (T, dsp.N_PROCESSED) = (T, 205): every function here takes
+and returns them as they are. Their producers guarantee the values (a
+ratio of magnitudes is finite and non-negative); the one mask from
+outside data, an estimator's, is checked where it is made
+(`features.infer_mask`). Applying a mask scales STFT magnitudes and keeps
+the degraded phase. `mask_histogram` counts a mask's gains per bucket.
 
 The target is fixed: the ratio mask divides by the degraded magnitude
 plus `MAG_GUARD`, and the modified mask replaces every ratio above
@@ -14,8 +18,6 @@ plus `MAG_GUARD`, and the modified mask replaces every ratio above
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,26 +31,6 @@ MASK_THRESHOLD = 2.0
 MASK_REPLACEMENT = 1.0
 
 
-@dataclass
-class MaskMatrix:
-    """Gain per time-frequency bin, shape (T, n_processed)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise DataError("mask must be a 2-D (frames, bins) array")
-        if not np.all(np.isfinite(self.values)):
-            raise DataError("mask contains non-finite values")
-        if np.any(self.values < 0):
-            raise DataError("mask gains must be non-negative")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
-
 def _check_aligned(clean: Spectrogram, coded: Spectrogram) -> None:
     if clean.n_frames != coded.n_frames:
         raise DataError(
@@ -57,31 +39,30 @@ def _check_aligned(clean: Spectrogram, coded: Spectrogram) -> None:
         )
 
 
-def compute_irm(clean: Spectrogram, coded: Spectrogram) -> MaskMatrix:
+def compute_irm(clean: Spectrogram, coded: Spectrogram) -> np.ndarray:
     """Ideal ratio mask |clean| / (|coded| + MAG_GUARD) over the processed
     bins."""
     _check_aligned(clean, coded)
-    return MaskMatrix(clean.magnitudes() / (coded.magnitudes() + MAG_GUARD))
+    return clean.magnitudes() / (coded.magnitudes() + MAG_GUARD)
 
 
-def bound_mask(mask: MaskMatrix, bound: float) -> MaskMatrix:
+def bound_mask(mask: np.ndarray, bound: float) -> np.ndarray:
     """Cap every gain at `bound`. A bound of +inf is the identity."""
     if not bound > 0:  # NaN fails too
         raise ConfigError("bound must be positive")
-    return MaskMatrix(np.minimum(mask.values, bound))
+    return np.minimum(mask, bound)
 
 
-def modified_mask(mask: MaskMatrix) -> MaskMatrix:
+def modified_mask(mask: np.ndarray) -> np.ndarray:
     """Replace gains above the reliability threshold with a fixed value.
 
     Gains <= MASK_THRESHOLD pass through untouched; everything else becomes
     MASK_REPLACEMENT. This is the training target for the estimators.
     """
-    values = np.where(mask.values <= MASK_THRESHOLD, mask.values, MASK_REPLACEMENT)
-    return MaskMatrix(values)
+    return np.where(mask <= MASK_THRESHOLD, mask, MASK_REPLACEMENT)
 
 
-def apply_mask(spec: Spectrogram, mask: MaskMatrix) -> Spectrogram:
+def apply_mask(spec: Spectrogram, mask: np.ndarray) -> Spectrogram:
     """Scale the processed bins by the mask; bins above 6.4 kHz and the
     phase pass through unchanged."""
     if mask.shape != (spec.n_frames, N_PROCESSED):
@@ -90,7 +71,7 @@ def apply_mask(spec: Spectrogram, mask: MaskMatrix) -> Spectrogram:
             f"({spec.n_frames}, {N_PROCESSED})"
         )
     frames = spec.frames.copy()
-    frames[:, :N_PROCESSED] *= mask.values
+    frames[:, :N_PROCESSED] *= mask
     return Spectrogram(frames)
 
 
@@ -98,32 +79,12 @@ HISTOGRAM_EDGES = (1.0, 2.0, 5.0)
 HISTOGRAM_LABELS = ("0..1", "1..2", "2..5", "5..inf")
 
 
-@dataclass
-class MaskHistogram:
-    """Share of gains in the buckets [0,1], (1,2], (2,5], (5,inf)."""
-
-    counts: np.ndarray
-    total: int
-
-    @property
-    def fractions(self) -> np.ndarray:
-        return self.counts / max(self.total, 1)
-
-    def rows(self) -> list[tuple[str, int, float]]:
-        return [
-            (label, int(c), float(f))
-            for label, c, f in zip(HISTOGRAM_LABELS, self.counts, self.fractions)
-        ]
-
-
-def mask_histogram(masks: list[MaskMatrix]) -> MaskHistogram:
-    """Pool gains from all matrices and bucket them by magnitude."""
-    if not masks:
-        raise DataError("histogram needs at least one mask matrix")
-    values = np.concatenate([m.values.ravel() for m in masks])
-    counts = np.bincount(np.searchsorted(HISTOGRAM_EDGES, values),
-                         minlength=len(HISTOGRAM_LABELS))
-    return MaskHistogram(counts, values.size)
+def mask_histogram(mask: np.ndarray) -> np.ndarray:
+    """How many of a mask's gains fall in each bucket [0,1], (1,2], (2,5],
+    (5,inf), in the order of HISTOGRAM_LABELS. Counts of several masks
+    pool by adding them."""
+    return np.bincount(np.searchsorted(HISTOGRAM_EDGES, mask.ravel()),
+                       minlength=len(HISTOGRAM_LABELS))
 
 
 CEPSTRUM_CUTOFF = 64
@@ -147,7 +108,7 @@ def oracle_cepstrum_substitute(clean: np.ndarray, coded: np.ndarray) -> np.ndarr
     return np.exp(np.fft.rfft(merged, axis=-1).real)
 
 
-def envelope_mask(clean: Spectrogram, coded: Spectrogram) -> MaskMatrix:
+def envelope_mask(clean: Spectrogram, coded: Spectrogram) -> np.ndarray:
     """Oracle mask from cepstral envelope substitution in every frame.
 
     The cepstra come from the two spectrograms' rows, all frames as one
@@ -156,7 +117,7 @@ def envelope_mask(clean: Spectrogram, coded: Spectrogram) -> MaskMatrix:
     """
     _check_aligned(clean, coded)
     mags = oracle_cepstrum_substitute(clean.frames, coded.frames)
-    return MaskMatrix(mags[:, :N_PROCESSED] / (coded.magnitudes() + MAG_GUARD))
+    return mags[:, :N_PROCESSED] / (coded.magnitudes() + MAG_GUARD)
 
 
 def oracle_sweep(
@@ -181,5 +142,5 @@ def oracle_sweep(
     out = []
     for bound in bounds:
         masked = bound_mask(irm, bound)
-        out.append((float(bound), lsd_from_mags(masked.values * coded_mags, clean_mags)))
+        out.append((float(bound), lsd_from_mags(masked * coded_mags, clean_mags)))
     return out

@@ -2,8 +2,11 @@
 
 Training runs in float32, the dtype model files store: `train_model`
 builds a float32 model and `Dataset` holds float32 arrays, so the file
-saved from a trained model holds its weights exactly. A model passed in
-through `model=` trains in its own dtype.
+saved from a trained model holds its weights exactly.
+
+A `Dataset` is built one way, from utterances: each one's normalized
+(T, 205) frames, its (T, 205) mask targets and its (T, 205) degraded
+magnitudes, all plain arrays (`features.build_dataset` makes them).
 
 A training step is a train-mode forward, the loss, one backward pass and
 one Adam update. The backward pass writes every gradient array the
@@ -124,11 +127,10 @@ class EarlyStopping:
         model.load_state(self.best_state)
 
 
-@dataclass
 class Dataset:
     """One estimator kind's examples, held as frames: every utterance's
     normalized frames, left-padded with `context_frames - 1` copies of its
-    frame 0 and stacked in `rows` (`from_utterances`).
+    frame 0 and stacked in `rows`, one example per frame.
 
     Example i is the context window that begins at row `offsets[i]`, with
     mask target `targets[i]` and the degraded magnitudes `mags[i]` the loss
@@ -136,23 +138,14 @@ class Dataset:
     `window_inputs`, the builder `Model.infer` uses, so training and
     validation see the same windows.
 
-    The arrays are held in float32, the training dtype: they are cast once
-    here (a no-op for float32 arrays), so no batch mixes float64 data with
-    float32 weights.
+    The arrays are held in float32, the training dtype, cast once as they
+    are stacked, so no batch mixes float64 data with float32 weights.
     """
 
-    kind: str
-    rows: np.ndarray
-    offsets: np.ndarray
-    targets: np.ndarray
-    mags: np.ndarray
-
-    @classmethod
-    def from_utterances(cls, kind: str, frames: list[np.ndarray],
-                        targets: list[np.ndarray],
-                        mags: list[np.ndarray]) -> "Dataset":
-        """One example per frame of each utterance's (T, K) frames, whose
-        first windows repeat its own frame 0."""
+    def __init__(self, kind: str, frames: list[np.ndarray],
+                 targets: list[np.ndarray], mags: list[np.ndarray]):
+        """The examples of each utterance's (T, K) frames, targets and
+        mags, whose first windows repeat its own frame 0."""
         if kind not in MODEL_KINDS:
             raise ConfigError(f"unknown estimator kind {kind!r}")
         if not frames:
@@ -160,38 +153,17 @@ class Dataset:
         lengths = [f.shape[0] for f in frames]
         if min(lengths) < 1:
             raise DataError("every utterance needs at least one frame")
-        if [t.shape[0] for t in targets] != lengths or [m.shape[0] for m in mags] != lengths:
-            raise DataError("targets and mags must hold one row per frame")
+        if [t.shape for t in targets] != [m.shape for m in mags] \
+                or [t.shape[0] for t in targets] != lengths:
+            raise DataError("targets and mags must be alike, one row per frame")
         context = CONTEXT_FRAMES[kind]
         pads_before = (context - 1) * np.arange(len(frames))
-        return cls(
-            kind,
-            np.concatenate([pad_context(f, context) for f in frames],
-                           dtype=np.float32),
-            np.arange(sum(lengths)) + np.repeat(pads_before, lengths),
-            np.concatenate(targets, dtype=np.float32),
-            np.concatenate(mags, dtype=np.float32),
-        )
-
-    def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise ConfigError(f"unknown estimator kind {self.kind!r}")
-        self.rows = np.asarray(self.rows, dtype=np.float32)
-        self.offsets = np.asarray(self.offsets, dtype=np.intp)
-        self.targets = np.asarray(self.targets, dtype=np.float32)
-        self.mags = np.asarray(self.mags, dtype=np.float32)
-        n = self.offsets.shape[0]
-        if self.rows.ndim != 2 or self.offsets.ndim != 1:
-            raise DataError("rows must be (R, K) and offsets one per example")
-        if n < 1:
-            raise DataError("dataset is empty")
-        if self.targets.shape != self.mags.shape:
-            raise DataError("targets and mags must have the same shape")
-        if self.targets.shape[0] != n:
-            raise DataError("targets and mags must hold one row per example")
-        last = self.offsets.max() + CONTEXT_FRAMES[self.kind]
-        if self.offsets.min() < 0 or last > self.rows.shape[0]:
-            raise DataError("a window offset reaches outside the rows")
+        self.kind = kind
+        self.rows = np.concatenate([pad_context(f, context) for f in frames],
+                                   dtype=np.float32)
+        self.offsets = np.arange(sum(lengths)) + np.repeat(pads_before, lengths)
+        self.targets = np.concatenate(targets, dtype=np.float32)
+        self.mags = np.concatenate(mags, dtype=np.float32)
 
     def __len__(self) -> int:
         return int(self.offsets.shape[0])
@@ -222,17 +194,12 @@ def _eval_loss(model: Model, data: Dataset) -> float:
     return loss
 
 
-def train_model(
-    config: TrainConfig,
-    train_data: Dataset,
-    val_data: Dataset,
-    model: Model | None = None,
-) -> TrainResult:
+def train_model(config: TrainConfig, train_data: Dataset,
+                val_data: Dataset) -> TrainResult:
     """Fit an estimator; returns the best-validation-epoch weights."""
-    if model is None:
-        model = build_model(config.kind, config.seed, dtype=np.float32)
-    if train_data.kind != model.kind or val_data.kind != model.kind:
-        raise ConfigError(f"datasets must hold {model.kind} examples")
+    if train_data.kind != config.kind or val_data.kind != config.kind:
+        raise ConfigError(f"datasets must hold {config.kind} examples")
+    model = build_model(config.kind, config.seed, dtype=np.float32)
     adam = Adam(
         model.params(),
         lr=config.learning_rate,

@@ -280,19 +280,20 @@ def test_identity_mask_float32_model_reproduces_every_sample(kind, tmp_path):
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_float64_trained_model_file_keeps_the_format(kind, tmp_path,
                                                      small_pairs):
-    """Training now runs in float32, but a model trained in float64, as
-    files were written before, saves to the same format and loads: the
-    header and `train_config` keep their keys, and with its last layer
-    zeroed the loaded model passes the identity-mask check."""
+    """Training runs in float32, but a model that holds trained weights in
+    float64, as files were written before, saves to the same format and
+    loads: the header and `train_config` keep their keys, and with its
+    last layer zeroed the loaded model passes the identity-mask check."""
     pairs = [analyze_pair(*p) for p in small_pairs[:2]]
     stats = input_stats(pairs[:1])
     config = TrainConfig(kind=kind, batch_size=16, max_epochs=1, seed=2)
     result = train_model(config, build_dataset(pairs[:1], kind, stats),
-                         build_dataset(pairs[1:], kind, stats),
-                         model=build_model(kind, config.seed))
-    assert result.model.dtype == np.float64
+                         build_dataset(pairs[1:], kind, stats))
+    model64 = build_model(kind, config.seed)
+    model64.load_state(result.model.state())
+    assert model64.dtype == np.float64
     path = str(tmp_path / "f64.mpf1")
-    save_model(path, zero_last_layer(result.model), stats, config)
+    save_model(path, zero_last_layer(model64), stats, config)
     model, loaded_stats, header = load_model(path)
     assert sorted(header) == [
         "context_frames", "format_version", "kind", "tensors", "train_config"]
@@ -522,6 +523,65 @@ def test_inputs_that_would_write_one_file_are_rejected(
     assert repr(first) in err and repr(second) in err
     assert loads == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["degrade", "enhance"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_an_output_that_is_an_input_is_rejected(
+        tmp_path, corpus_dir, trained_dir, monkeypatch, capsys, command, jobs):
+    """An input whose output is another input, named by another spelling
+    of its path, would be overwritten while it may still be read, so the
+    command exits 2 naming both, before it loads a model or writes a
+    file."""
+    suffix = {"degrade": ".coded.wav", "enhance": ".enhanced.wav"}[command]
+    d = tmp_path / "d"
+    d.mkdir()
+    sources = [os.path.join(corpus_dir, "wav", f"utt0{i}.wav") for i in (1, 2)]
+    victim, reader = d / f"a{suffix}", d / "a.wav"
+    for src, dst in zip(sources, (victim, reader)):
+        with open(src, "rb") as fh:
+            dst.write_bytes(fh.read())
+    before = {p.name: p.read_bytes() for p in d.iterdir()}
+    loads = count_model_loads(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    extra = {"degrade": ["--preset", "q_low"],
+             "enhance": ["--model", os.path.join(trained_dir, "model.mpf1")]}
+    assert main([command, "--out-dir", "d", *extra[command], "--jobs", jobs,
+                 str(victim), str(reader)]) == 2
+    err = capsys.readouterr().err
+    assert repr(str(reader)) in err and repr(str(victim)) in err
+    assert loads == []
+    assert {p.name: p.read_bytes() for p in d.iterdir()} == before
+
+
+def nan_mask_model(path):
+    """A float32 fcnn file whose weights are all finite, so it loads, but
+    whose bn2 scale of 3e38 overflows into non-finite masks."""
+    model = build_model("fcnn", seed=0, dtype=np.float32)
+    model.state()["bn2.gamma"][...] = 3e38
+    save_model(path, model, NormStats(np.zeros(N_BINS), np.ones(N_BINS)),
+               TrainConfig(kind="fcnn"))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_non_finite_masks_exit_3(tmp_path, manifest_path, corpus_dir, capfd,
+                                 jobs):
+    """An estimator whose masks are not finite is a data error (exit 3) in
+    both model-running commands, with no traceback and no output file."""
+    model = str(tmp_path / "nan.mpf1")
+    nan_mask_model(model)
+    enh, ev = tmp_path / "enh", tmp_path / "eval"
+    for argv, out in (
+            (["enhance", "--out-dir", str(enh), *clean_wavs(corpus_dir, 2)], enh),
+            (["eval", "--manifest", manifest_path, "--out-dir", str(ev),
+              "--split", "val"], ev)):
+        assert main([*argv, "--model", model, "--jobs", jobs]) == 3, argv[0]
+        err = capfd.readouterr().err
+        assert f"maskpf {argv[0]}: error: mask contains non-finite values" in err
+        assert "Traceback" not in err
+        assert not list(out.glob("*.wav")) and not list(out.glob("*.csv"))
 
 
 def test_degrade_seed_offsets_jitter(tmp_path, corpus_dir):

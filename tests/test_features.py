@@ -46,7 +46,7 @@ def test_window_inputs_are_causal():
                        for f in (feats, tweaked))
         assert np.array_equal(hist[:10], hist2[:10])
         assert not np.array_equal(hist[10], hist2[10])
-        data, data2 = (Dataset.from_utterances(kind, [f[:5], f], ones, ones)
+        data, data2 = (Dataset(kind, [f[:5], f], ones, ones)
                        for f in (feats, tweaked))
         assert np.array_equal(data.inputs[:15], data2.inputs[:15])
         assert not np.array_equal(data.inputs[15], data2.inputs[15])
@@ -109,5 +109,5 @@ def test_infer_mask_end_to_end_shape_and_range():
     model = build_model("fcnn", seed=5)
     mask = infer_mask(model, stats, pair.coded_spec)
     assert mask.shape == (pair.n_frames, 205)
-    assert np.all(mask.values > 0.0)
-    assert np.all(mask.values < 2.0)
+    assert np.all(mask > 0.0)
+    assert np.all(mask < 2.0)

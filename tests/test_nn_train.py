@@ -208,38 +208,28 @@ def make_synthetic_dataset(rng, n, kind="lstm"):
     targets = rng.uniform(0.3, 1.7, (n, 205))
     mags = rng.uniform(1e-2, 1.0, (n, 205))
     cut = n // 3
-    return Dataset.from_utterances(
-        kind, *([a[:cut], a[cut:]] for a in (frames, targets, mags)))
+    return Dataset(kind, *([a[:cut], a[cut:]] for a in (frames, targets, mags)))
 
 
 def test_dataset_validation():
     rng = np.random.default_rng(144)
-    good = dict(kind="fcnn", rows=rng.standard_normal((12, 205)),
-                offsets=np.arange(9), targets=np.ones((9, 205)),
-                mags=np.ones((9, 205)))
-    assert len(Dataset(**good)) == 9
+    frames = [rng.standard_normal((9, 205)), rng.standard_normal((3, 205))]
+    ones = [np.ones((9, 205)), np.ones((3, 205))]
+    data = Dataset("fcnn", frames, ones, ones)
+    assert len(data) == 12
+    assert data.offsets.tolist() == [*range(9), *range(12, 15)]
     bad = [
-        dict(offsets=np.arange(1, 10)),  # the last window overruns the rows
-        dict(offsets=np.arange(-1, 8)),
-        dict(offsets=np.arange(9)[:, None]),
-        dict(targets=np.ones((8, 205)), mags=np.ones((8, 205))),  # misaligned
-        dict(mags=np.ones((9, 204))),
-        dict(offsets=np.arange(0), targets=np.ones((0, 205)),
-             mags=np.ones((0, 205))),
+        ([frames[0], np.ones((0, 205))], ones, ones),  # an empty utterance
+        (frames, [ones[0], np.ones((2, 205))], ones),  # targets one frame short
+        (frames, ones, [ones[0], np.ones((3, 204))]),  # mags of another width
+        (frames, ones[:1], ones[:1]),                  # one utterance's missing
+        ([], [], []),
     ]
-    for change in bad:
+    for args in bad:
         with pytest.raises(DataError):
-            Dataset(**{**good, **change})
+            Dataset("fcnn", *args)
     with pytest.raises(ConfigError):
-        Dataset(**{**good, "kind": "mlp"})
-    frames = [rng.standard_normal((9, 205)), rng.standard_normal((0, 205))]
-    ones = [np.ones((9, 205)), np.ones((0, 205))]
-    with pytest.raises(DataError):  # an empty utterance
-        Dataset.from_utterances("fcnn", frames, ones, ones)
-    with pytest.raises(DataError):  # targets one frame short
-        Dataset.from_utterances("fcnn", frames[:1], [np.ones((8, 205))], ones[:1])
-    with pytest.raises(DataError):
-        Dataset.from_utterances("fcnn", [], [], [])
+        Dataset("mlp", frames, ones, ones)
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -252,7 +242,7 @@ def test_windows_never_cross_utterance_boundaries(kind):
     frames = [rng.standard_normal((n, 205)) + 3.0 for n in (7, 2, 13)]
     targets = [rng.uniform(0.3, 1.7, f.shape) for f in frames]
     mags = [rng.uniform(1e-2, 1.0, f.shape) for f in frames]
-    data = Dataset.from_utterances(kind, frames, targets, mags)
+    data = Dataset(kind, frames, targets, mags)
     want = np.concatenate([model_inputs(kind, f) for f in frames]).astype(np.float32)
     idx = rng.permutation(len(data))
     assert np.array_equal(data.batch(idx), want[idx])
@@ -286,7 +276,7 @@ def test_eval_loss_through_infer_matches_forward(kind):
     frames = [rng.standard_normal((n, 205)) for n in (300, 2, 41)]
     targets = [rng.uniform(0.3, 1.7, f.shape) for f in frames]
     mags = [rng.uniform(1e-2, 1.0, f.shape) for f in frames]
-    data = Dataset.from_utterances(kind, frames, targets, mags)
+    data = Dataset(kind, frames, targets, mags)
     streams = [layer.rng for _, layer in model._layers() if hasattr(layer, "rng")]
     before = [r.bit_generator.state for r in streams]
     got = train_module._eval_loss(model, data)
@@ -342,18 +332,17 @@ def test_train_is_deterministic():
 
 
 def test_dataset_holds_float32_and_casts_once():
-    """Float64 arrays are cast on construction; float32 arrays are kept
-    as they are, not copied. `inputs` stacks the windows afresh on each
-    read and keeps nothing."""
+    """Float64 arrays are cast once, as they are stacked: each stored value
+    is the float32 rounding of the value passed in. `inputs` stacks the
+    windows afresh on each read and keeps nothing."""
     rng = np.random.default_rng(149)
-    data = make_synthetic_dataset(rng, 6, kind="fcnn")
+    frames, targets, mags = (rng.uniform(0.1, 2.0, (6, 205)) for _ in range(3))
+    data = Dataset("fcnn", [frames], [targets], [mags])
     for arr in (data.rows, data.targets, data.mags, data.inputs):
         assert arr.dtype == np.float32
-    again = Dataset(data.kind, data.rows, data.offsets, data.targets,
-                    data.mags)
-    assert again.rows is data.rows
-    assert again.targets is data.targets
-    assert again.mags is data.mags
+    assert np.array_equal(data.rows[3:], frames.astype(np.float32))
+    assert np.array_equal(data.targets, targets.astype(np.float32))
+    assert np.array_equal(data.mags, mags.astype(np.float32))
     assert data.inputs is not data.inputs
     assert np.array_equal(data.inputs, data.batch(np.arange(len(data))))
 
