@@ -65,7 +65,7 @@ from .mask import (
 )
 from .metrics import log_spectral_distance, lsd_from_mags, segmental_snr
 from .nn.io import load_model, save_model
-from .nn.models import MODEL_KINDS
+from .nn.models import MODEL_KINDS, share_cores, thread_budget
 from .nn.train import TrainConfig, train_model
 
 
@@ -84,6 +84,7 @@ def _write_header(out_dir: str, command: str, args: argparse.Namespace) -> None:
     _write_json(os.path.join(out_dir, "run_header.json"), {
         "command": command,
         "args": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
+        "infer_threads": thread_budget(),
         "package_version": __version__,
     })
 
@@ -106,16 +107,26 @@ def _map_ordered(fn, items: list, jobs: int, init=None) -> list:
     surface as themselves (an exception in a pool initializer would only
     break the pool). Pool workers started by `fork` inherit what it set
     up; under any other start method each worker runs it again as its
-    initializer.
+    initializer. Each pool worker takes `max(1, budget // jobs)` of the
+    inference thread budget, whatever the start method.
     """
     if init is not None:
         init()
     if jobs == 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    worker_init = None if multiprocessing.get_start_method() == "fork" else init
+    forked = multiprocessing.get_start_method() == "fork"
+    worker_init = partial(_start_worker, jobs, None if forked else init)
     with ProcessPoolExecutor(max_workers=min(jobs, len(items)),
                              initializer=worker_init) as pool:
         return list(pool.map(fn, items))
+
+
+def _start_worker(jobs: int, init) -> None:
+    """A pool worker's initializer: its share of the thread budget, then
+    `init`, if any."""
+    share_cores(jobs)
+    if init is not None:
+        init()
 
 
 # The (model, stats) of the running enhance or eval command in this

@@ -23,12 +23,14 @@ already holds that matrix (`im2col`) passes it as `cols`, as a training
 convolution does from its forward to its weight gradient. `scatter` makes one
 matrix product into (N*OH*OW, KH*KW*B) tap columns and hands them to
 `col2im`, the one col2im, which the conv estimator's inference also calls
-on columns it made itself. `col2im` writes each output phase (row mod
-stride, column mod stride) once, its first tap plus an optional bias, and
-adds the phase's other taps to it: no zero fill, and no separate bias
-pass. It writes into any (N, B, H, W) view the caller gives. Results are
-(N, H, W, C) buffers returned as (N, C, H, W) views, so a chain of layers
-that passes such views along never copies an image to change its layout.
+on columns it made itself; that inference copies `windows`, the im2col
+matrix unflattened, into buffers it reuses. `col2im` writes each output
+phase (row mod stride, column mod stride) once, its first tap plus an
+optional bias, and adds the phase's other taps to it: no zero fill, and
+no separate bias pass. It writes into any (N, B, H, W) view the caller
+gives. Results are (N, H, W, C) buffers returned as (N, C, H, W) views,
+so a chain of layers that passes such views along never copies an image
+to change its layout.
 Contiguous (N, C, H, W) inputs give the same results, only with a strided
 copy on the way in.
 """
@@ -52,13 +54,19 @@ def tap_matrix(w: np.ndarray) -> np.ndarray:
     return w.transpose(0, 2, 3, 1).reshape(w.shape[0], -1)
 
 
+def _windows(src: np.ndarray, k_hw: tuple[int, int], stride: tuple[int, int],
+             out_hw: tuple[int, int]) -> np.ndarray:
+    """Windows of an (N, H, W, A) array as an (N, OH, OW, KH, KW, A) view."""
+    (kh, kw), (sh, sw), (oh, ow) = k_hw, stride, out_hw
+    win = sliding_window_view(src, (kh, kw), axis=(1, 2))  # (N, H', W', A, KH, KW)
+    return win[:, : sh * oh : sh, : sw * ow : sw].transpose(0, 1, 2, 4, 5, 3)
+
+
 def _im2col(src: np.ndarray, k_hw: tuple[int, int], stride: tuple[int, int],
             out_hw: tuple[int, int]) -> np.ndarray:
     """Windows of an (N, H, W, A) array as an (N*OH*OW, KH*KW*A) matrix."""
-    (kh, kw), (sh, sw), (oh, ow) = k_hw, stride, out_hw
-    win = sliding_window_view(src, (kh, kw), axis=(1, 2))  # (N, H', W', A, KH, KW)
-    win = win[:, : sh * oh : sh, : sw * ow : sw].transpose(0, 1, 2, 4, 5, 3)
-    return np.ascontiguousarray(win).reshape(-1, kh * kw * src.shape[3])
+    win = _windows(src, k_hw, stride, out_hw)
+    return np.ascontiguousarray(win).reshape(-1, k_hw[0] * k_hw[1] * src.shape[3])
 
 
 def _valid_hw(in_hw: tuple[int, int], k_hw: tuple[int, int],
@@ -79,6 +87,15 @@ def im2col(src: np.ndarray, k_hw: tuple[int, int],
     `cols`."""
     src_t = _nhwc(src)
     return _im2col(src_t, k_hw, stride, _valid_hw(src_t.shape[1:3], k_hw, stride))
+
+
+def windows(src: np.ndarray, k_hw: tuple[int, int],
+            stride: tuple[int, int]) -> np.ndarray:
+    """The valid KH x KW windows at `stride` of a logical (N, A, H, W)
+    image, as an (N, OH, OW, KH, KW, A) view: its im2col matrix before the
+    copy, for a caller that copies it into a buffer of its own."""
+    src_t = _nhwc(src)
+    return _windows(src_t, k_hw, stride, _valid_hw(src_t.shape[1:3], k_hw, stride))
 
 
 def gather(src: np.ndarray, w: np.ndarray, stride: tuple[int, int],

@@ -16,7 +16,9 @@ frame of 205 gains in (0, 2):
 the lstm's layer-1 input projection run once per frame, not once per
 window that holds the frame; the lstm's windows then go through the same
 recurrence (`Lstm.recur`) that training runs, its steps read as slices
-of the shared projections.
+of the shared projections. It runs an utterance's blocks on the threads
+of the process's share of the cores that BLAS leaves idle
+(`infer_threads`), with the same masks on any number of threads.
 
 Building a model's structure and drawing its initial weights are apart:
 the model classes and `empty_model` only allocate the layers' arrays in
@@ -33,6 +35,11 @@ reconstructible from the layer shapes alone).
 """
 
 from __future__ import annotations
+
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -125,6 +132,70 @@ def _project(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _blas_thread_getters() -> tuple:
+    """The `get_num_threads` function of each OpenBLAS mapped into this
+    process, found through /proc/self/maps; none where that cannot be read."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        return ()
+    getters = []
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for sym in ("scipy_openblas_get_num_threads64_",
+                    "scipy_openblas_get_num_threads", "openblas_get_num_threads"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.restype, fn.argtypes = ctypes.c_int, []
+                getters.append(fn)
+                break
+    return tuple(getters)
+
+
+def blas_threads() -> int:
+    """The largest thread count a loaded OpenBLAS reports, or 1 when none
+    can be read."""
+    return max((fn() for fn in _blas_thread_getters()), default=1)
+
+
+def thread_budget() -> int:
+    """The threads an `infer` call may run its blocks on in a process that
+    has its CPUs to itself: the CPUs in its affinity mask divided by the
+    loaded OpenBLAS's thread count, and at least 1. At OpenBLAS's default
+    of a thread per core that is 1; with OpenBLAS at one thread
+    (`OPENBLAS_NUM_THREADS=1`) it is the CPU count."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        cpus = os.cpu_count() or 1
+    return max(1, cpus // blas_threads())
+
+
+# How many pool workers share this process's CPUs: a `--jobs` worker's pool
+# size (`share_cores`), 1 in a process that has them to itself.
+_sharing_processes = 1
+
+
+def share_cores(processes: int) -> None:
+    """Make this process one of `processes` pool workers that split the
+    thread budget between them."""
+    global _sharing_processes
+    _sharing_processes = processes
+
+
+def infer_threads() -> int:
+    """The threads each `infer` call of this process may run on: the thread
+    budget, divided among the pool workers that share it, at least 1."""
+    return max(1, thread_budget() // _sharing_processes)
+
+
 class Workspace:
     """Named scratch buffers that inference reuses across blocks and calls.
 
@@ -132,8 +203,9 @@ class Workspace:
     elements in the requested shape, so a smaller block uses leading
     slices of what a larger one allocated. A buffer is allocated, zeroed,
     when it is first taken, and again when a request outgrows it or asks
-    for another dtype; nothing else ever resets it. One model's `infer`
-    calls must therefore not overlap, as in two threads.
+    for another dtype; nothing else ever resets it. So one workspace serves
+    one thread at a time: each thread of an `infer` call takes its own, and
+    two `infer` calls of one model must not overlap.
     """
 
     def __init__(self):
@@ -234,14 +306,24 @@ class Model:
         Frame t's mask comes from the causal window of `context_frames`
         frames ending at t, with frame 0 repeated before the start, as
         `window_inputs` builds it for training. The frames are walked in
-        blocks of `batch_size` (default `infer_batch`); each block's
-        `batch_size + context_frames - 1` padded rows go to the function
-        `_block_runner` makes once per call, so working memory is bounded by
-        the block, not the utterance. The lstm and the ced keep their block
-        buffers in a `Workspace` reused across blocks and calls; the masks
-        come back in a fresh array. The frames are cast to the weights'
-        dtype, and so are the masks; a frame width other than `n_bins`
-        raises ConfigError.
+        blocks of `batch_size` (default `infer_batch`) from frame 0; each
+        block's `batch_size + context_frames - 1` padded rows go to the
+        function `_block_runner` makes once per call, so working memory is
+        bounded by the block, not the utterance.
+
+        The calling thread and up to `infer_threads() - 1` worker threads,
+        no more than there are blocks, each take the next block from a
+        shared counter until none is left. Each thread has a `Workspace` of
+        its own, kept by the model across calls, where the lstm and the ced
+        keep their block buffers. A block is computed the same way whichever
+        thread runs it, so the masks do not depend on the thread count. The
+        worker threads start and end inside the call; an exception in any
+        block stops the others taking blocks and is raised here. A single
+        block runs on the calling thread alone.
+
+        The masks come back in a fresh array. The frames are cast to the
+        weights' dtype, and so are the masks; a frame width other than
+        `n_bins` raises ConfigError.
         """
         if batch_size is None:
             batch_size = self.infer_batch
@@ -256,16 +338,45 @@ class Model:
         span = batch_size + self.context_frames - 1
         rows = pad_context(frames, self.context_frames)
         masks = np.empty(frames.shape, frames.dtype)
+        starts = range(0, frames.shape[0], batch_size)
         run = self._block_runner()
-        for i in range(0, frames.shape[0], batch_size):
-            run(rows[i : i + span], masks[i : i + batch_size])
+        works = self._workspaces(min(infer_threads(), len(starts)))
+        blocks, lock, failed = iter(starts), threading.Lock(), threading.Event()
+
+        def next_block():
+            with lock:
+                return None if failed.is_set() else next(blocks, None)
+
+        def work(ws):
+            try:
+                for i in iter(next_block, None):
+                    run(ws, rows[i : i + span], masks[i : i + batch_size])
+            except BaseException:
+                failed.set()
+                raise
+
+        if len(works) == 1:
+            work(works[0])
+            return masks
+        with ThreadPoolExecutor(len(works) - 1) as pool:
+            helpers = [pool.submit(work, ws) for ws in works[1:]]
+            work(works[0])
+        for helper in helpers:
+            helper.result()
         return masks
 
+    def _workspaces(self, n: int) -> list[Workspace]:
+        """The first n of the workspaces this model keeps for the threads of
+        its `infer` calls, made on first use."""
+        self._works.extend(Workspace() for _ in range(n - len(self._works)))
+        return self._works[:n]
+
     def _block_runner(self):
-        """The function `run(rows, out)` one `infer` call runs per block: it
-        writes the masks of every full context window of the consecutive
-        padded `rows` into `out`."""
-        def run(rows, out):
+        """The function `run(work, rows, out)` one `infer` call runs per
+        block: it writes the masks of every full context window of the
+        consecutive padded `rows` into `out`, keeping any buffer it reuses
+        in `work`, the running thread's `Workspace`."""
+        def run(work, rows, out):
             out[...] = self.forward(window_inputs(self.kind, rows), train=False)
         return run
 
@@ -288,6 +399,7 @@ class FcnnModel(Model):
             ("dense3", Dense(1024, n_bins, dtype)),
             ("sig", ScaledSigmoid()),
         ]
+        self._works: list[Workspace] = []
 
     def _layers(self):
         return self.layers
@@ -320,7 +432,7 @@ class LstmModel(Model):
                           dtype)
         self.head = Dense(n_bins, n_bins, dtype)
         self.sig = ScaledSigmoid()
-        self._work = Workspace()
+        self._works: list[Workspace] = []
 
     def _layers(self):
         return [("lstm1", self.lstm1), ("lstm2", self.lstm2),
@@ -336,7 +448,7 @@ class LstmModel(Model):
     def _block_runner(self):
         return self._infer_rows
 
-    def _infer_rows(self, rows, out):
+    def _infer_rows(self, work, rows, out):
         """Layer 1 projects each padded row once, not once per window.
 
         Window j's step t is row j + t, so step t of every window is
@@ -347,7 +459,7 @@ class LstmModel(Model):
         """
         t_len = self.context_frames
         n = rows.shape[0] - t_len + 1
-        take, dtype = self._work.take, rows.dtype
+        take, dtype = work.take, rows.dtype
         l1, l2 = self.lstm1, self.lstm2
         proj = _project(rows, l1.wx,
                         take("proj1", (rows.shape[0], 4 * l1.n_units), dtype))
@@ -382,11 +494,13 @@ class CedModel(Model):
     Inference (`_infer_rows`) takes another route to the same masks. At
     the start of each `infer` call every conv -> batch norm pair is folded
     into one conv (scaled weights, shifted bias) from the current running
-    statistics, so a stage is one conv with bias and one ELU. The encoder
-    runs once over a block's rows, shared by the windows that hold them.
-    The decoder runs in the model's `Workspace`: its matrix products, the
-    skip halves' products per encoder row, and each stage's output, whose
-    high-frequency pad columns stay zero from their allocation on. Its
+    statistics, so a stage is one conv with bias and one ELU; the threads
+    of the call share the folded weights. The encoder runs once over a
+    block's rows, shared by the windows that hold them. Both halves run in
+    the running thread's `Workspace`: the encoder's im2col matrices and
+    outputs, the decoder's matrix products, the skip halves' products per
+    encoder row, and each decoder stage's output, whose high-frequency pad
+    columns stay zero from their allocation on. Its
     blocks are smaller than the other kinds' because the decoder's
     activations and tap columns outgrow the cache at the default 256
     windows.
@@ -410,7 +524,7 @@ class CedModel(Model):
                              BatchNorm(co, dtype=dtype), Elu(inplace=True)))
         self.head = Conv2d(1, 1, (CONTEXT_FRAMES["ced"], 1), (1, 1), dtype)
         self.sig = ScaledSigmoid()
-        self._work = Workspace()
+        self._works: list[Workspace] = []
 
     def _layers(self):
         out: list[tuple[str, Layer]] = []
@@ -452,23 +566,30 @@ class CedModel(Model):
 
     def _block_runner(self):
         """Folds every conv -> batch norm pair from the current running
-        statistics, afresh for each `infer` call."""
-        enc = [bn.fold(conv.w, conv.b, 0) for _, conv, bn, _ in self.enc]
+        statistics, afresh for each `infer` call, for all its blocks."""
+        enc = []
+        for _, conv, bn, _ in self.enc:
+            w, b = bn.fold(conv.w, conv.b, 0)
+            enc.append((kernels.tap_matrix(w).T, b))
         dec = []
         for _, conv, bn, _ in self.dec:
             w, b = bn.fold(conv.w, conv.b, 1)
             dec.append((kernels.tap_matrix(w), w.shape[1:], b))
-        return lambda rows, out: self._infer_rows(rows, out, enc, dec)
+        return lambda work, rows, out: self._infer_rows(work, rows, out, enc, dec)
 
-    def _infer_rows(self, rows, out, enc_wb, dec_wb):
-        """Masks of a block from the folded encoder (weights, bias) and the
-        folded decoder (tap matrix, (channels, KH, KW), bias) of each stage.
+    def _infer_rows(self, work, rows, out, enc_wb, dec_wb):
+        """Masks of a block from the folded encoder ((KH*KW*C_in, C_out)
+        tap matrix, bias) and the folded decoder (tap matrix,
+        (channels, KH, KW), bias) of each stage.
 
         The encoder convs have time stride 1 and a 2-row kernel, and in eval
         mode batch norm and ELU act row by row, so the enc-k output of
         window j is rows j .. j + 5 - k of the enc-k output of the whole
         (1, 1, R, bins) image: each row is computed once instead of once
-        per window that holds it.
+        per window that holds it. Each stage copies its input's
+        `kernels.windows` into an im2col buffer and makes one matrix
+        product into its output buffer, both in the workspace, as
+        `kernels.gather` does into fresh arrays.
 
         A decoder stage's transposed conv starts with one matrix product
         per input pixel, and its input is [decoder, skip] along channels,
@@ -481,15 +602,19 @@ class CedModel(Model):
         there in place. No activation is copied, padded or concatenated.
         """
         n = rows.shape[0] - self.context_frames + 1
-        take, dtype = self._work.take, rows.dtype
+        take, dtype = work.take, rows.dtype
         enc = []
         h = rows[None, None]
-        for w, b in enc_wb:
-            h = kernels.gather(h, w, self.STRIDE)
-            h_t = h.transpose(0, 2, 3, 1)[0]  # rows of a fresh channels-last buffer
+        for k, (taps, b) in enumerate(enc_wb, 1):
+            win = kernels.windows(h, self.KERNEL, self.STRIDE)
+            cols = take("im2col", win.shape, dtype)
+            cols[...] = win
+            h_t = _project(cols.reshape(win.shape[:3] + (-1,)), taps,
+                           take(f"enc{k}", win.shape[:3] + taps.shape[1:], dtype))
             h_t += b
-            elu(h_t, out=h_t)
-            enc.append(h_t)
+            elu(h_t, out=h_t, scratch=take("cols", h_t.shape, dtype))
+            enc.append(h_t[0])  # the stage's rows, channels-last
+            h = h_t.transpose(0, 3, 1, 2)
         x = None  # the decoder half of a stage's input; stage 1 has none
         for i, (taps, (c_out, kh, kw), b) in enumerate(dec_wb):
             n_d = 0 if x is None else x.shape[3]

@@ -8,6 +8,8 @@ import os
 import struct
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from maskpf.degrade import load_manifest, resolve_pair, split_entries
 from maskpf.dsp import AudioBuffer, NormStats, band_limit
 from maskpf.features import analyze_pair, build_dataset, input_stats
 from maskpf.metrics import log_spectral_distance, segmental_snr
+from maskpf.nn import models
 from maskpf.nn.io import load_model, save_model
 from maskpf.nn.models import MODEL_KINDS, N_BINS, build_model, empty_model
 from maskpf.nn.train import TrainConfig, train_model
@@ -620,7 +623,24 @@ def test_negative_seed_exits_2_without_a_traceback(tmp_path, manifest_path,
     assert "--seed" in run.stderr
 
 
-def test_enhance_and_degrade_jobs_parity(tmp_path, corpus_dir, trained_dir):
+def test_enhance_and_degrade_jobs_parity(tmp_path, corpus_dir, trained_dir,
+                                        monkeypatch):
+    """Outputs are byte-identical at --jobs 1 and 2 with a thread budget of
+    2 and blocks of 16 frames, so the in-process enhance runs its blocks on
+    two threads. Those threads end with its `infer` calls, so the --jobs 2
+    enhance forks workers from a process with none of them left."""
+    monkeypatch.setattr(models.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(models, "blas_threads", lambda: 1)
+    monkeypatch.setattr(models.FcnnModel, "infer_batch", 16)
+    assert models.thread_budget() == 2
+    helper_pools = []
+
+    class CountedPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            helper_pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(models, "ThreadPoolExecutor", CountedPool)
     model = os.path.join(trained_dir, "model.mpf1")
     outputs = {}
     for jobs in ("1", "2"):
@@ -629,8 +649,13 @@ def test_enhance_and_degrade_jobs_parity(tmp_path, corpus_dir, trained_dir):
                      "--jobs", jobs, *clean_wavs(corpus_dir)]) == 0
         coded = sorted(str(p) for p in deg.glob("*.wav"))
         enh = tmp_path / f"enh{jobs}"
+        threads = threading.active_count()
         assert main(["enhance", "--out-dir", str(enh), "--model", model,
                      "--jobs", jobs, *coded]) == 0
+        assert threading.active_count() == threads
+        assert read_header(enh)["infer_threads"] == 2
+        if jobs == "1":  # each 1 s file is 4 blocks, run on 2 threads
+            assert helper_pools == [1] * 3
         outputs[jobs] = {f"{step}/{p.name}": p.read_bytes()
                          for step, d in (("degrade", deg), ("enhance", enh))
                          for p in d.glob("*.wav")}
@@ -639,7 +664,9 @@ def test_enhance_and_degrade_jobs_parity(tmp_path, corpus_dir, trained_dir):
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+    """Stands in for ProcessPoolExecutor: records max_workers, runs inline.
+    A real pool runs its initializer in the workers, so the share of the
+    thread budget it takes goes back to this process's own on exit."""
 
     max_workers: list = []
 
@@ -653,6 +680,7 @@ class RecordingPool:
         return self
 
     def __exit__(self, *exc):
+        models.share_cores(1)
         return False
 
     def map(self, fn, items):

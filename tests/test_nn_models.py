@@ -1,7 +1,13 @@
 """Estimator assembly: parameter budgets, shapes, determinism, gradients."""
 
+import contextlib
 import copy
 import hashlib
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,8 +16,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from helpers_grad import model_grad_check
 from helpers_windows import model_inputs
+import maskpf
 from maskpf.errors import ConfigError, DataError
 from maskpf.nn.adam import Adam
+from maskpf.nn import models
+from maskpf.nn.layers import BatchNorm
 from maskpf.nn.lstm import Lstm
 from maskpf.nn.models import (
     CONTEXT_FRAMES,
@@ -136,59 +145,165 @@ def test_ced_float32_eval_output_does_not_depend_on_infer_batch_size():
 
 
 def _shift_state(model):
-    """Move every batch-norm running mean of a ced, or the layer-1 bias of
-    an lstm, by the same amount."""
+    """Move every batch-norm running mean of an fcnn or a ced, or the
+    layer-1 bias of an lstm, by the same amount."""
     if model.kind == "ced":
         for _, _, bn, _ in model.enc + model.dec:
             bn.run_mean += 0.25
+    elif model.kind == "fcnn":
+        for _, layer in model.layers:
+            if isinstance(layer, BatchNorm):
+                layer.run_mean += 0.25
     else:
         model.lstm1.b += 0.25
 
 
-@pytest.mark.parametrize("kind", ["ced", "lstm"])
-def test_infer_workspace_changes_no_mask(kind):
-    """The buffers a model keeps for inference change no mask: calls of
-    several lengths and block sizes, partial blocks included, give what a
-    fresh copy of the model gives; no later call writes into an earlier
-    call's masks; and a state change between calls shows in the next call
-    (the ced folds its batch norm afresh in every call)."""
+@contextlib.contextmanager
+def _on_threads(n):
+    """Run the `infer` calls inside on n threads, whatever the budget."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "infer_threads", lambda: n)
+        yield
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_infer_workspace_changes_no_mask(kind, threads):
+    """Neither the buffers a model keeps for inference nor the threads its
+    blocks run on change a mask: float32 calls on `threads` threads of one,
+    two, three and many blocks, partial last blocks included, give bit for
+    bit what a fresh copy of the model gives on one thread; no later call
+    writes into an earlier call's masks; and a state change between calls
+    shows in the next call (the ced folds its batch norm afresh in every
+    call)."""
     rng = np.random.default_rng(145)
-    pristine = _with_running_stats(kind, 19, rng)  # never runs infer until the end
+    # never runs infer until the end
+    pristine = _in_dtype(_with_running_stats(kind, 19, rng), np.float32)
     model = copy.deepcopy(pristine)
-    frames = {t_len: rng.standard_normal((t_len, 205)) for t_len in (5, 300)}
+    frames = {t_len: rng.standard_normal((t_len, 205)).astype(np.float32)
+              for t_len in (5, 14, 20, 300)}
+
+    def one_thread(t_len, batch_size=None):
+        with _on_threads(1):
+            return copy.deepcopy(pristine).infer(frames[t_len], batch_size)
+
     calls = []
-    for batch_size in (7, 32):
-        for t_len in (300, 5, 300):
-            got = model.infer(frames[t_len], batch_size=batch_size)
-            want = copy.deepcopy(pristine).infer(frames[t_len], batch_size=batch_size)
-            assert np.array_equal(got, want), (batch_size, t_len)
-            calls.append((got, got.copy()))
-    for got, kept in calls:
-        assert np.array_equal(got, kept)
-    before = model.infer(frames[300])
-    _shift_state(model)
-    _shift_state(pristine)
-    got = model.infer(frames[300])
+    with _on_threads(threads):
+        for batch_size in (7, 32):
+            for t_len in (300, 5, 14, 20, 300):
+                got = model.infer(frames[t_len], batch_size=batch_size)
+                assert np.array_equal(got, one_thread(t_len, batch_size)), (
+                    batch_size, t_len)
+                calls.append((got, got.copy()))
+        for got, kept in calls:
+            assert np.array_equal(got, kept)
+        before = model.infer(frames[300])
+        _shift_state(model)
+        _shift_state(pristine)
+        got = model.infer(frames[300])
     assert not np.array_equal(got, before)
-    assert np.array_equal(got, copy.deepcopy(pristine).infer(frames[300]))
+    assert np.array_equal(got, one_thread(300))
+
+
+def test_a_worker_block_exception_surfaces_and_no_thread_outlives_infer(monkeypatch):
+    """A block that raises on a worker thread makes `infer` raise that
+    exception, and the call leaves as many threads as it found."""
+    model = build_model("fcnn", seed=24, dtype=np.float32)
+    real_runner = model._block_runner
+
+    def failing_runner():
+        run = real_runner()
+
+        def checked(work, rows, out):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker block failed")
+            time.sleep(0.05)  # leaves the next block to the worker
+            run(work, rows, out)
+        return checked
+
+    monkeypatch.setattr(model, "_block_runner", failing_runner)
+    frames = np.random.default_rng(149).standard_normal((40, 205))
+    before = threading.active_count()
+    with _on_threads(2), pytest.raises(RuntimeError, match="worker block failed"):
+        model.infer(frames, batch_size=8)
+    assert threading.active_count() == before
+    with _on_threads(2):  # and the model infers again
+        assert model.infer(frames).shape == (40, 205)
+    assert threading.active_count() == before
+
+
+def test_many_threads_take_every_block_once():
+    """Eight threads on one-frame blocks, switching as often as the
+    interpreter allows: a block taken twice or never would leave a mask
+    row unlike the one-thread row (unwritten rows hold whatever
+    `np.empty` gave)."""
+    model = build_model("fcnn", seed=25, dtype=np.float32)
+    frames = np.random.default_rng(150).standard_normal((100, 205))
+    with _on_threads(1):
+        want = model.infer(frames, batch_size=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with _on_threads(8):
+            for _ in range(2):
+                assert np.array_equal(model.infer(frames, batch_size=1), want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_thread_budget_divides_cpus_by_blas_threads(monkeypatch):
+    """One inference thread when OpenBLAS runs a thread per CPU, every CPU
+    when it runs one, and a pool worker's share of the budget."""
+    cpus = len(os.sched_getaffinity(0))
+    monkeypatch.setattr(models, "blas_threads", lambda: cpus)
+    assert models.thread_budget() == 1
+    assert models.infer_threads() == 1
+    monkeypatch.setattr(models, "blas_threads", lambda: 1)
+    monkeypatch.setattr(models.os, "sched_getaffinity", lambda pid: set(range(6)))
+    assert models.thread_budget() == 6
+    try:
+        models.share_cores(4)
+        assert models.infer_threads() == 1
+        models.share_cores(2)
+        assert models.infer_threads() == 3
+    finally:
+        models.share_cores(1)
+    assert models.infer_threads() == 6
+
+
+def test_blas_threads_reads_the_loaded_openblas():
+    """In a child whose OpenBLAS starts with 2 threads the query reads 2,
+    and with 1 it reads 1: the budget follows the BLAS setting."""
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(maskpf.__file__))}
+    code = "from maskpf.nn import models; print(models.blas_threads())"
+    for threads in ("1", "2"):
+        run = subprocess.run([sys.executable, "-c", code], check=True,
+                             env={**env, "OPENBLAS_NUM_THREADS": threads},
+                             capture_output=True, text=True, timeout=120)
+        assert run.stdout.strip() == threads
 
 
 # Traced peak of a second float32 ced `infer` over 300 frames: 9.39 MB when
-# every block allocated its activations, 2.70 MB with the reused workspace
-# (the padded rows, the masks, the folded weights and one block's encoder).
+# every block allocated its activations, 2.70 MB on one thread with the
+# decoder's in the workspace, and 1.28 MB on one or two threads with the
+# encoder's there too (the padded rows, the masks and the folded weights).
+# A second thread's block arrays would count here if they were fresh.
 CED_INFER_PEAK_BYTES = 4_000_000
 
 
-def test_ced_infer_reuses_its_workspace():
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ced_infer_reuses_its_workspace(threads):
     model = build_model("ced", seed=20, dtype=np.float32)
     frames = np.random.default_rng(146).standard_normal((300, 205)).astype(np.float32)
-    model.infer(frames)
-    tracemalloc.start()
-    try:
+    with _on_threads(threads):
         model.infer(frames)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            model.infer(frames)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     assert peak < CED_INFER_PEAK_BYTES, peak
 
 
