@@ -166,43 +166,44 @@ def _on_threads(n):
         yield
 
 
-@pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("kind", MODEL_KINDS)
-def test_infer_workspace_changes_no_mask(kind, threads):
+def test_infer_workspace_changes_no_mask(kind):
     """Neither the buffers a model keeps for inference nor the threads its
-    blocks run on change a mask: float32 calls on `threads` threads of one,
-    two, three and many blocks, partial last blocks included, give bit for
-    bit what a fresh copy of the model gives on one thread; no later call
-    writes into an earlier call's masks; and a state change between calls
-    shows in the next call (the ced folds its batch norm afresh in every
-    call)."""
+    blocks run on change a mask: float32 calls on 1, 2 and 3 threads of
+    one, two, three and many blocks, partial last blocks included, give
+    bit for bit what a fresh copy of the model gives on one thread; no
+    later call writes into an earlier call's masks; and a state change
+    between calls shows in the next call (the ced folds its batch norm
+    afresh in every call)."""
     rng = np.random.default_rng(145)
     # never runs infer until the end
     pristine = _in_dtype(_with_running_stats(kind, 19, rng), np.float32)
-    model = copy.deepcopy(pristine)
     frames = {t_len: rng.standard_normal((t_len, 205)).astype(np.float32)
               for t_len in (5, 14, 20, 300)}
 
-    def one_thread(t_len, batch_size=None):
+    def one_thread(model, t_len, batch_size=None):
         with _on_threads(1):
-            return copy.deepcopy(pristine).infer(frames[t_len], batch_size)
+            return copy.deepcopy(model).infer(frames[t_len], batch_size)
 
-    calls = []
-    with _on_threads(threads):
-        for batch_size in (7, 32):
-            for t_len in (300, 5, 14, 20, 300):
-                got = model.infer(frames[t_len], batch_size=batch_size)
-                assert np.array_equal(got, one_thread(t_len, batch_size)), (
-                    batch_size, t_len)
-                calls.append((got, got.copy()))
-        for got, kept in calls:
-            assert np.array_equal(got, kept)
-        before = model.infer(frames[300])
-        _shift_state(model)
-        _shift_state(pristine)
-        got = model.infer(frames[300])
-    assert not np.array_equal(got, before)
-    assert np.array_equal(got, one_thread(300))
+    for threads in (1, 2, 3):
+        model = copy.deepcopy(pristine)
+        calls = []
+        with _on_threads(threads):
+            for batch_size in (7, 32):
+                for t_len in (300, 5, 14, 20, 300):
+                    got = model.infer(frames[t_len], batch_size=batch_size)
+                    assert np.array_equal(got, one_thread(pristine, t_len, batch_size)), (
+                        threads, batch_size, t_len)
+                    calls.append((got, got.copy()))
+            for got, kept in calls:
+                assert np.array_equal(got, kept)
+            before = model.infer(frames[300])
+            _shift_state(model)
+            got = model.infer(frames[300])
+        shifted = copy.deepcopy(pristine)
+        _shift_state(shifted)
+        assert not np.array_equal(got, before)
+        assert np.array_equal(got, one_thread(shifted, 300)), threads
 
 
 def test_a_worker_block_exception_surfaces_and_no_thread_outlives_infer(monkeypatch):
@@ -292,19 +293,19 @@ def test_blas_threads_reads_the_loaded_openblas():
 CED_INFER_PEAK_BYTES = 4_000_000
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_ced_infer_reuses_its_workspace(threads):
-    model = build_model("ced", seed=20, dtype=np.float32)
+def test_ced_infer_reuses_its_workspace():
     frames = np.random.default_rng(146).standard_normal((300, 205)).astype(np.float32)
-    with _on_threads(threads):
-        model.infer(frames)
-        tracemalloc.start()
-        try:
+    for threads in (1, 2):
+        model = build_model("ced", seed=20, dtype=np.float32)
+        with _on_threads(threads):
             model.infer(frames)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-    assert peak < CED_INFER_PEAK_BYTES, peak
+            tracemalloc.start()
+            try:
+                model.infer(frames)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < CED_INFER_PEAK_BYTES, (threads, peak)
 
 
 def _arrays(value):
