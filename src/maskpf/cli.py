@@ -65,7 +65,7 @@ from .mask import (
 )
 from .metrics import log_spectral_distance, lsd_from_mags, segmental_snr
 from .nn.io import load_model, save_model
-from .nn.models import MODEL_KINDS, share_cores, thread_budget
+from .nn.models import MODEL_KINDS, share_cores, threads_per_worker
 from .nn.train import TrainConfig, train_model
 
 
@@ -80,11 +80,16 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_header(out_dir: str, command: str, args: argparse.Namespace) -> None:
+def _write_header(out_dir: str, command: str, args: argparse.Namespace,
+                  workers: int) -> None:
+    """Write run_header.json. Its `infer_threads` is the threads each
+    `infer` call may run on in one of the `workers` processes that share
+    the CPUs while the command runs (`_pool_size` of its per-file work,
+    1 for `train`, which infers in this process alone)."""
     _write_json(os.path.join(out_dir, "run_header.json"), {
         "command": command,
         "args": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
-        "infer_threads": thread_budget(),
+        "infer_threads": threads_per_worker(workers),
         "package_version": __version__,
     })
 
@@ -107,24 +112,32 @@ def _map_ordered(fn, items: list, jobs: int, init=None) -> list:
     surface as themselves (an exception in a pool initializer would only
     break the pool). Pool workers started by `fork` inherit what it set
     up; under any other start method each worker runs it again as its
-    initializer. Each pool worker takes `max(1, budget // jobs)` of the
-    inference thread budget, whatever the start method.
+    initializer. Each of the `_pool_size` workers takes its share of the
+    inference thread budget, `threads_per_worker(workers)`, whatever the
+    start method.
     """
     if init is not None:
         init()
-    if jobs == 1 or len(items) <= 1:
+    workers = _pool_size(jobs, items)
+    if workers == 1:
         return [fn(item) for item in items]
     forked = multiprocessing.get_start_method() == "fork"
-    worker_init = partial(_start_worker, jobs, None if forked else init)
-    with ProcessPoolExecutor(max_workers=min(jobs, len(items)),
+    worker_init = partial(_start_worker, workers, None if forked else init)
+    with ProcessPoolExecutor(max_workers=workers,
                              initializer=worker_init) as pool:
         return list(pool.map(fn, items))
 
 
-def _start_worker(jobs: int, init) -> None:
+def _pool_size(jobs: int, items: list) -> int:
+    """The processes `_map_ordered` runs items on: this one alone at
+    --jobs 1 or for one item, else a pool of at most one worker per item."""
+    return 1 if jobs == 1 or len(items) <= 1 else min(jobs, len(items))
+
+
+def _start_worker(workers: int, init) -> None:
     """A pool worker's initializer: its share of the thread budget, then
     `init`, if any."""
-    share_cores(jobs)
+    share_cores(workers)
     if init is not None:
         init()
 
@@ -181,7 +194,7 @@ def cmd_stats(args) -> int:
               f"{total} mask values")
     _write_csv(os.path.join(out_dir, "stats.csv"),
                ["source", "bucket", "count", "fraction"], rows)
-    _write_header(out_dir, "stats", args)
+    _write_header(out_dir, "stats", args, _pool_size(args.jobs, entries))
     return 0
 
 
@@ -218,7 +231,7 @@ def cmd_oracle(args) -> int:
         labels.append("envelope")
     rows = [[label, _fmt(v)] for label, v in zip(labels, means)]
     _write_csv(os.path.join(out_dir, "oracle.csv"), ["bound", "lsd_db"], rows)
-    _write_header(out_dir, "oracle", args)
+    _write_header(out_dir, "oracle", args, _pool_size(args.jobs, jobs))
     for label, v in zip(labels, means):
         print(f"oracle bound {label}: lsd {_fmt(v)} dB")
     return 0
@@ -281,7 +294,7 @@ def cmd_train(args) -> int:
         "val_examples": len(val_data),
     }
     _write_json(os.path.join(out_dir, "train_summary.json"), summary)
-    _write_header(out_dir, "train", args)
+    _write_header(out_dir, "train", args, 1)
     print(f"train: best epoch {result.best_epoch} "
           f"val_loss {result.best_val_loss:.6f} -> {model_path}")
     return 0
@@ -330,7 +343,7 @@ def cmd_enhance(args) -> int:
     jobs = [(p, out, args.format) for p, out in zip(args.inputs, out_paths)]
     written = _map_ordered(_enhance_worker, jobs, args.jobs,
                            partial(_use_model, args.model))
-    _write_header(out_dir, "enhance", args)
+    _write_header(out_dir, "enhance", args, _pool_size(args.jobs, jobs))
     for path in written:
         print(path)
     return 0
@@ -381,7 +394,7 @@ def cmd_eval(args) -> int:
     summary_rows.append(["utterances", str(len(rows))])
     _write_csv(os.path.join(out_dir, "eval_summary.csv"),
                ["metric", "value"], summary_rows)
-    _write_header(out_dir, "eval", args)
+    _write_header(out_dir, "eval", args, _pool_size(args.jobs, entries))
     print(f"eval: lsd {means[0]:.3f} -> {means[1]:.3f} dB "
           f"(improvement {means[2]:.3f}) over {len(rows)} utterances")
     return 0
@@ -403,7 +416,7 @@ def cmd_degrade(args) -> int:
     jobs = [(p, out, profile, args.format)
             for p, out in zip(args.inputs, out_paths)]
     written = _map_ordered(_degrade_worker, jobs, args.jobs)
-    _write_header(out_dir, "degrade", args)
+    _write_header(out_dir, "degrade", args, _pool_size(args.jobs, jobs))
     for path in written:
         print(path)
     return 0

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -178,6 +177,12 @@ def thread_budget() -> int:
     return max(1, cpus // blas_threads())
 
 
+# The most threads one `infer` call runs on. Two threads on two cores is the
+# only count whose speed and memory were measured; how the interpreter-bound
+# parts of a block (the LSTM step loop, the ced's many small operations)
+# scale past that is unknown, and each thread keeps a workspace of its own.
+MAX_INFER_THREADS = 2
+
 # How many pool workers share this process's CPUs: a `--jobs` worker's pool
 # size (`share_cores`), 1 in a process that has them to itself.
 _sharing_processes = 1
@@ -190,10 +195,17 @@ def share_cores(processes: int) -> None:
     _sharing_processes = processes
 
 
+def threads_per_worker(processes: int) -> int:
+    """The threads each `infer` call may run on in one of `processes` pool
+    workers: the thread budget divided among them, at least 1 and at most
+    MAX_INFER_THREADS."""
+    return min(MAX_INFER_THREADS, max(1, thread_budget() // processes))
+
+
 def infer_threads() -> int:
-    """The threads each `infer` call of this process may run on: the thread
-    budget, divided among the pool workers that share it, at least 1."""
-    return max(1, thread_budget() // _sharing_processes)
+    """The threads each `infer` call of this process may run on, given its
+    `share_cores` setting."""
+    return threads_per_worker(_sharing_processes)
 
 
 class Workspace:
@@ -311,15 +323,15 @@ class Model:
         function `_block_runner` makes once per call, so working memory is
         bounded by the block, not the utterance.
 
-        The calling thread and up to `infer_threads() - 1` worker threads,
-        no more than there are blocks, each take the next block from a
-        shared counter until none is left. Each thread has a `Workspace` of
-        its own, kept by the model across calls, where the lstm and the ced
-        keep their block buffers. A block is computed the same way whichever
-        thread runs it, so the masks do not depend on the thread count. The
-        worker threads start and end inside the call; an exception in any
-        block stops the others taking blocks and is raised here. A single
-        block runs on the calling thread alone.
+        The blocks are dealt out in turn to the calling thread and up to
+        `infer_threads() - 1` worker threads, no more than there are blocks:
+        with n threads, thread t runs blocks t, t + n, t + 2n, ... Each
+        thread has a `Workspace` of its own, kept by the model across calls,
+        where the lstm and the ced keep their block buffers. A block is
+        computed the same way whichever thread runs it, so the masks do not
+        depend on the thread count. The worker threads start and end inside
+        the call, and an exception in any block is raised here once every
+        thread has stopped. A single block runs on the calling thread alone.
 
         The masks come back in a fresh array. The frames are cast to the
         weights' dtype, and so are the masks; a frame width other than
@@ -341,26 +353,17 @@ class Model:
         starts = range(0, frames.shape[0], batch_size)
         run = self._block_runner()
         works = self._workspaces(min(infer_threads(), len(starts)))
-        blocks, lock, failed = iter(starts), threading.Lock(), threading.Event()
 
-        def next_block():
-            with lock:
-                return None if failed.is_set() else next(blocks, None)
-
-        def work(ws):
-            try:
-                for i in iter(next_block, None):
-                    run(ws, rows[i : i + span], masks[i : i + batch_size])
-            except BaseException:
-                failed.set()
-                raise
+        def work(t):
+            for i in starts[t :: len(works)]:
+                run(works[t], rows[i : i + span], masks[i : i + batch_size])
 
         if len(works) == 1:
-            work(works[0])
+            work(0)
             return masks
         with ThreadPoolExecutor(len(works) - 1) as pool:
-            helpers = [pool.submit(work, ws) for ws in works[1:]]
-            work(works[0])
+            helpers = [pool.submit(work, t) for t in range(1, len(works))]
+            work(0)
         for helper in helpers:
             helper.result()
         return masks

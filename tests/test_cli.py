@@ -653,7 +653,8 @@ def test_enhance_and_degrade_jobs_parity(tmp_path, corpus_dir, trained_dir,
         assert main(["enhance", "--out-dir", str(enh), "--model", model,
                      "--jobs", jobs, *coded]) == 0
         assert threading.active_count() == threads
-        assert read_header(enh)["infer_threads"] == 2
+        # 3 files on 2 workers: each worker takes 1 of the 2 threads
+        assert read_header(enh)["infer_threads"] == {"1": 2, "2": 1}[jobs]
         if jobs == "1":  # each 1 s file is 4 blocks, run on 2 threads
             assert helper_pools == [1] * 3
         outputs[jobs] = {f"{step}/{p.name}": p.read_bytes()
@@ -664,11 +665,13 @@ def test_enhance_and_degrade_jobs_parity(tmp_path, corpus_dir, trained_dir,
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs inline.
-    A real pool runs its initializer in the workers, so the share of the
-    thread budget it takes goes back to this process's own on exit."""
+    """Stands in for ProcessPoolExecutor: records max_workers and the
+    inference threads a worker takes, runs inline. A real pool runs its
+    initializer in the workers, so the share of the thread budget it takes
+    goes back to this process's own on exit."""
 
     max_workers: list = []
+    worker_threads: list = []
 
     def __init__(self, max_workers, initializer=None):
         self.max_workers.append(max_workers)
@@ -677,6 +680,7 @@ class RecordingPool:
     def __enter__(self):
         if self.initializer is not None:
             self.initializer()
+        self.worker_threads.append(models.infer_threads())
         return self
 
     def __exit__(self, *exc):
@@ -689,14 +693,21 @@ class RecordingPool:
 
 def test_jobs_caps_workers_at_items_and_rejects_zero(tmp_path, corpus_dir,
                                                      monkeypatch, capsys):
+    """At most one worker per file, and the workers started split the
+    thread budget (4 here) between them: `--jobs 8` on two files starts two
+    workers of 2 threads each."""
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "max_workers", [])
+    monkeypatch.setattr(RecordingPool, "worker_threads", [])
+    monkeypatch.setattr(models.os, "sched_getaffinity", lambda pid: set(range(4)))
+    monkeypatch.setattr(models, "blas_threads", lambda: 1)
     wavs = clean_wavs(corpus_dir)
     for jobs, n_files in (("8", 2), ("2", 3), ("3", 3)):
         assert main(["degrade", "--out-dir", str(tmp_path / jobs),
                      "--preset", "q_low", "--jobs", jobs,
                      *wavs[:n_files]]) == 0
     assert RecordingPool.max_workers == [2, 2, 3]
+    assert RecordingPool.worker_threads == [2, 2, 1]
     for jobs in ("0", "-1"):
         assert main(["degrade", "--out-dir", str(tmp_path / "x"),
                      "--preset", "q_low", "--jobs", jobs, *wavs]) == 2

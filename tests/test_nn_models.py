@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -169,41 +168,46 @@ def _on_threads(n):
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_infer_workspace_changes_no_mask(kind):
     """Neither the buffers a model keeps for inference nor the threads its
-    blocks run on change a mask: float32 calls on 1, 2 and 3 threads of
-    one, two, three and many blocks, partial last blocks included, give
-    bit for bit what a fresh copy of the model gives on one thread; no
-    later call writes into an earlier call's masks; and a state change
-    between calls shows in the next call (the ced folds its batch norm
-    afresh in every call)."""
+    blocks run on change a mask: float32 and float64 calls on 1, 2 and 3
+    threads of one, two, three and many blocks, partial last blocks
+    included, give bit for bit what a fresh copy of the model gives on one
+    thread; no later call writes into an earlier call's masks; and a state
+    change between calls shows in the next call (the ced folds its batch
+    norm afresh in every call)."""
     rng = np.random.default_rng(145)
-    # never runs infer until the end
-    pristine = _in_dtype(_with_running_stats(kind, 19, rng), np.float32)
-    frames = {t_len: rng.standard_normal((t_len, 205)).astype(np.float32)
-              for t_len in (5, 14, 20, 300)}
+    trained = _with_running_stats(kind, 19, rng)
+    frames64 = {t_len: rng.standard_normal((t_len, 205))
+                for t_len in (5, 14, 20, 300)}
+    for dtype in (np.float32, np.float64):
+        pristine = _in_dtype(trained, dtype)  # never runs infer
+        frames = {t_len: f.astype(dtype) for t_len, f in frames64.items()}
 
-    def one_thread(model, t_len, batch_size=None):
-        with _on_threads(1):
-            return copy.deepcopy(model).infer(frames[t_len], batch_size)
+        def one_thread(model, t_len, batch_size=None):
+            with _on_threads(1):
+                return copy.deepcopy(model).infer(frames[t_len], batch_size)
 
-    for threads in (1, 2, 3):
-        model = copy.deepcopy(pristine)
-        calls = []
-        with _on_threads(threads):
-            for batch_size in (7, 32):
-                for t_len in (300, 5, 14, 20, 300):
-                    got = model.infer(frames[t_len], batch_size=batch_size)
-                    assert np.array_equal(got, one_thread(pristine, t_len, batch_size)), (
-                        threads, batch_size, t_len)
-                    calls.append((got, got.copy()))
-            for got, kept in calls:
-                assert np.array_equal(got, kept)
-            before = model.infer(frames[300])
-            _shift_state(model)
-            got = model.infer(frames[300])
+        want = {(batch_size, t_len): one_thread(pristine, t_len, batch_size)
+                for batch_size in (7, 32) for t_len in frames}
         shifted = copy.deepcopy(pristine)
         _shift_state(shifted)
-        assert not np.array_equal(got, before)
-        assert np.array_equal(got, one_thread(shifted, 300)), threads
+        want_shifted = one_thread(shifted, 300)
+        for threads in (1, 2, 3):
+            model = copy.deepcopy(pristine)
+            calls = []
+            with _on_threads(threads):
+                for batch_size in (7, 32):
+                    for t_len in (300, 5, 14, 20, 300):
+                        got = model.infer(frames[t_len], batch_size=batch_size)
+                        assert np.array_equal(got, want[batch_size, t_len]), (
+                            dtype, threads, batch_size, t_len)
+                        calls.append((got, got.copy()))
+                for got, kept in calls:
+                    assert np.array_equal(got, kept)
+                before = model.infer(frames[300])
+                _shift_state(model)
+                got = model.infer(frames[300])
+            assert not np.array_equal(got, before)
+            assert np.array_equal(got, want_shifted), (dtype, threads)
 
 
 def test_a_worker_block_exception_surfaces_and_no_thread_outlives_infer(monkeypatch):
@@ -218,7 +222,6 @@ def test_a_worker_block_exception_surfaces_and_no_thread_outlives_infer(monkeypa
         def checked(work, rows, out):
             if threading.current_thread() is not threading.main_thread():
                 raise RuntimeError("worker block failed")
-            time.sleep(0.05)  # leaves the next block to the worker
             run(work, rows, out)
         return checked
 
@@ -254,7 +257,8 @@ def test_many_threads_take_every_block_once():
 
 def test_thread_budget_divides_cpus_by_blas_threads(monkeypatch):
     """One inference thread when OpenBLAS runs a thread per CPU, every CPU
-    when it runs one, and a pool worker's share of the budget."""
+    when it runs one, and a pool worker's share of the budget; no `infer`
+    call runs on more than MAX_INFER_THREADS threads."""
     cpus = len(os.sched_getaffinity(0))
     monkeypatch.setattr(models, "blas_threads", lambda: cpus)
     assert models.thread_budget() == 1
@@ -262,14 +266,15 @@ def test_thread_budget_divides_cpus_by_blas_threads(monkeypatch):
     monkeypatch.setattr(models, "blas_threads", lambda: 1)
     monkeypatch.setattr(models.os, "sched_getaffinity", lambda pid: set(range(6)))
     assert models.thread_budget() == 6
+    assert [models.threads_per_worker(p) for p in (6, 4, 3, 2, 1)] == [1, 1, 2, 2, 2]
     try:
         models.share_cores(4)
         assert models.infer_threads() == 1
         models.share_cores(2)
-        assert models.infer_threads() == 3
+        assert models.infer_threads() == 2
     finally:
         models.share_cores(1)
-    assert models.infer_threads() == 6
+    assert models.infer_threads() == models.MAX_INFER_THREADS == 2
 
 
 def test_blas_threads_reads_the_loaded_openblas():
