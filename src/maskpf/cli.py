@@ -18,12 +18,12 @@ codes: 0 ok, 2 bad configuration or arguments, 3 bad data, 4 numeric
 failure.
 
 Every command sends its per-file work through `_map_ordered`, with one
-worker function at every --jobs value. `enhance` and `eval` load the
-model once, in the parent, so a bad model file fails with its own error
-before any worker starts; workers forked from it share that model, and
-workers started otherwise load their own. Training and inference run in
-float32, so `train` saves exactly the trained weights and `enhance` and
-`eval` compute on them as stored.
+worker function at every --jobs value; above one, the files run on
+threads of this process. `enhance` and `eval` load the model once, before
+any file is read, so a bad model file fails with its own error; every
+file thread then infers with that one model. Training and inference run
+in float32, so `train` saves exactly the trained weights and `enhance`
+and `eval` compute on them as stored.
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
 
@@ -83,9 +82,9 @@ def _write_json(path: str, payload: dict) -> None:
 def _write_header(out_dir: str, command: str, args: argparse.Namespace,
                   workers: int) -> None:
     """Write run_header.json. Its `infer_threads` is the threads each
-    `infer` call may run on in one of the `workers` processes that share
-    the CPUs while the command runs (`_pool_size` of its per-file work,
-    1 for `train`, which infers in this process alone)."""
+    `infer` call may run on while `workers` file threads share the CPUs
+    (`_pool_size` of the command's per-file work; 1 for `train`, which
+    infers on the calling thread alone)."""
     _write_json(os.path.join(out_dir, "run_header.json"), {
         "command": command,
         "args": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
@@ -105,53 +104,25 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def _map_ordered(fn, items: list, jobs: int, init=None) -> list:
-    """Apply fn to items across at most `jobs` processes, in input order.
+def _map_ordered(fn, items: list, jobs: int) -> list:
+    """Apply fn to items on at most `jobs` threads, in input order.
 
-    `init` runs once per process before fn: here first, so its errors
-    surface as themselves (an exception in a pool initializer would only
-    break the pool). Pool workers started by `fork` inherit what it set
-    up; under any other start method each worker runs it again as its
-    initializer. Each of the `_pool_size` workers takes its share of the
-    inference thread budget, `threads_per_worker(workers)`, whatever the
-    start method.
+    One worker runs the items on the calling thread, in order, and stops
+    at the first that raises. More run on a thread pool that starts and
+    ends inside the call, and while it runs each `infer` call takes its
+    share of the thread budget, `threads_per_worker(workers)`.
     """
-    if init is not None:
-        init()
     workers = _pool_size(jobs, items)
     if workers == 1:
         return [fn(item) for item in items]
-    forked = multiprocessing.get_start_method() == "fork"
-    worker_init = partial(_start_worker, workers, None if forked else init)
-    with ProcessPoolExecutor(max_workers=workers,
-                             initializer=worker_init) as pool:
+    with share_cores(workers), ThreadPoolExecutor(workers) as pool:
         return list(pool.map(fn, items))
 
 
 def _pool_size(jobs: int, items: list) -> int:
-    """The processes `_map_ordered` runs items on: this one alone at
-    --jobs 1 or for one item, else a pool of at most one worker per item."""
+    """The threads `_map_ordered` runs items on: the calling one alone at
+    --jobs 1 or for one item, else at most one per item."""
     return 1 if jobs == 1 or len(items) <= 1 else min(jobs, len(items))
-
-
-def _start_worker(workers: int, init) -> None:
-    """A pool worker's initializer: its share of the thread budget, then
-    `init`, if any."""
-    share_cores(workers)
-    if init is not None:
-        init()
-
-
-# The (model, stats) of the running enhance or eval command in this
-# process: `_use_model` sets it before any worker reads it, and `main`
-# empties it when the command returns, so no later command sees or keeps it.
-_MODEL = None
-
-
-def _use_model(path: str | None) -> None:
-    """Load the model file at path into this process's slot; None empties it."""
-    global _MODEL
-    _MODEL = None if path is None else load_model(path)[:2]
 
 
 def _load_split(args, split: str) -> tuple[list[ManifestEntry], str]:
@@ -163,7 +134,7 @@ def _load_split(args, split: str) -> tuple[list[ManifestEntry], str]:
 
 def _analyze_worker(job):
     """The `UtterancePair` of an (entry, manifest_dir, ...) job: its
-    spectrograms only, so --jobs workers send no audio back."""
+    spectrograms only."""
     return analyze_pair(*resolve_pair(job[0], job[1]))
 
 
@@ -330,10 +301,10 @@ def _enhance_one(model, stats, coded: AudioBuffer) -> AudioBuffer:
     return stft_filter(coded, enhance)
 
 
-def _enhance_worker(job) -> str:
+def _enhance_worker(model, stats, job) -> str:
     in_path, out_path, fmt = job
     coded = band_limit(read_wav(in_path))
-    write_wav(out_path, _enhance_one(*_MODEL, coded), fmt)
+    write_wav(out_path, _enhance_one(model, stats, coded), fmt)
     return out_path
 
 
@@ -341,8 +312,9 @@ def cmd_enhance(args) -> int:
     out_paths = _output_paths(args.inputs, args.out_dir, ".enhanced.wav")
     out_dir = _ensure_out(args.out_dir)
     jobs = [(p, out, args.format) for p, out in zip(args.inputs, out_paths)]
-    written = _map_ordered(_enhance_worker, jobs, args.jobs,
-                           partial(_use_model, args.model))
+    model, stats, _ = load_model(args.model)
+    written = _map_ordered(partial(_enhance_worker, model, stats), jobs,
+                           args.jobs)
     _write_header(out_dir, "enhance", args, _pool_size(args.jobs, jobs))
     for path in written:
         print(path)
@@ -356,7 +328,7 @@ EVAL_COLUMNS = ("lsd_coded_db", "lsd_enhanced_db", "lsd_improvement_db",
                 "segsnr_coded_db", "segsnr_enhanced_db")
 
 
-def _eval_worker(job) -> list:
+def _eval_worker(model, stats, job) -> list:
     """Scores the samples that the utterance's full analysis frames cover,
     the span an unpadded istft of them would return."""
     entry, manifest_dir = job
@@ -365,7 +337,7 @@ def _eval_worker(job) -> list:
     if n_frames < 1:
         raise DataError(f"signal too short for analysis: {len(coded)} samples")
     scored = (n_frames - 1) * HOP + FRAME_LEN
-    enhanced = _enhance_one(*_MODEL, coded)
+    enhanced = _enhance_one(model, stats, coded)
     clean_t = AudioBuffer(clean.samples[:scored])
     coded_t = AudioBuffer(coded.samples[:scored])
     enhanced_t = AudioBuffer(enhanced.samples[:scored])
@@ -380,8 +352,9 @@ def _eval_worker(job) -> list:
 def cmd_eval(args) -> int:
     entries, manifest_dir = _load_split(args, args.split)
     out_dir = _ensure_out(args.out_dir)
-    rows = _map_ordered(_eval_worker, [(e, manifest_dir) for e in entries],
-                        args.jobs, partial(_use_model, args.model))
+    model, stats, _ = load_model(args.model)
+    rows = _map_ordered(partial(_eval_worker, model, stats),
+                        [(e, manifest_dir) for e in entries], args.jobs)
     table = [
         [i, r[0]] + [_fmt(v) for v in r[1:]] for i, r in enumerate(rows)
     ]
@@ -444,7 +417,8 @@ def build_parser() -> tuple[argparse.ArgumentParser,
                        help=seed_help or "recorded in the run header; this "
                        "command has no stochastic step")
         p.add_argument("--jobs", type=int, default=1,
-                       help="parallel worker processes (default 1)")
+                       help="files processed at once, each on a thread "
+                            "(default 1)")
         if manifest:
             p.add_argument("--manifest", required=True,
                            help="JSONL manifest of clean/coded pairs")
@@ -555,8 +529,6 @@ def main(argv: list[str] | None = None) -> int:
     except MaskpfError as exc:
         print(f"maskpf {args.command}: error: {exc}", file=sys.stderr)
         return exc.exit_code
-    finally:
-        _use_model(None)
 
 
 if __name__ == "__main__":

@@ -123,7 +123,8 @@ def _parse_header(path: str, blob: bytes) -> dict:
         header = json.loads(blob.decode())
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"{path}: unreadable header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format_version") != FORMAT_VERSION:
+    if not isinstance(header, dict) or type(header.get("format_version")) is not int \
+            or header["format_version"] != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported format version")
     kind = header.get("kind")
     if kind not in MODEL_KINDS:

@@ -16,9 +16,10 @@ frame of 205 gains in (0, 2):
 the lstm's layer-1 input projection run once per frame, not once per
 window that holds the frame; the lstm's windows then go through the same
 recurrence (`Lstm.recur`) that training runs, its steps read as slices
-of the shared projections. It runs an utterance's blocks on the threads
-of the process's share of the cores that BLAS leaves idle
-(`infer_threads`), with the same masks on any number of threads.
+of the shared projections. It runs an utterance's blocks on the caller's
+share of the cores that BLAS leaves idle (`infer_threads`), with the same
+masks on any number of threads, and calls from several threads may
+overlap.
 
 Building a model's structure and drawing its initial weights are apart:
 the model classes and `empty_model` only allocate the layers' arrays in
@@ -36,8 +37,10 @@ reconstructible from the layer shapes alone).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -183,29 +186,38 @@ def thread_budget() -> int:
 # scale past that is unknown, and each thread keeps a workspace of its own.
 MAX_INFER_THREADS = 2
 
-# How many pool workers share this process's CPUs: a `--jobs` worker's pool
-# size (`share_cores`), 1 in a process that has them to itself.
-_sharing_processes = 1
+# How many file threads of a `--jobs` pool share the process's CPUs while
+# `share_cores` runs, 1 outside it.
+_sharing_workers = 1
 
 
-def share_cores(processes: int) -> None:
-    """Make this process one of `processes` pool workers that split the
-    thread budget between them."""
-    global _sharing_processes
-    _sharing_processes = processes
+@contextlib.contextmanager
+def share_cores(workers: int):
+    """Within the block, `workers` threads of this process call `infer`
+    at once and split the thread budget between them."""
+    global _sharing_workers
+    before, _sharing_workers = _sharing_workers, workers
+    try:
+        yield
+    finally:
+        _sharing_workers = before
 
 
-def threads_per_worker(processes: int) -> int:
-    """The threads each `infer` call may run on in one of `processes` pool
-    workers: the thread budget divided among them, at least 1 and at most
-    MAX_INFER_THREADS."""
-    return min(MAX_INFER_THREADS, max(1, thread_budget() // processes))
+def threads_per_worker(workers: int) -> int:
+    """The threads each `infer` call may run on while `workers` threads
+    call it at once: the thread budget divided among them, at least 1 and
+    at most MAX_INFER_THREADS."""
+    return min(MAX_INFER_THREADS, max(1, thread_budget() // workers))
 
 
 def infer_threads() -> int:
     """The threads each `infer` call of this process may run on, given its
     `share_cores` setting."""
-    return threads_per_worker(_sharing_processes)
+    return threads_per_worker(_sharing_workers)
+
+
+# Guards every model's free list of workspaces (`Model._works`).
+_WORKS_LOCK = threading.Lock()
 
 
 class Workspace:
@@ -216,8 +228,9 @@ class Workspace:
     slices of what a larger one allocated. A buffer is allocated, zeroed,
     when it is first taken, and again when a request outgrows it or asks
     for another dtype; nothing else ever resets it. So one workspace serves
-    one thread at a time: each thread of an `infer` call takes its own, and
-    two `infer` calls of one model must not overlap.
+    one thread at a time: each thread of an `infer` call takes its own from
+    the model's free list and gives it back when the call returns, so
+    `infer` calls of one model may overlap and never share a workspace.
     """
 
     def __init__(self):
@@ -326,12 +339,14 @@ class Model:
         The blocks are dealt out in turn to the calling thread and up to
         `infer_threads() - 1` worker threads, no more than there are blocks:
         with n threads, thread t runs blocks t, t + n, t + 2n, ... Each
-        thread has a `Workspace` of its own, kept by the model across calls,
-        where the lstm and the ced keep their block buffers. A block is
-        computed the same way whichever thread runs it, so the masks do not
-        depend on the thread count. The worker threads start and end inside
-        the call, and an exception in any block is raised here once every
-        thread has stopped. A single block runs on the calling thread alone.
+        thread takes a `Workspace` of its own from the model's free list,
+        where the lstm and the ced keep their block buffers, and the call
+        gives them back when it returns; so calls from several threads may
+        overlap. A block is computed the same way whichever thread and
+        workspace run it, so the masks do not depend on the thread count.
+        The worker threads start and end inside the call, and an exception
+        in any block is raised here once every thread has stopped. A single
+        block runs on the calling thread alone.
 
         The masks come back in a fresh array. The frames are cast to the
         weights' dtype, and so are the masks; a frame width other than
@@ -352,27 +367,28 @@ class Model:
         masks = np.empty(frames.shape, frames.dtype)
         starts = range(0, frames.shape[0], batch_size)
         run = self._block_runner()
-        works = self._workspaces(min(infer_threads(), len(starts)))
+        n = min(infer_threads(), len(starts))
+        with _WORKS_LOCK:
+            works = [self._works.pop() if self._works else Workspace()
+                     for _ in range(n)]
 
         def work(t):
-            for i in starts[t :: len(works)]:
+            for i in starts[t::n]:
                 run(works[t], rows[i : i + span], masks[i : i + batch_size])
 
-        if len(works) == 1:
-            work(0)
-            return masks
-        with ThreadPoolExecutor(len(works) - 1) as pool:
-            helpers = [pool.submit(work, t) for t in range(1, len(works))]
-            work(0)
-        for helper in helpers:
-            helper.result()
+        try:
+            if n == 1:
+                work(0)
+            else:
+                with ThreadPoolExecutor(n - 1) as pool:
+                    helpers = [pool.submit(work, t) for t in range(1, n)]
+                    work(0)
+                for helper in helpers:
+                    helper.result()
+        finally:
+            with _WORKS_LOCK:
+                self._works.extend(works)
         return masks
-
-    def _workspaces(self, n: int) -> list[Workspace]:
-        """The first n of the workspaces this model keeps for the threads of
-        its `infer` calls, made on first use."""
-        self._works.extend(Workspace() for _ in range(n - len(self._works)))
-        return self._works[:n]
 
     def _block_runner(self):
         """The function `run(work, rows, out)` one `infer` call runs per

@@ -25,6 +25,7 @@ exception and is only reported, never used.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -43,6 +44,12 @@ from .models import (
 )
 
 
+# The `TrainConfig` fields that must be an int, and those that may be any
+# real number; neither may be a bool.
+_INT_FIELDS = ("batch_size", "max_epochs", "patience", "seed")
+_RATE_FIELDS = ("learning_rate", "beta1", "beta2", "adam_eps", "min_delta")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     kind: str = "fcnn"
@@ -57,25 +64,31 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # Written so that NaN fails each check: every comparison with NaN
-        # is false.
+        # Types first, so that each range check compares numbers. The range
+        # checks are comparisons, written so that NaN fails each (every
+        # comparison with NaN is false) and no int is too large for them.
+        for names, types, what in ((_INT_FIELDS, int, "an int"),
+                                   (_RATE_FIELDS, (int, float), "a number")):
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, types):
+                    raise ConfigError(f"{name} must be {what}, got {value!r}")
         if self.kind not in MODEL_KINDS:
             raise ConfigError(f"kind must be one of {MODEL_KINDS}")
         if not (self.batch_size >= 1 and self.max_epochs >= 1):
             raise ConfigError("batch_size and max_epochs must be >= 1")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+        if not 0 <= self.learning_rate < math.inf:
             raise ConfigError(
                 f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if not (self.patience >= 1 and np.isfinite(self.min_delta)
-                and self.min_delta >= 0):
+        if not (self.patience >= 1 and 0 <= self.min_delta < math.inf):
             raise ConfigError("patience must be >= 1 and min_delta finite and >= 0")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigError(
                 f"beta1 and beta2 must be in [0, 1), got {self.beta1}, {self.beta2}")
-        if not (np.isfinite(self.adam_eps) and self.adam_eps > 0):
+        if not 0 < self.adam_eps < math.inf:
             raise ConfigError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ConfigError(f"seed must be an int >= 0, got {self.seed!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

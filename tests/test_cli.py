@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -623,12 +624,13 @@ def test_negative_seed_exits_2_without_a_traceback(tmp_path, manifest_path,
     assert "--seed" in run.stderr
 
 
-def test_enhance_and_degrade_jobs_parity(tmp_path, corpus_dir, trained_dir,
-                                        monkeypatch):
+def test_enhance_and_degrade_jobs_parity(tmp_path, corpus_dir, manifest_path,
+                                        trained_dir, monkeypatch):
     """Outputs are byte-identical at --jobs 1 and 2 with a thread budget of
-    2 and blocks of 16 frames, so the in-process enhance runs its blocks on
-    two threads. Those threads end with its `infer` calls, so the --jobs 2
-    enhance forks workers from a process with none of them left."""
+    2 and blocks of 16 frames: degraded and enhanced WAVs, eval CSVs and a
+    1-epoch train's model file. At --jobs 1 enhance runs each file's blocks
+    on two threads; at --jobs 2 two file threads share one model, each
+    `infer` on one thread. No thread outlives a command."""
     monkeypatch.setattr(models.os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(models, "blas_threads", lambda: 1)
     monkeypatch.setattr(models.FcnnModel, "infer_batch", 16)
@@ -657,34 +659,37 @@ def test_enhance_and_degrade_jobs_parity(tmp_path, corpus_dir, trained_dir,
         assert read_header(enh)["infer_threads"] == {"1": 2, "2": 1}[jobs]
         if jobs == "1":  # each 1 s file is 4 blocks, run on 2 threads
             assert helper_pools == [1] * 3
+        ev, tr = tmp_path / f"eval{jobs}", tmp_path / f"train{jobs}"
+        assert main(["eval", "--manifest", manifest_path, "--out-dir", str(ev),
+                     "--split", "train", "--model", model, "--jobs", jobs]) == 0
+        assert main(["train", "--manifest", manifest_path, "--out-dir", str(tr),
+                     "--epochs", "1", "--jobs", jobs]) == 0
+        assert threading.active_count() == threads
         outputs[jobs] = {f"{step}/{p.name}": p.read_bytes()
-                         for step, d in (("degrade", deg), ("enhance", enh))
-                         for p in d.glob("*.wav")}
-    assert len(outputs["1"]) == 6
+                         for step, d, pattern in (
+                             ("degrade", deg, "*.wav"), ("enhance", enh, "*.wav"),
+                             ("eval", ev, "*.csv"), ("train", tr, "*.mpf1"))
+                         for p in d.glob(pattern)}
+    assert len(outputs["1"]) == 9
     assert outputs["1"] == outputs["2"]
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and the
-    inference threads a worker takes, runs inline. A real pool runs its
-    initializer in the workers, so the share of the thread budget it takes
-    goes back to this process's own on exit."""
+    """Stands in for the file threads' ThreadPoolExecutor: records
+    max_workers and the inference threads each `infer` call takes while
+    the pool runs, and runs inline."""
 
     max_workers: list = []
     worker_threads: list = []
 
-    def __init__(self, max_workers, initializer=None):
+    def __init__(self, max_workers):
         self.max_workers.append(max_workers)
-        self.initializer = initializer
 
     def __enter__(self):
-        if self.initializer is not None:
-            self.initializer()
         self.worker_threads.append(models.infer_threads())
         return self
 
     def __exit__(self, *exc):
-        models.share_cores(1)
         return False
 
     def map(self, fn, items):
@@ -696,7 +701,7 @@ def test_jobs_caps_workers_at_items_and_rejects_zero(tmp_path, corpus_dir,
     """At most one worker per file, and the workers started split the
     thread budget (4 here) between them: `--jobs 8` on two files starts two
     workers of 2 threads each."""
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "max_workers", [])
     monkeypatch.setattr(RecordingPool, "worker_threads", [])
     monkeypatch.setattr(models.os, "sched_getaffinity", lambda pid: set(range(4)))
@@ -708,6 +713,7 @@ def test_jobs_caps_workers_at_items_and_rejects_zero(tmp_path, corpus_dir,
                      *wavs[:n_files]]) == 0
     assert RecordingPool.max_workers == [2, 2, 3]
     assert RecordingPool.worker_threads == [2, 2, 1]
+    assert models.infer_threads() == 2  # the pool's share ends with it
     for jobs in ("0", "-1"):
         assert main(["degrade", "--out-dir", str(tmp_path / "x"),
                      "--preset", "q_low", "--jobs", jobs, *wavs]) == 2
@@ -715,13 +721,18 @@ def test_jobs_caps_workers_at_items_and_rejects_zero(tmp_path, corpus_dir,
     assert "--jobs" in capsys.readouterr().err
 
 
-def count_model_loads(monkeypatch) -> list:
+def count_model_loads(monkeypatch, loaded=None) -> list:
+    """The paths `cli.load_model` is called with, in a list that grows with
+    each call; a weak reference to each model loaded goes into `loaded`."""
     calls = []
     real = cli.load_model
 
     def counted(path):
         calls.append(path)
-        return real(path)
+        model, stats, header = real(path)
+        if loaded is not None:
+            loaded.append(weakref.ref(model))
+        return model, stats, header
 
     monkeypatch.setattr(cli, "load_model", counted)
     return calls
@@ -729,8 +740,11 @@ def count_model_loads(monkeypatch) -> list:
 
 def test_model_loads_once_per_command(tmp_path, manifest_path, corpus_dir,
                                       trained_dir, monkeypatch):
+    """One load per command, and nothing keeps the model once `main`
+    returns."""
     model = os.path.join(trained_dir, "model.mpf1")
-    calls = count_model_loads(monkeypatch)
+    loaded = []
+    calls = count_model_loads(monkeypatch, loaded)
     assert main(["eval", "--manifest", manifest_path, "--out-dir",
                  str(tmp_path / "eval"), "--split", "train", "--model", model,
                  "--jobs", "1"]) == 0
@@ -741,14 +755,14 @@ def test_model_loads_once_per_command(tmp_path, manifest_path, corpus_dir,
                  model, "--jobs", "1", *clean_wavs(corpus_dir)]) == 0
     assert len(list((tmp_path / "enh").glob("*.wav"))) == 3
     assert calls == [model]
-    assert cli._MODEL is None
+    assert len(loaded) == 2 and all(ref() is None for ref in loaded)
 
 
 def test_enhance_jobs_2_loads_the_model_once(tmp_path, corpus_dir, trained_dir,
                                              monkeypatch):
-    """Workers forked from the parent share its model: over all processes,
-    `enhance --jobs 2` on four files loads it once. Each load appends its
-    process id to a file, which every process can reach."""
+    """The file threads share one model: `enhance --jobs 2` on four files
+    loads it once, in this process. Each load appends its process id to a
+    file, so a load in any other process would show there too."""
     model = os.path.join(trained_dir, "model.mpf1")
     log = tmp_path / "loads.txt"
     real = cli.load_model
@@ -764,23 +778,6 @@ def test_enhance_jobs_2_loads_the_model_once(tmp_path, corpus_dir, trained_dir,
                  model, "--jobs", "2", *inputs]) == 0
     assert len(list((tmp_path / "enh").glob("*.wav"))) == 4
     assert log.read_text().split() == [str(os.getpid())]
-
-
-def test_workers_load_their_own_model_unless_forked(tmp_path, corpus_dir,
-                                                    trained_dir, monkeypatch):
-    """Under a start method other than fork, each pool worker runs the
-    loader again as its initializer (the stand-in pool runs it once)."""
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "max_workers", [])
-    model = os.path.join(trained_dir, "model.mpf1")
-    calls = count_model_loads(monkeypatch)
-    for method, loads in (("fork", 1), ("spawn", 2)):
-        monkeypatch.setattr(cli.multiprocessing, "get_start_method",
-                            lambda: method)
-        calls.clear()
-        assert main(["enhance", "--out-dir", str(tmp_path / method), "--model",
-                     model, "--jobs", "2", *clean_wavs(corpus_dir, 2)]) == 0
-        assert calls == [model] * loads, method
 
 
 def test_float32_eval_lsd_matches_float64_inference(tmp_path, manifest_path,
@@ -956,6 +953,9 @@ MALFORMED_MODELS = {
     "train_config_nan_lr": (_train_field("learning_rate", math.nan), None),
     "train_config_nan_beta1": (_train_field("beta1", math.nan), None),
     "train_config_negative_adam_eps": (_train_field("adam_eps", -1.0), None),
+    "train_config_list_lr": (_train_field("learning_rate", []), None),
+    "train_config_float_batch_size": (_train_field("batch_size", 1.5), None),
+    "format_version_true": (_with("format_version", True), None),
     "no_context_frames": (_without("context_frames"), None),
     "wrong_context_frames": (_with("context_frames", 6), None),
     "missing_tensor": _drop_tensor("head.b"),
@@ -1000,6 +1000,14 @@ def wav_bytes(data, rate=16000):
 _GOOD_WAV = wav_bytes(np.round(3000 * np.sin(np.arange(4000) * 0.05))
                       .astype(np.int16))
 
+
+_SHORT_WAV = wav_bytes(np.frombuffer(_GOOD_WAV[44:844], np.int16))
+
+
+def _with_byte(data, offset, value):
+    """data with the byte at offset set to value."""
+    return data[:offset] + bytes([value]) + data[offset + 1:]
+
 MALFORMED_WAVS = {
     "empty": b"",
     "riff_header_only": _GOOD_WAV[:12],
@@ -1012,6 +1020,11 @@ MALFORMED_WAVS = {
     "nan_sample": wav_bytes(np.array([0.0, np.nan] * 2000, np.float32)),
     "inf_sample": wav_bytes(np.array([0.0, np.inf] * 2000, np.float32)),
     "zero_samples": wav_bytes(np.zeros(0, np.int16)),
+    # a 400-sample PCM16 file with its fmt chunk size, then its channel
+    # count, changed: each once got past scipy's reader as another error
+    "fmt_size_127": _with_byte(_SHORT_WAV, 16, 127),
+    "zero_channels": _with_byte(_SHORT_WAV, 22, 0),
+    "data_longer_than_file": _with_byte(_GOOD_WAV, 43, 1),
 }
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -255,10 +256,39 @@ def test_many_threads_take_every_block_once():
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("kind", ["lstm", "ced"])
+def test_overlapping_infer_calls_share_no_workspace(kind):
+    """Two threads call `infer` five times each on one float32 model, each
+    on frames of its own, switching as often as the interpreter allows:
+    every mask is bit for bit the one the model gives on one thread. Two
+    calls that shared a workspace would overwrite each other's block
+    buffers."""
+    model = _in_dtype(_with_running_stats(kind, 20, np.random.default_rng(151)),
+                      np.float32)
+    rng = np.random.default_rng(152)
+    frames = [rng.standard_normal((300, 205)).astype(np.float32)
+              for _ in range(2)]
+    interval = sys.getswitchinterval()
+    with _on_threads(1):
+        want = [model.infer(f) for f in frames]
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                got = list(pool.map(
+                    lambda f: [model.infer(f) for _ in range(5)], frames,
+                    timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+    for masks, ref in zip(got, want):
+        for mask in masks:
+            assert np.array_equal(mask, ref)
+
+
 def test_thread_budget_divides_cpus_by_blas_threads(monkeypatch):
     """One inference thread when OpenBLAS runs a thread per CPU, every CPU
-    when it runs one, and a pool worker's share of the budget; no `infer`
-    call runs on more than MAX_INFER_THREADS threads."""
+    when it runs one, and a file thread's share of the budget while
+    `share_cores` runs, the outer share again once an inner one ends; no
+    `infer` call runs on more than MAX_INFER_THREADS threads."""
     cpus = len(os.sched_getaffinity(0))
     monkeypatch.setattr(models, "blas_threads", lambda: cpus)
     assert models.thread_budget() == 1
@@ -266,14 +296,12 @@ def test_thread_budget_divides_cpus_by_blas_threads(monkeypatch):
     monkeypatch.setattr(models, "blas_threads", lambda: 1)
     monkeypatch.setattr(models.os, "sched_getaffinity", lambda pid: set(range(6)))
     assert models.thread_budget() == 6
-    assert [models.threads_per_worker(p) for p in (6, 4, 3, 2, 1)] == [1, 1, 2, 2, 2]
-    try:
-        models.share_cores(4)
+    assert [models.threads_per_worker(w) for w in (6, 4, 3, 2, 1)] == [1, 1, 2, 2, 2]
+    with models.share_cores(4):
         assert models.infer_threads() == 1
-        models.share_cores(2)
-        assert models.infer_threads() == 2
-    finally:
-        models.share_cores(1)
+        with models.share_cores(2):
+            assert models.infer_threads() == 2
+        assert models.infer_threads() == 1
     assert models.infer_threads() == models.MAX_INFER_THREADS == 2
 
 

@@ -423,7 +423,14 @@ def test_train_config_validation():
                 {"min_delta": np.nan},
                 {"max_epochs": np.nan}, {"beta1": np.nan}, {"beta1": -0.1},
                 {"beta2": 1.0}, {"adam_eps": -1.0}, {"adam_eps": 0.0},
-                {"adam_eps": np.nan}, {"adam_eps": np.inf}):
+                {"adam_eps": np.nan}, {"adam_eps": np.inf},
+                # each type is checked before its range: a list, a bool or a
+                # float where an int belongs is a ConfigError, not a TypeError
+                # or a ValueError from the comparison
+                {"learning_rate": []}, {"min_delta": []}, {"adam_eps": []},
+                {"beta1": True}, {"learning_rate": "0.1"},
+                {"batch_size": 1.5}, {"max_epochs": 2.0}, {"patience": True},
+                {"seed": True}):
         with pytest.raises(ConfigError):
             TrainConfig(**bad)
 
