@@ -64,7 +64,7 @@ from .mask import (
 )
 from .metrics import log_spectral_distance, lsd_from_mags, segmental_snr
 from .nn.io import load_model, save_model
-from .nn.models import MODEL_KINDS, share_cores, threads_per_worker
+from .nn.models import MODEL_KINDS, blas_threads, share_cores, threads_per_worker
 from .nn.train import TrainConfig, train_model
 
 
@@ -84,10 +84,14 @@ def _write_header(out_dir: str, command: str, args: argparse.Namespace,
     """Write run_header.json. Its `infer_threads` is the threads each
     `infer` call may run on while `workers` file threads share the CPUs
     (`_pool_size` of the command's per-file work; 1 for `train`, which
-    infers on the calling thread alone)."""
+    infers on the calling thread alone). In `train` it is also the number
+    of threads a ced training step runs its two halves on. `blas_threads`
+    is the loaded OpenBLAS's thread count, which float32 trained bits
+    depend on."""
     _write_json(os.path.join(out_dir, "run_header.json"), {
         "command": command,
         "args": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
+        "blas_threads": blas_threads(),
         "infer_threads": threads_per_worker(workers),
         "package_version": __version__,
     })

@@ -246,9 +246,14 @@ class BatchNorm(Layer):
 
     Works on (N, C) and (N, C, H, W) alike, always on the (M, C) matrix of
     channel vectors; that matrix is a view of channels-last input and a
-    copy of any other. Running statistics are updated with exponential
-    smoothing (`BN_MOMENTUM`) during training and used verbatim at eval
-    time; they travel with the model file but receive no gradient.
+    copy of any other. A train-mode forward normalizes over the rows it
+    is given and records their count, mean and variance as `moments`; it
+    does not touch the running statistics. The model that ran it makes
+    one `update_running` call per batch, from the moments of every part
+    the batch ran in (one for the fcnn, two halves for the ced), so the
+    running statistics follow whole batches with exponential smoothing.
+    They are used verbatim at eval time, travel with the model file and
+    receive no gradient.
 
     At eval time the layer is an affine map per channel, so `fold` can
     merge it into the conv before it, as the conv estimator's `infer` does.
@@ -263,6 +268,7 @@ class BatchNorm(Layer):
         self.run_var = np.ones(n_channels, dtype)
         self.ggamma = np.zeros(n_channels, dtype)
         self.gbeta = np.zeros(n_channels, dtype)
+        self.moments: tuple | None = None  # (rows, mean, variance)
         self._xhat: np.ndarray | None = None
 
     def params(self):
@@ -284,8 +290,7 @@ class BatchNorm(Layer):
             mean = np.einsum("mc->c", rows) / m
             xhat = rows - mean
             var = np.einsum("mc,mc->c", xhat, xhat) / m
-            self.run_mean[...] = BN_MOMENTUM * self.run_mean + (1 - BN_MOMENTUM) * mean
-            self.run_var[...] = BN_MOMENTUM * self.run_var + (1 - BN_MOMENTUM) * var
+            self.moments = (m, mean, var)
             self._inv_std = 1.0 / np.sqrt(var + BN_EPS)
             xhat *= self._inv_std
             self._xhat = xhat
@@ -297,6 +302,22 @@ class BatchNorm(Layer):
             y = rows * scale
             y += self.beta - self.run_mean * scale
         return np.moveaxis(y.reshape(moved.shape), -1, 1)
+
+    def update_running(self, parts: list[tuple]) -> None:
+        """One momentum step (`BN_MOMENTUM`) of the running statistics
+        toward the mean and variance of one batch, given the `moments` that
+        the train-mode forwards of its consecutive parts recorded, in batch
+        order. One part's moments are used as they are; more merge pairwise
+        into the whole batch's (Chan, Golub & LeVeque 1979)."""
+        m, mean, var = parts[0]
+        for m_b, mean_b, var_b in parts[1:]:
+            total = m + m_b
+            delta = mean_b - mean
+            mean = mean + delta * (m_b / total)
+            var = (var * m + var_b * m_b + delta * delta * (m * m_b / total)) / total
+            m = total
+        self.run_mean[...] = BN_MOMENTUM * self.run_mean + (1 - BN_MOMENTUM) * mean
+        self.run_var[...] = BN_MOMENTUM * self.run_var + (1 - BN_MOMENTUM) * var
 
     def _eval_scale(self) -> np.ndarray:
         return self.gamma / np.sqrt(self.run_var + BN_EPS)

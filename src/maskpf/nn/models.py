@@ -19,7 +19,8 @@ recurrence (`Lstm.recur`) that training runs, its steps read as slices
 of the shared projections. It runs an utterance's blocks on the caller's
 share of the cores that BLAS leaves idle (`infer_threads`), with the same
 masks on any number of threads, and calls from several threads may
-overlap.
+overlap. A ced training step runs its batch's two fixed halves on the
+same share (`CedModel`), with the same result on any number of threads.
 
 Building a model's structure and drawing its initial weights are apart:
 the model classes and `empty_model` only allocate the layers' arrays in
@@ -38,6 +39,7 @@ reconstructible from the layer shapes alone).
 from __future__ import annotations
 
 import contextlib
+import copy
 import functools
 import os
 import threading
@@ -216,6 +218,32 @@ def infer_threads() -> int:
     return threads_per_worker(_sharing_workers)
 
 
+def _run_split(tasks: list, parallel: bool) -> list:
+    """The results of the callables in `tasks`, in order. In parallel the
+    first runs on the calling thread and each other on a worker thread of
+    its own, which starts and ends inside this call; otherwise all run in
+    order on the calling thread. An exception in any task is raised here
+    once every task has stopped."""
+    if not parallel or len(tasks) == 1:
+        return [task() for task in tasks]
+    with ThreadPoolExecutor(len(tasks) - 1) as pool:
+        helpers = [pool.submit(task) for task in tasks[1:]]
+        first = tasks[0]()
+    return [first] + [helper.result() for helper in helpers]
+
+
+def _twin_layer(layer: Layer) -> Layer:
+    """A shallow copy of layer that shares its parameter and running-
+    statistic arrays but writes gradient arrays of its own. Each pass
+    rebinds the arrays it saves, so the two keep their own from then on."""
+    twin = copy.copy(layer)
+    grads = {id(g) for g in layer.grads().values()}
+    for attr, value in list(vars(twin).items()):
+        if id(value) in grads:
+            setattr(twin, attr, np.zeros_like(value))
+    return twin
+
+
 # Guards every model's free list of workspaces (`Model._works`).
 _WORKS_LOCK = threading.Lock()
 
@@ -321,8 +349,22 @@ class Model:
         """Write every grads() array for the output gradient gy of the last
         train-mode forward. The gradient of the network input is not
         computed: each estimator builds its first layer with
-        `input_grad=False`, since nothing reads it."""
+        `input_grad=False`, since nothing reads it.
+
+        The ced runs the batch's two halves back through this model and its
+        twin (`CedModel`) and then adds the twin's gradients to this
+        model's: first half plus second half, in that order. The fcnn and
+        the lstm run the batch whole."""
         raise NotImplementedError
+
+    def _update_running(self, parts: list[Model]) -> None:
+        """Step every batch norm's running statistics once, from the
+        moments its counterpart in each of `parts` (this model, then its
+        twin) recorded for its consecutive part of one batch."""
+        for layers in zip(*(part._layers() for part in parts)):
+            bn = layers[0][1]
+            if isinstance(bn, BatchNorm):
+                bn.update_running([layer.moments for _, layer in layers])
 
     def infer(self, frames: np.ndarray, batch_size: int | None = None) -> np.ndarray:
         """Eval-mode masks (T, bins) for one utterance's normalized (T, bins)
@@ -377,14 +419,7 @@ class Model:
                 run(works[t], rows[i : i + span], masks[i : i + batch_size])
 
         try:
-            if n == 1:
-                work(0)
-            else:
-                with ThreadPoolExecutor(n - 1) as pool:
-                    helpers = [pool.submit(work, t) for t in range(1, n)]
-                    work(0)
-                for helper in helpers:
-                    helper.result()
+            _run_split([functools.partial(work, t) for t in range(n)], True)
         finally:
             with _WORKS_LOCK:
                 self._works.extend(works)
@@ -433,6 +468,8 @@ class FcnnModel(Model):
     def forward(self, x, train=False):
         for _, layer in self.layers:
             x = layer.forward(x, train=train)
+        if train:
+            self._update_running([self])
         return x
 
     def backward(self, gy):
@@ -510,6 +547,22 @@ class CedModel(Model):
     layers as (N, C, H, W) views; every buffer after the first conv is one
     this model allocated, so its ELUs run in place.
 
+    Training splits every batch of N > 1 windows into fixed halves, the
+    first ceil(N/2) windows and the rest, whatever the thread count. This
+    model runs the first half on the calling thread; its twin (`_twin`),
+    whose layers share this model's parameter and running-statistic arrays
+    but keep gradients and saved arrays of their own, runs the second on a
+    worker thread when `infer_threads()` allows two, else after the first
+    on the calling thread. Each batch norm normalizes each half over that
+    half's own windows ("ghost" batch norm, Hoffer, Hubara & Soudry, arXiv
+    1705.08741), and its running statistics then take one step toward the
+    whole batch's mean and variance, merged from both halves' moments
+    (`BatchNorm.update_running`). `backward` runs the halves back the same
+    way and adds the twin's gradients to this model's, first half plus
+    second half, so `grads()` holds the whole batch's. Outputs, gradients
+    and running statistics are the same on one thread or two. A batch of
+    one window runs whole on the calling thread.
+
     Inference (`_infer_rows`) takes another route to the same masks. At
     the start of each `infer` call every conv -> batch norm pair is folded
     into one conv (scaled weights, shifted bias) from the current running
@@ -544,6 +597,7 @@ class CedModel(Model):
         self.head = Conv2d(1, 1, (CONTEXT_FRAMES["ced"], 1), (1, 1), dtype)
         self.sig = ScaledSigmoid()
         self._works: list[Workspace] = []
+        self._cut: int | None = None  # windows of the last train batch's first half
 
     def _layers(self):
         out: list[tuple[str, Layer]] = []
@@ -558,6 +612,32 @@ class CedModel(Model):
     def forward(self, x, train=False):
         if x.ndim != 4 or x.shape[1] != 1:
             raise ConfigError("conv estimator expects (N, 1, T, F) input")
+        if not train:
+            self._cut = None
+            return self._run(x, False)
+        n = x.shape[0]
+        cut = self._cut = (n + 1) // 2  # all of a one-window batch
+        parts = [(self, x[:cut]), (self._twin, x[cut:])] if cut < n else [(self, x)]
+        ys = _run_split([functools.partial(part._run, xs, True) for part, xs in parts],
+                        infer_threads() > 1)
+        self._update_running([part for part, _ in parts])
+        return np.concatenate(ys) if len(ys) > 1 else ys[0]
+
+    @functools.cached_property
+    def _twin(self) -> CedModel:
+        """The model that runs the second half of a training batch: a copy
+        whose layers share this model's parameter and running-statistic
+        arrays and keep gradients and saved arrays of their own."""
+        twin = copy.copy(self)
+        twin.enc = [(name,) + tuple(map(_twin_layer, layers))
+                    for name, *layers in self.enc]
+        twin.dec = [(name,) + tuple(map(_twin_layer, layers))
+                    for name, *layers in self.dec]
+        twin.head, twin.sig = _twin_layer(self.head), _twin_layer(self.sig)
+        return twin
+
+    def _run(self, x, train):
+        """The masks of the windows x through this model's layers."""
         enc = self._encode(x, train)
         return self._decode(enc[3], enc[:3], train)
 
@@ -661,6 +741,18 @@ class CedModel(Model):
         masks *= MASK_SCALE
 
     def backward(self, gy):
+        cut = self._cut
+        if cut is None or cut == gy.shape[0]:  # after an eval forward, it raises
+            self._backward(gy)
+            return
+        twin = self._twin
+        _run_split([functools.partial(self._backward, gy[:cut]),
+                    functools.partial(twin._backward, gy[cut:])], infer_threads() > 1)
+        for g, g_twin in zip(self.grads().values(), twin.grads().values()):
+            g += g_twin
+
+    def _backward(self, gy):
+        """Write this model's grads() arrays for its last train-mode `_run`."""
         n = gy.shape[0]
         g = self.sig.backward(gy).reshape(n, 1, 1, -1)
         g = self.head.backward(g)

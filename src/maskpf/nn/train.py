@@ -11,7 +11,11 @@ magnitudes, all plain arrays (`features.build_dataset` makes them).
 A training step is a train-mode forward, the loss, one backward pass and
 one Adam update. The backward pass writes every gradient array the
 update reads, whatever they held, so no step zeroes them first, and it
-computes no gradient of the network input.
+computes no gradient of the network input. The ced's forward and
+backward run the batch as two fixed halves, on two threads when the
+thread budget allows (`CedModel`), and hand back the whole batch's
+output and summed gradients, so this loop and `Adam` see one batch
+either way.
 
 Each epoch's validation loss scores the masks `Model.infer` gives for
 the validation windows, the eval path `enhance` and `eval` take, and

@@ -20,7 +20,7 @@ import maskpf
 from maskpf.errors import ConfigError, DataError
 from maskpf.nn.adam import Adam
 from maskpf.nn import models
-from maskpf.nn.layers import BatchNorm
+from maskpf.nn.layers import BN_MOMENTUM, BatchNorm
 from maskpf.nn.lstm import Lstm
 from maskpf.nn.models import (
     CONTEXT_FRAMES,
@@ -369,7 +369,9 @@ def test_float32_forward_and_backward_stay_float32(kind):
     gy = rng.standard_normal(y.shape).astype(np.float32)
     assert model.backward(gy) is None
     layers = dict(model._layers())
-    g_head = layers["sig"].backward(gy).reshape(y.shape[0], *HEAD_OUT[kind])
+    # the ced's own layers ran the first half of the batch, its twin's the rest
+    n = (y.shape[0] + 1) // 2 if kind == "ced" else y.shape[0]
+    g_head = layers["sig"].backward(gy[:n]).reshape(n, *HEAD_OUT[kind])
     gx = layers["dense3" if kind == "fcnn" else "head"].backward(g_head)
     assert y.dtype == gx.dtype == np.float32
     caches = [(f"{name}.{attr}", arr) for name, layer in model._layers()
@@ -662,3 +664,121 @@ def test_ced_gradients_small():
     x = rng.standard_normal((2, 1, 6, 45))
     worst, _ = model_grad_check(model, x, samples_per_tensor=3, seed=22)
     assert worst <= 1e-4, worst
+
+
+def _ced_step(model, x, gy):
+    """A train-mode forward and backward; the output, every gradient and
+    every running statistic, copied."""
+    y = model.forward(x, train=True)
+    model.backward(gy)
+    return y, {k: v.copy() for k, v in {**model.grads(), **model.state()}.items()}
+
+
+@pytest.mark.parametrize("n", [32, 17, 2])
+def test_ced_training_halves_do_not_depend_on_the_thread_count(n):
+    """The ced runs a training batch as two fixed halves: on 1 and on 2
+    threads a float32 forward and backward give bit for bit the same
+    output, gradients and running statistics, twice in a row."""
+    rng = np.random.default_rng(153)
+    x = rng.standard_normal((n, 1, 6, 205)).astype(np.float32)
+    gy = rng.standard_normal((n, 205)).astype(np.float32)
+    got = {}
+    for threads in (1, 2):
+        model = build_model("ced", seed=26, dtype=np.float32)
+        with _on_threads(threads):
+            got[threads] = [_ced_step(model, x, gy) for _ in range(2)]
+    for (y1, s1), (y2, s2) in zip(got[1], got[2]):
+        assert y1.dtype == np.float32 and np.array_equal(y1, y2)
+        for key, arr in s1.items():
+            assert np.array_equal(arr, s2[key]), key
+
+
+def _bn_inputs(monkeypatch):
+    """Record the input of every train-mode batch-norm forward, by layer."""
+    seen = {}
+    real = BatchNorm.forward
+
+    def recording(layer, x, train=False):
+        if train:
+            seen.setdefault(id(layer), []).append(x.copy())
+        return real(layer, x, train)
+
+    monkeypatch.setattr(BatchNorm, "forward", recording)
+    return seen
+
+
+@pytest.mark.parametrize("n", [32, 17])
+def test_ced_running_statistics_are_the_whole_batch(monkeypatch, n):
+    """Each batch norm normalizes each half over that half's own windows,
+    and its running statistics take one step toward the mean and variance
+    of both halves' inputs together (17 windows: 9 + 8)."""
+    rng = np.random.default_rng(154)
+    model = build_model("ced", seed=27)
+    x = rng.standard_normal((n, 1, 6, 205)) * 1.5 + 0.3
+    seen = _bn_inputs(monkeypatch)
+    with _on_threads(2):
+        model.forward(x, train=True)
+    pairs = [(bn, twin_bn) for (_, _, bn, _), (_, _, twin_bn, _)
+             in zip(model.enc + model.dec, model._twin.enc + model._twin.dec)]
+    for bn, twin_bn in pairs:
+        (first,), (second,) = seen[id(bn)], seen[id(twin_bn)]
+        assert first.shape[0] == (n + 1) // 2 and second.shape[0] == n // 2
+        assert bn.moments[0] == first.size // first.shape[1]
+        whole = np.concatenate([first, second])
+        mean = whole.mean(axis=(0, 2, 3))
+        var = whole.var(axis=(0, 2, 3))
+        np.testing.assert_allclose(bn.run_mean, (1 - BN_MOMENTUM) * mean,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(bn.run_var, BN_MOMENTUM + (1 - BN_MOMENTUM) * var,
+                                   rtol=0, atol=1e-12)
+        assert np.shares_memory(bn.gamma, twin_bn.gamma)
+        assert not np.shares_memory(bn.ggamma, twin_bn.ggamma)
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+
+def test_a_one_window_ced_batch_runs_on_the_calling_thread(monkeypatch):
+    model = build_model("ced", seed=28)
+    x = np.random.default_rng(155).standard_normal((1, 1, 6, 205))
+    monkeypatch.setattr(models, "ThreadPoolExecutor", _NoPool)
+    with _on_threads(2):
+        y = model.forward(x, train=True)
+        model.backward(np.ones_like(y))
+    assert "_twin" not in vars(model)
+    assert np.any(model.grads()["enc1.w"] != 0.0)
+
+
+@pytest.mark.parametrize("method", ["_run", "_backward"])
+def test_a_ced_worker_half_exception_surfaces_and_no_thread_outlives_it(
+        monkeypatch, method):
+    """An exception in the second half's forward or backward, on the
+    worker thread, is raised from the model's call, which leaves as many
+    threads as it found; the model trains again afterwards."""
+    model = build_model("ced", seed=29, dtype=np.float32)
+    rng = np.random.default_rng(156)
+    x = rng.standard_normal((8, 1, 6, 205)).astype(np.float32)
+    gy = rng.standard_normal((8, 205)).astype(np.float32)
+    twin = model._twin
+    real = getattr(twin, method)
+
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("worker half failed")
+        return real(*args)
+
+    monkeypatch.setattr(twin, method, failing)
+    before = threading.active_count()
+    outputs = []
+    with _on_threads(2):
+        with pytest.raises(RuntimeError, match="worker half failed"):
+            outputs.append(model.forward(x, train=True))
+            model.backward(gy)
+        assert len(outputs) == (method == "_backward")
+        assert threading.active_count() == before
+        monkeypatch.undo()
+        model.forward(x, train=True)
+        model.backward(gy)
+    assert threading.active_count() == before

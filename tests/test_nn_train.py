@@ -14,7 +14,7 @@ import maskpf
 from maskpf.degrade import PRESETS, surrogate_code
 from maskpf.errors import ConfigError, DataError, NumericError
 from maskpf.dsp import AudioBuffer, NormStats, band_limit, level_normalize
-from maskpf.nn import train as train_module
+from maskpf.nn import models, train as train_module
 from maskpf.nn.adam import BLOCK, Adam
 from maskpf.nn.io import load_model, save_model
 from maskpf.nn.loss import LOSS_EPS, logmag_mse
@@ -331,6 +331,24 @@ def test_train_is_deterministic():
     assert a.model.dtype == np.float32
 
 
+def test_ced_training_does_not_depend_on_the_thread_count(monkeypatch):
+    """The ced's two fixed halves per batch give the same 2-epoch model and
+    losses whether they run on one thread or two."""
+    rng = np.random.default_rng(159)
+    train = make_synthetic_dataset(rng, 40, kind="ced")
+    val = make_synthetic_dataset(rng, 12, kind="ced")
+    config = TrainConfig(kind="ced", batch_size=16, max_epochs=2, seed=11)
+    results = []
+    for threads in (1, 2):
+        monkeypatch.setattr(models, "infer_threads", lambda: threads)
+        results.append(train_model(config, train, val))
+    a, b = results
+    for key, arr in a.model.state().items():
+        assert np.array_equal(arr, b.model.state()[key]), key
+    assert [(h.train_loss, h.val_loss) for h in a.history] == \
+        [(h.train_loss, h.val_loss) for h in b.history]
+
+
 def test_dataset_holds_float32_and_casts_once():
     """Float64 arrays are cast once, as they are stacked: each stored value
     is the float32 rounding of the value passed in. `inputs` stacks the
@@ -437,14 +455,15 @@ def test_train_config_validation():
 
 # SHA-256 of the model file that `_trained_file_digests` writes for each
 # kind, with one BLAS thread. They pin float32 training bit for bit: batch
-# assembly, shuffling, dropout, and which epoch validation keeps. They
+# assembly, shuffling, dropout, the ced's half batches and merged batch-norm
+# statistics, and which epoch validation keeps. They
 # depend on the numpy and BLAS build and on the CPU's kernels (recorded
 # with numpy 2.4.6 and scipy-openblas 0.3.31 on x86-64); `python
 # tests/test_nn_train.py` prints them afresh.
 TRAINED_FILE_SHA256 = {
     "fcnn": "bc5ff541cecb3743bdc10f07a299db3b6241428dd9281a0ddd732ebaf4ea5889",
     "lstm": "828973fcdf2e255eda04a12a71a243e4c34ea333587408204bde0942377f5860",
-    "ced": "12be1dc4fda25a2dad371a298970093a0b35e0a802e9b60ecf0c9c088a095a1c",
+    "ced": "37753115b5dd367c0a42480c16257bef08db0d6175fcb1b228cb7cc1599a1dac",
 }
 
 
