@@ -211,13 +211,16 @@ def load_manifest(path: str) -> list[ManifestEntry]:
         missing = {"clean", "coded", "split"} - set(row)
         if missing:
             raise DataError(f"{path}:{lineno}: missing keys {sorted(missing)}")
+        for key in ("clean", "coded", "split"):
+            if not isinstance(row[key], str):
+                raise DataError(f"{path}:{lineno}: {key} must be a string, "
+                                f"got {json.dumps(row[key])}")
         if row["split"] not in SPLITS:
             raise DataError(
                 f"{path}:{lineno}: split must be one of {SPLITS}, "
                 f"got {row['split']!r}"
             )
-        entry = ManifestEntry(str(row["clean"]), str(row["coded"]),
-                              str(row["split"]))
+        entry = ManifestEntry(row["clean"], row["coded"], row["split"])
         if entry.uses_surrogate():
             try:
                 get_profile(entry.surrogate_preset())

@@ -9,7 +9,10 @@ FRAME_LEN // 2 + 1 = 257 bins, of which the first `N_PROCESSED` = 205
 (up to 6.4 kHz) carry features and mask gains.
 
 All operations are pure: the same inputs always produce bit-identical
-outputs, and nothing here keeps mutable state.
+outputs, and nothing here keeps mutable state. Everything runs on numpy;
+the band-limit filter and its overlap-add convolution repeat the
+arithmetic of scipy.signal's `firwin` and `oaconvolve`, so their outputs
+keep the bits those gave.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
-from scipy.signal import firwin, oaconvolve
 
 from .errors import ConfigError, DataError
 
@@ -211,13 +213,44 @@ def real_cepstrum(spectra: np.ndarray) -> np.ndarray:
 # a low-frequency high-pass, applied with exact group-delay compensation.
 _BAND_LIMIT_TAPS = 1537
 _BAND_LIMIT_EDGES = (70.0, 7150.0)
+# The overlap-add FFT length for a 1537-tap filter, as oaconvolve picks it:
+# the Lambert-W optimum of cost per block, rounded up to a 2·3·5-smooth length.
+_BAND_LIMIT_BLOCK = 17640
 
 
 @lru_cache(maxsize=1)
 def _band_limit_filter() -> np.ndarray:
-    h = firwin(_BAND_LIMIT_TAPS, _BAND_LIMIT_EDGES, pass_zero=False, fs=SAMPLE_RATE)
+    """The band-pass between `_BAND_LIMIT_EDGES`: a Hamming-windowed
+    difference of sincs, scaled to unit gain at the passband centre.
+
+    The steps are scipy.signal.firwin's, in its order, so the taps equal
+    `firwin(1537, (70, 7150), pass_zero=False, fs=16000)` bit for bit. The
+    window is firwin's general cosine with coefficients 0.54 and 1 - 0.54;
+    `np.hamming`'s 0.46 differs in the last bit.
+    """
+    lo, hi = np.array(_BAND_LIMIT_EDGES) / (0.5 * SAMPLE_RATE)
+    m = np.arange(_BAND_LIMIT_TAPS, dtype=np.float64) - 0.5 * (_BAND_LIMIT_TAPS - 1)
+    h = hi * np.sinc(hi * m) - lo * np.sinc(lo * m)
+    h *= 0.54 + (1.0 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, _BAND_LIMIT_TAPS))
+    h /= np.sum(h * np.cos(np.pi * m * (0.5 * (lo + hi))))
     h.setflags(write=False)
     return h
+
+
+def _fft_len(n: int) -> int:
+    """The smallest 2·3·5-smooth integer at least n: the real-FFT length
+    that scipy.fft.next_fast_len gives."""
+    best, p5 = 2 * n, 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def band_limit(buf: AudioBuffer) -> AudioBuffer:
@@ -225,10 +258,29 @@ def band_limit(buf: AudioBuffer) -> AudioBuffer:
 
     Linear phase with the integer group delay removed, so the output stays
     sample-aligned with the input and keeps its length.
+
+    The full convolution is one real FFT of the next 2·3·5-smooth length
+    when the signal fits in one `_BAND_LIMIT_BLOCK`, and an overlap-add of
+    such blocks otherwise, the tail zero-padded to whole steps. That is
+    scipy.signal.oaconvolve's arithmetic, so the result keeps its bits for
+    every signal of 172 samples or more.
     """
     h = _band_limit_filter()
-    delay = (len(h) - 1) // 2
-    return AudioBuffer(oaconvolve(buf.samples, h)[delay : delay + len(buf)])
+    x = buf.samples
+    n, taps = len(x), len(h)
+    if n <= _BAND_LIMIT_BLOCK:
+        size = _fft_len(n + taps - 1)
+        full = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(h, size), size)
+    else:
+        step = _BAND_LIMIT_BLOCK - taps + 1
+        steps = -(-(n + taps - 1) // step)
+        blocks = np.pad(x, (0, steps * step - n)).reshape(steps, step)
+        blocks = np.fft.irfft(np.fft.rfft(blocks, _BAND_LIMIT_BLOCK)
+                              * np.fft.rfft(h, _BAND_LIMIT_BLOCK), _BAND_LIMIT_BLOCK)
+        blocks[1:, : taps - 1] += blocks[:-1, step:]
+        full = blocks[:, :step].reshape(-1)
+    delay = (taps - 1) // 2
+    return AudioBuffer(full[delay : delay + n])
 
 
 ACTIVE_FRAME_LEN = 256

@@ -625,6 +625,23 @@ def test_negative_seed_exits_2_without_a_traceback(tmp_path, manifest_path,
     assert "--seed" in run.stderr
 
 
+def test_the_cli_loads_no_scipy_and_one_openblas():
+    """A fresh process that imports the CLI holds numpy alone: no scipy
+    module, so one FFT library and at most one OpenBLAS, whose thread
+    count `blas_threads` reads."""
+    code = ("import sys, maskpf.cli\n"
+            "from maskpf.nn.models import _blas_thread_getters\n"
+            "print([m for m in sys.modules if m.startswith('scipy')])\n"
+            "print(len(_blas_thread_getters()))\n")
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(maskpf.__file__))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    modules, openblas = run.stdout.splitlines()
+    assert modules == "[]"
+    assert int(openblas) <= 1
+
+
 def test_enhance_and_degrade_jobs_parity(tmp_path, corpus_dir, manifest_path,
                                         trained_dir, monkeypatch):
     """Outputs are byte-identical at --jobs 1 and 2 with a thread budget of

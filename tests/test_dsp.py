@@ -215,12 +215,33 @@ def test_band_limit_matches_direct_convolution():
     rng = np.random.default_rng(9)
     h = _band_limit_filter()
     delay = (len(h) - 1) // 2
-    for n in (100, 1537, 16100):
+    # each side of every branch edge: one sample, the short signals scipy
+    # would convolve by splitting the filter, twice the filter, one block
+    for n in (1, 100, 171, 172, 1537, 3074, 3075, 16100, 17640, 17641, 160000):
         x = rng.standard_normal(n) * 0.3
         ref = np.convolve(x, h)[delay : delay + n]
         out = band_limit(AudioBuffer(x)).samples
         assert out.shape == (n,)
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+
+
+def test_band_limit_keeps_scipy_bits():
+    """The filter is scipy's firwin design bit for bit, and from 172
+    samples up the output is scipy's oaconvolve crop bit for bit: the
+    bits every pinned digest was recorded with."""
+    from scipy.signal import firwin, oaconvolve
+
+    from maskpf.dsp import _band_limit_filter
+
+    h = _band_limit_filter()
+    assert np.array_equal(h, firwin(1537, (70, 7150), pass_zero=False, fs=16000))
+    rng = np.random.default_rng(11)
+    lengths = [172, 768, 769, 1536, 1537, 1538, 3074, 3075, 17640, 17641,
+               32207, 32208, 32209, 160000, *rng.integers(172, 400000, 6)]
+    for n in lengths:
+        x = rng.standard_normal(n) * 0.3
+        ref = oaconvolve(x, h)[768 : 768 + n]
+        assert np.array_equal(band_limit(AudioBuffer(x)).samples, ref), n
 
 
 def test_stft_filter_identity_reproduces_every_sample():
