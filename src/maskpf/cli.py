@@ -19,10 +19,13 @@ failure.
 
 Every command sends its per-file work through `_map_ordered`, with one
 worker function at every --jobs value; above one, the files run on
-threads of this process. `enhance` and `eval` load the model once, before
-any file is read, so a bad model file fails with its own error; every
-file thread then infers with that one model. Training and inference run
-in float32, so `train` saves exactly the trained weights and `enhance`
+threads of this process, each with its own share of the cores for its
+`infer` calls. A worker takes one item, a manifest entry or an (input,
+output) path pair, after the command's shared values, which
+`functools.partial` binds once. `enhance` and `eval` load the model once,
+before any file is read, so a bad model file fails with its own error;
+every file thread then infers with that one model. Training and inference
+run in float32, so `train` saves exactly the trained weights and `enhance`
 and `eval` compute on them as stored.
 """
 
@@ -113,13 +116,16 @@ def _map_ordered(fn, items: list, jobs: int) -> list:
 
     One worker runs the items on the calling thread, in order, and stops
     at the first that raises. More run on a thread pool that starts and
-    ends inside the call, and while it runs each `infer` call takes its
-    share of the thread budget, `threads_per_worker(workers)`.
+    ends inside the call. Each of its threads sets its own share of the
+    thread budget (`share_cores`) as it starts, so an `infer` call on it
+    runs on `threads_per_worker(workers)` threads; no other thread's share
+    changes.
     """
     workers = _pool_size(jobs, items)
     if workers == 1:
         return [fn(item) for item in items]
-    with share_cores(workers), ThreadPoolExecutor(workers) as pool:
+    with ThreadPoolExecutor(workers, initializer=share_cores,
+                            initargs=(workers,)) as pool:
         return list(pool.map(fn, items))
 
 
@@ -136,25 +142,24 @@ def _load_split(args, split: str) -> tuple[list[ManifestEntry], str]:
     return selected, os.path.dirname(os.path.abspath(args.manifest))
 
 
-def _analyze_worker(job):
-    """The `UtterancePair` of an (entry, manifest_dir, ...) job: its
-    spectrograms only."""
-    return analyze_pair(*resolve_pair(job[0], job[1]))
+def _analyze_worker(manifest_dir: str, entry: ManifestEntry):
+    """The `UtterancePair` of a manifest entry: its spectrograms only."""
+    return analyze_pair(*resolve_pair(entry, manifest_dir))
 
 
 # ------------------------------------------------------------------ stats --
 
 
-def _stats_worker(job: tuple[ManifestEntry, str]) -> np.ndarray:
-    pair = _analyze_worker(job)
+def _stats_worker(manifest_dir: str, entry: ManifestEntry) -> np.ndarray:
+    pair = _analyze_worker(manifest_dir, entry)
     return mask_histogram(compute_irm(pair.clean_spec, pair.coded_spec))
 
 
 def cmd_stats(args) -> int:
     entries, manifest_dir = _load_split(args, args.split)
     out_dir = _ensure_out(args.out_dir)
-    results = _map_ordered(
-        _stats_worker, [(e, manifest_dir) for e in entries], args.jobs)
+    results = _map_ordered(partial(_stats_worker, manifest_dir), entries,
+                           args.jobs)
     groups: dict[str, list[np.ndarray]] = {}
     for entry, counts in zip(entries, results):
         key = entry.surrogate_preset() if entry.uses_surrogate() else "file"
@@ -197,8 +202,9 @@ def cmd_oracle(args) -> int:
     entries, manifest_dir = _load_split(args, args.split)
     bounds = _parse_bounds(args.bounds)
     out_dir = _ensure_out(args.out_dir)
-    jobs = [(e, manifest_dir, bounds, args.envelope) for e in entries]
-    results = _map_ordered(_oracle_worker, jobs, args.jobs)
+    results = _map_ordered(
+        partial(_oracle_worker, manifest_dir, bounds, args.envelope),
+        entries, args.jobs)
     stacked = np.array(results)
     means = stacked.mean(axis=0)
     labels = [("inf" if np.isinf(b) else f"{b:g}") for b in bounds]
@@ -206,15 +212,15 @@ def cmd_oracle(args) -> int:
         labels.append("envelope")
     rows = [[label, _fmt(v)] for label, v in zip(labels, means)]
     _write_csv(os.path.join(out_dir, "oracle.csv"), ["bound", "lsd_db"], rows)
-    _write_header(out_dir, "oracle", args, _pool_size(args.jobs, jobs))
+    _write_header(out_dir, "oracle", args, _pool_size(args.jobs, entries))
     for label, v in zip(labels, means):
         print(f"oracle bound {label}: lsd {_fmt(v)} dB")
     return 0
 
 
-def _oracle_worker(job) -> list[float]:
-    _, _, bounds, with_envelope = job
-    pair = _analyze_worker(job)
+def _oracle_worker(manifest_dir: str, bounds: list[float], with_envelope: bool,
+                   entry: ManifestEntry) -> list[float]:
+    pair = _analyze_worker(manifest_dir, entry)
     sweep = oracle_sweep(pair.clean_spec, pair.coded_spec, tuple(bounds))
     values = [lsd for _, lsd in sweep]
     if with_envelope:
@@ -241,8 +247,7 @@ def cmd_train(args) -> int:
     val_entries, _ = _load_split(args, "val")
     out_dir = _ensure_out(args.out_dir)
     train_pairs, val_pairs = (
-        _map_ordered(_analyze_worker, [(e, manifest_dir) for e in entries],
-                     args.jobs)
+        _map_ordered(partial(_analyze_worker, manifest_dir), entries, args.jobs)
         for entries in (train_entries, val_entries))
     stats = input_stats(train_pairs)
     train_data = build_dataset(train_pairs, args.kind, stats)
@@ -305,8 +310,8 @@ def _enhance_one(model, stats, coded: AudioBuffer) -> AudioBuffer:
     return stft_filter(coded, enhance)
 
 
-def _enhance_worker(model, stats, job) -> str:
-    in_path, out_path, fmt = job
+def _enhance_worker(model, stats, fmt: str, paths: tuple[str, str]) -> str:
+    in_path, out_path = paths
     coded = band_limit(read_wav(in_path))
     write_wav(out_path, _enhance_one(model, stats, coded), fmt)
     return out_path
@@ -315,11 +320,10 @@ def _enhance_worker(model, stats, job) -> str:
 def cmd_enhance(args) -> int:
     out_paths = _output_paths(args.inputs, args.out_dir, ".enhanced.wav")
     out_dir = _ensure_out(args.out_dir)
-    jobs = [(p, out, args.format) for p, out in zip(args.inputs, out_paths)]
     model, stats, _ = load_model(args.model)
-    written = _map_ordered(partial(_enhance_worker, model, stats), jobs,
-                           args.jobs)
-    _write_header(out_dir, "enhance", args, _pool_size(args.jobs, jobs))
+    written = _map_ordered(partial(_enhance_worker, model, stats, args.format),
+                           list(zip(args.inputs, out_paths)), args.jobs)
+    _write_header(out_dir, "enhance", args, _pool_size(args.jobs, out_paths))
     for path in written:
         print(path)
     return 0
@@ -332,10 +336,9 @@ EVAL_COLUMNS = ("lsd_coded_db", "lsd_enhanced_db", "lsd_improvement_db",
                 "segsnr_coded_db", "segsnr_enhanced_db")
 
 
-def _eval_worker(model, stats, job) -> list:
+def _eval_worker(model, stats, manifest_dir: str, entry: ManifestEntry) -> list:
     """Scores the samples that the utterance's full analysis frames cover,
     the span an unpadded istft of them would return."""
-    entry, manifest_dir = job
     clean, coded = resolve_pair(entry, manifest_dir)
     n_frames = frame_count(len(coded))
     if n_frames < 1:
@@ -357,8 +360,8 @@ def cmd_eval(args) -> int:
     entries, manifest_dir = _load_split(args, args.split)
     out_dir = _ensure_out(args.out_dir)
     model, stats, _ = load_model(args.model)
-    rows = _map_ordered(partial(_eval_worker, model, stats),
-                        [(e, manifest_dir) for e in entries], args.jobs)
+    rows = _map_ordered(partial(_eval_worker, model, stats, manifest_dir),
+                        entries, args.jobs)
     table = [
         [i, r[0]] + [_fmt(v) for v in r[1:]] for i, r in enumerate(rows)
     ]
@@ -380,8 +383,8 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------- degrade --
 
 
-def _degrade_worker(job) -> str:
-    in_path, out_path, profile, fmt = job
+def _degrade_worker(profile, fmt: str, paths: tuple[str, str]) -> str:
+    in_path, out_path = paths
     write_wav(out_path, surrogate_code(load_clean(in_path), profile), fmt)
     return out_path
 
@@ -390,10 +393,9 @@ def cmd_degrade(args) -> int:
     profile = replace(get_profile(args.preset), offset=args.seed)
     out_paths = _output_paths(args.inputs, args.out_dir, ".coded.wav")
     out_dir = _ensure_out(args.out_dir)
-    jobs = [(p, out, profile, args.format)
-            for p, out in zip(args.inputs, out_paths)]
-    written = _map_ordered(_degrade_worker, jobs, args.jobs)
-    _write_header(out_dir, "degrade", args, _pool_size(args.jobs, jobs))
+    written = _map_ordered(partial(_degrade_worker, profile, args.format),
+                           list(zip(args.inputs, out_paths)), args.jobs)
+    _write_header(out_dir, "degrade", args, _pool_size(args.jobs, out_paths))
     for path in written:
         print(path)
     return 0

@@ -49,24 +49,9 @@ def _nhwc(x: np.ndarray) -> np.ndarray:
 
 
 def tap_matrix(w: np.ndarray) -> np.ndarray:
-    """(X, Y, KH, KW) weights as the (X, KH*KW*Y) matrix that matches _im2col
-    and whose product columns `col2im` takes."""
+    """(X, Y, KH, KW) weights as the (X, KH*KW*Y) matrix that matches
+    `im2col` and whose product columns `col2im` takes."""
     return w.transpose(0, 2, 3, 1).reshape(w.shape[0], -1)
-
-
-def _windows(src: np.ndarray, k_hw: tuple[int, int], stride: tuple[int, int],
-             out_hw: tuple[int, int]) -> np.ndarray:
-    """Windows of an (N, H, W, A) array as an (N, OH, OW, KH, KW, A) view."""
-    (kh, kw), (sh, sw), (oh, ow) = k_hw, stride, out_hw
-    win = sliding_window_view(src, (kh, kw), axis=(1, 2))  # (N, H', W', A, KH, KW)
-    return win[:, : sh * oh : sh, : sw * ow : sw].transpose(0, 1, 2, 4, 5, 3)
-
-
-def _im2col(src: np.ndarray, k_hw: tuple[int, int], stride: tuple[int, int],
-            out_hw: tuple[int, int]) -> np.ndarray:
-    """Windows of an (N, H, W, A) array as an (N*OH*OW, KH*KW*A) matrix."""
-    win = _windows(src, k_hw, stride, out_hw)
-    return np.ascontiguousarray(win).reshape(-1, k_hw[0] * k_hw[1] * src.shape[3])
 
 
 def _valid_hw(in_hw: tuple[int, int], k_hw: tuple[int, int],
@@ -80,22 +65,24 @@ def _valid_hw(in_hw: tuple[int, int], k_hw: tuple[int, int],
     return oh, ow
 
 
-def im2col(src: np.ndarray, k_hw: tuple[int, int],
-           stride: tuple[int, int]) -> np.ndarray:
-    """The im2col matrix of a logical (N, A, H, W) image for a valid
-    KH x KW window at `stride`: what `gather` and `weight_grad` take as
-    `cols`."""
-    src_t = _nhwc(src)
-    return _im2col(src_t, k_hw, stride, _valid_hw(src_t.shape[1:3], k_hw, stride))
-
-
 def windows(src: np.ndarray, k_hw: tuple[int, int],
             stride: tuple[int, int]) -> np.ndarray:
     """The valid KH x KW windows at `stride` of a logical (N, A, H, W)
     image, as an (N, OH, OW, KH, KW, A) view: its im2col matrix before the
     copy, for a caller that copies it into a buffer of its own."""
     src_t = _nhwc(src)
-    return _windows(src_t, k_hw, stride, _valid_hw(src_t.shape[1:3], k_hw, stride))
+    (sh, sw), (oh, ow) = stride, _valid_hw(src_t.shape[1:3], k_hw, stride)
+    win = sliding_window_view(src_t, k_hw, axis=(1, 2))  # (N, H', W', A, KH, KW)
+    return win[:, : sh * oh : sh, : sw * ow : sw].transpose(0, 1, 2, 4, 5, 3)
+
+
+def im2col(src: np.ndarray, k_hw: tuple[int, int],
+           stride: tuple[int, int]) -> np.ndarray:
+    """The im2col matrix of a logical (N, A, H, W) image for a valid
+    KH x KW window at `stride`, (N*OH*OW, KH*KW*A): the contiguous copy of
+    its `windows`, and what `gather` and `weight_grad` take as `cols`."""
+    win = windows(src, k_hw, stride)
+    return np.ascontiguousarray(win).reshape(-1, k_hw[0] * k_hw[1] * win.shape[5])
 
 
 def gather(src: np.ndarray, w: np.ndarray, stride: tuple[int, int],
@@ -103,13 +90,12 @@ def gather(src: np.ndarray, w: np.ndarray, stride: tuple[int, int],
     """Strided gather; convolution forward and transposed-convolution input
     gradient. `cols` is src's im2col matrix for w's kernel, when the caller
     already has it."""
-    src_t = _nhwc(src)
-    n = src_t.shape[0]
     b, _, kh, kw = w.shape
-    oh, ow = _valid_hw(src_t.shape[1:3], (kh, kw), stride)
+    oh, ow = _valid_hw(src.shape[2:], (kh, kw), stride)
     if cols is None:
-        cols = _im2col(src_t, (kh, kw), stride, (oh, ow))
-    return (cols @ tap_matrix(w).T).reshape(n, oh, ow, b).transpose(0, 3, 1, 2)
+        cols = im2col(src, (kh, kw), stride)
+    out = cols @ tap_matrix(w).T
+    return out.reshape(src.shape[0], oh, ow, b).transpose(0, 3, 1, 2)
 
 
 def col2im(cols: np.ndarray, stride: tuple[int, int], out: np.ndarray,
@@ -187,10 +173,9 @@ def weight_grad(
 ) -> np.ndarray:
     """Kernel gradient of a convolution and of a transposed convolution.
     `cols` is big's im2col matrix, when the caller already has it."""
-    big_t, small_t = _nhwc(big), _nhwc(small)
-    n_a, n_b = big_t.shape[3], small_t.shape[3]
+    n_b = small.shape[1]
     if cols is None:
-        cols = _im2col(big_t, k_hw, stride, small_t.shape[1:3])
-    out = small_t.reshape(-1, n_b).T @ cols
-    return out.reshape(n_b, k_hw[0], k_hw[1], n_a).transpose(0, 3, 1, 2)
+        cols = im2col(big, k_hw, stride)
+    out = _nhwc(small).reshape(-1, n_b).T @ cols
+    return out.reshape(n_b, k_hw[0], k_hw[1], big.shape[1]).transpose(0, 3, 1, 2)
 

@@ -51,6 +51,8 @@ and variance floor (`BN_MOMENTUM`, `BN_EPS`) are constants of this module.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ConfigError
@@ -108,30 +110,42 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(1.0, out, out=out)
 
 
-def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...],
-                   fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
+def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Glorot-uniform weights of `shape`: (in, out) for a matrix, and with
+    the kernel axes after the two channel axes for a conv of either
+    direction, so fan-in plus fan-out is the channel sum times the kernel
+    size."""
+    limit = np.sqrt(6.0 / ((shape[0] + shape[1]) * math.prod(shape[2:])))
     return rng.uniform(-limit, limit, size=shape)
 
 
-class Dense(Layer):
-    def __init__(self, n_in: int, n_out: int, dtype=np.float64,
-                 input_grad: bool = True):
-        self.w = np.empty((n_in, n_out), dtype)
+class WeightedLayer(Layer):
+    """Base of `Dense`, `Conv2d` and `Deconv2d`: a weight array `w` of
+    `w_shape` with Glorot initial values, a bias `b` of `n_out` values, and
+    their gradients `gw` and `gb`."""
+
+    def __init__(self, w_shape: tuple[int, ...], n_out: int, dtype):
+        self.w = np.empty(w_shape, dtype)
         self.b = np.zeros(n_out, dtype)
-        self.gw = np.zeros((n_in, n_out), dtype)
+        self.gw = np.zeros(w_shape, dtype)
         self.gb = np.zeros(n_out, dtype)
-        self.input_grad = input_grad
         self._x: np.ndarray | None = None
 
     def init_weights(self, rng):
-        self.w[...] = glorot_uniform(rng, self.w.shape, *self.w.shape)
+        self.w[...] = glorot_uniform(rng, self.w.shape)
 
     def params(self):
         return {"w": self.w, "b": self.b}
 
     def grads(self):
         return {"w": self.gw, "b": self.gb}
+
+
+class Dense(WeightedLayer):
+    def __init__(self, n_in: int, n_out: int, dtype=np.float64,
+                 input_grad: bool = True):
+        super().__init__((n_in, n_out), n_out, dtype)
+        self.input_grad = input_grad
 
     def forward(self, x, train=False):
         self._x = x if train else None
@@ -348,7 +362,7 @@ class BatchNorm(Layer):
         return np.moveaxis(gx.reshape(moved.shape), -1, 1)
 
 
-class Conv2d(Layer):
+class Conv2d(WeightedLayer):
     """Valid-padding strided 2-D convolution.
 
     A train-mode forward keeps the im2col matrix it multiplies, and the
@@ -357,25 +371,10 @@ class Conv2d(Layer):
     def __init__(self, c_in: int, c_out: int, kernel: tuple[int, int],
                  stride: tuple[int, int], dtype=np.float64,
                  input_grad: bool = True):
-        self.w = np.empty((c_out, c_in) + tuple(kernel), dtype)
-        self.b = np.zeros(c_out, dtype)
-        self.gw = np.zeros(self.w.shape, dtype)
-        self.gb = np.zeros(c_out, dtype)
+        super().__init__((c_out, c_in) + tuple(kernel), c_out, dtype)
         self.stride = stride
         self.input_grad = input_grad
-        self._x: np.ndarray | None = None
         self._cols: np.ndarray | None = None
-
-    def init_weights(self, rng):
-        c_out, c_in, kh, kw = self.w.shape
-        self.w[...] = glorot_uniform(rng, self.w.shape, c_in * kh * kw,
-                                     c_out * kh * kw)
-
-    def params(self):
-        return {"w": self.w, "b": self.b}
-
-    def grads(self):
-        return {"w": self.gw, "b": self.gb}
 
     def forward(self, x, train=False):
         self._x = x if train else None
@@ -395,7 +394,7 @@ class Conv2d(Layer):
         return kernels.scatter(gy, self.w, self.stride, self._x.shape[2:])
 
 
-class Deconv2d(Layer):
+class Deconv2d(WeightedLayer):
     """Valid-padding strided transposed convolution (upsampling): input
     (N, C, H, W), output (N, F, s*(H-1)+KH, s*(W-1)+KW).
 
@@ -404,23 +403,8 @@ class Deconv2d(Layer):
 
     def __init__(self, c_in: int, c_out: int, kernel: tuple[int, int],
                  stride: tuple[int, int], dtype=np.float64):
-        self.w = np.empty((c_in, c_out) + tuple(kernel), dtype)
-        self.b = np.zeros(c_out, dtype)
-        self.gw = np.zeros(self.w.shape, dtype)
-        self.gb = np.zeros(c_out, dtype)
+        super().__init__((c_in, c_out) + tuple(kernel), c_out, dtype)
         self.stride = stride
-        self._x: np.ndarray | None = None
-
-    def init_weights(self, rng):
-        c_in, c_out, kh, kw = self.w.shape
-        self.w[...] = glorot_uniform(rng, self.w.shape, c_in * kh * kw,
-                                     c_out * kh * kw)
-
-    def params(self):
-        return {"w": self.w, "b": self.b}
-
-    def grads(self):
-        return {"w": self.gw, "b": self.gb}
 
     def forward(self, x, train=False):
         self._x = x if train else None

@@ -59,7 +59,7 @@ class Lstm(Layer):
         """Glorot input weights, one orthogonal block per gate, and the
         forget gate's bias at 1 so it starts open."""
         h = self.n_units
-        self.wx[...] = glorot_uniform(rng, self.wx.shape, *self.wx.shape)
+        self.wx[...] = glorot_uniform(rng, self.wx.shape)
         for k in range(4):
             self.wh[:, k * h : (k + 1) * h] = orthogonal(rng, h)
         self.b[h : 2 * h] = 1.0

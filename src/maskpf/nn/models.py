@@ -38,7 +38,6 @@ reconstructible from the layer shapes alone).
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import functools
 import os
@@ -188,21 +187,17 @@ def thread_budget() -> int:
 # scale past that is unknown, and each thread keeps a workspace of its own.
 MAX_INFER_THREADS = 2
 
-# How many file threads of a `--jobs` pool share the process's CPUs while
-# `share_cores` runs, 1 outside it.
-_sharing_workers = 1
+# Each thread's share of the CPUs: `workers` of `share_cores`, or unset in a
+# thread that never called it.
+_share = threading.local()
 
 
-@contextlib.contextmanager
-def share_cores(workers: int):
-    """Within the block, `workers` threads of this process call `infer`
-    at once and split the thread budget between them."""
-    global _sharing_workers
-    before, _sharing_workers = _sharing_workers, workers
-    try:
-        yield
-    finally:
-        _sharing_workers = before
+def share_cores(workers: int) -> None:
+    """Record that the calling thread is one of `workers` threads of this
+    process that call `infer` at once and split the thread budget between
+    them. A `--jobs` pool runs it as each file thread's initializer; it
+    changes no other thread's share."""
+    _share.workers = workers
 
 
 def threads_per_worker(workers: int) -> int:
@@ -213,9 +208,10 @@ def threads_per_worker(workers: int) -> int:
 
 
 def infer_threads() -> int:
-    """The threads each `infer` call of this process may run on, given its
-    `share_cores` setting."""
-    return threads_per_worker(_sharing_workers)
+    """The threads an `infer` call on the calling thread may run on: its
+    `share_cores` share of the budget, or the whole budget (one worker)
+    in a thread that never set one."""
+    return threads_per_worker(getattr(_share, "workers", 1))
 
 
 def _run_split(tasks: list, parallel: bool) -> list:

@@ -694,17 +694,27 @@ def test_enhance_and_degrade_jobs_parity(tmp_path, corpus_dir, manifest_path,
 
 class RecordingPool:
     """Stands in for the file threads' ThreadPoolExecutor: records
-    max_workers and the inference threads each `infer` call takes while
-    the pool runs, and runs inline."""
+    max_workers and the inference threads an `infer` call on a file thread
+    takes, read on a thread of its own that first runs the pool's
+    initializer as each file thread would, and runs the items inline. The
+    initializer never runs on the caller's thread, whose share it would
+    change."""
 
     max_workers: list = []
     worker_threads: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer, initargs):
         self.max_workers.append(max_workers)
+        self.initializer, self.initargs = initializer, initargs
 
     def __enter__(self):
-        self.worker_threads.append(models.infer_threads())
+        def file_thread():
+            self.initializer(*self.initargs)
+            self.worker_threads.append(models.infer_threads())
+
+        thread = threading.Thread(target=file_thread)
+        thread.start()
+        thread.join()
         return self
 
     def __exit__(self, *exc):
@@ -731,12 +741,44 @@ def test_jobs_caps_workers_at_items_and_rejects_zero(tmp_path, corpus_dir,
                      *wavs[:n_files]]) == 0
     assert RecordingPool.max_workers == [2, 2, 3]
     assert RecordingPool.worker_threads == [2, 2, 1]
-    assert models.infer_threads() == 2  # the pool's share ends with it
+    assert models.infer_threads() == 2  # the pool's share is its threads' own
     for jobs in ("0", "-1"):
         assert main(["degrade", "--out-dir", str(tmp_path / "x"),
                      "--preset", "q_low", "--jobs", jobs, *wavs]) == 2
     assert RecordingPool.max_workers == [2, 2, 3]
     assert "--jobs" in capsys.readouterr().err
+
+
+def test_a_file_pool_share_belongs_to_its_threads(monkeypatch):
+    """With a thread budget of 2, each of two `--jobs 2` file threads reads
+    one inference thread while the other runs, and threads outside the
+    pool, the caller's and one started while it runs, read both."""
+    monkeypatch.setattr(models.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(models, "blas_threads", lambda: 1)
+    inside = threading.Barrier(3, timeout=60)  # both file threads and this one
+    release = threading.Event()
+
+    def item(i):
+        inside.wait()
+        assert release.wait(timeout=60)
+        return i, models.infer_threads()
+
+    mapped, outside = [], []
+    pool = threading.Thread(
+        target=lambda: mapped.append(cli._map_ordered(item, [0, 1], 2)))
+    pool.start()
+    try:
+        inside.wait()
+        outside.append(models.infer_threads())
+        probe = threading.Thread(
+            target=lambda: outside.append(models.infer_threads()))
+        probe.start()
+        probe.join()
+    finally:
+        release.set()
+        pool.join(timeout=60)
+    assert outside == [2, 2]
+    assert mapped == [[(0, 1), (1, 1)]]
 
 
 def count_model_loads(monkeypatch, loaded=None) -> list:

@@ -286,9 +286,10 @@ def test_overlapping_infer_calls_share_no_workspace(kind):
 
 def test_thread_budget_divides_cpus_by_blas_threads(monkeypatch):
     """One inference thread when OpenBLAS runs a thread per CPU, every CPU
-    when it runs one, and a file thread's share of the budget while
-    `share_cores` runs, the outer share again once an inner one ends; no
-    `infer` call runs on more than MAX_INFER_THREADS threads."""
+    when it runs one, and a thread's own share of the budget once it calls
+    `share_cores`: a share set on one thread leaves every other thread's
+    as it was. No `infer` call runs on more than MAX_INFER_THREADS
+    threads."""
     cpus = len(os.sched_getaffinity(0))
     monkeypatch.setattr(models, "blas_threads", lambda: cpus)
     assert models.thread_budget() == 1
@@ -297,11 +298,29 @@ def test_thread_budget_divides_cpus_by_blas_threads(monkeypatch):
     monkeypatch.setattr(models.os, "sched_getaffinity", lambda pid: set(range(6)))
     assert models.thread_budget() == 6
     assert [models.threads_per_worker(w) for w in (6, 4, 3, 2, 1)] == [1, 1, 2, 2, 2]
-    with models.share_cores(4):
-        assert models.infer_threads() == 1
-        with models.share_cores(2):
-            assert models.infer_threads() == 2
-        assert models.infer_threads() == 1
+    a_shared, b_shared = threading.Event(), threading.Event()
+    reads = {}
+
+    def thread_a():
+        reads["a before"] = models.infer_threads()
+        models.share_cores(4)
+        a_shared.set()
+        assert b_shared.wait(timeout=60)
+        reads["a"] = models.infer_threads()
+
+    def thread_b():
+        assert a_shared.wait(timeout=60)
+        reads["b before"] = models.infer_threads()
+        models.share_cores(2)
+        reads["b"] = models.infer_threads()
+        b_shared.set()
+
+    threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert reads == {"a before": 2, "a": 1, "b before": 2, "b": 2}
     assert models.infer_threads() == models.MAX_INFER_THREADS == 2
 
 
