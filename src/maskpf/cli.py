@@ -72,8 +72,23 @@ from .nn.train import TrainConfig, train_model
 
 
 def _ensure_out(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
+    """path, made a directory if it is not one yet; a path that cannot be
+    one, such as a file or a path through a file, is a ConfigError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {path}: "
+                          f"{exc.strerror or exc}") from exc
     return path
+
+
+def _write(write, path: str, *args) -> None:
+    """Write one output file by write(path, *args). An OSError, such as a
+    directory at path, becomes a ConfigError that names the file."""
+    try:
+        write(path, *args)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -91,7 +106,7 @@ def _write_header(out_dir: str, command: str, args: argparse.Namespace,
     of threads a ced training step runs its two halves on. `blas_threads`
     is the loaded OpenBLAS's thread count, which float32 trained bits
     depend on."""
-    _write_json(os.path.join(out_dir, "run_header.json"), {
+    _write(_write_json, os.path.join(out_dir, "run_header.json"), {
         "command": command,
         "args": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "blas_threads": blas_threads(),
@@ -172,8 +187,8 @@ def cmd_stats(args) -> int:
                     for label, count in zip(HISTOGRAM_LABELS, counts))
         print(f"stats: {key}: {len(groups[key])} utterances, "
               f"{total} mask values")
-    _write_csv(os.path.join(out_dir, "stats.csv"),
-               ["source", "bucket", "count", "fraction"], rows)
+    _write(_write_csv, os.path.join(out_dir, "stats.csv"),
+           ["source", "bucket", "count", "fraction"], rows)
     _write_header(out_dir, "stats", args, _pool_size(args.jobs, entries))
     return 0
 
@@ -211,7 +226,7 @@ def cmd_oracle(args) -> int:
     if args.envelope:
         labels.append("envelope")
     rows = [[label, _fmt(v)] for label, v in zip(labels, means)]
-    _write_csv(os.path.join(out_dir, "oracle.csv"), ["bound", "lsd_db"], rows)
+    _write(_write_csv, os.path.join(out_dir, "oracle.csv"), ["bound", "lsd_db"], rows)
     _write_header(out_dir, "oracle", args, _pool_size(args.jobs, entries))
     for label, v in zip(labels, means):
         print(f"oracle bound {label}: lsd {_fmt(v)} dB")
@@ -255,14 +270,14 @@ def cmd_train(args) -> int:
     result = train_model(config, train_data, val_data)
 
     model_path = os.path.join(out_dir, "model.mpf1")
-    save_model(model_path, result.model, stats, config)
+    _write(save_model, model_path, result.model, stats, config)
     log_rows = [
         [log.epoch, f"{log.train_loss:.8f}", f"{log.val_loss:.8f}",
          f"{log.lr:.6g}", f"{log.elapsed_s:.3f}"]
         for log in result.history
     ]
-    _write_csv(os.path.join(out_dir, "training_log.csv"),
-               ["epoch", "train_loss", "val_loss", "lr", "elapsed_s"], log_rows)
+    _write(_write_csv, os.path.join(out_dir, "training_log.csv"),
+           ["epoch", "train_loss", "val_loss", "lr", "elapsed_s"], log_rows)
     summary = {
         "best_epoch": result.best_epoch,
         "best_val_loss": result.best_val_loss,
@@ -273,7 +288,7 @@ def cmd_train(args) -> int:
         "train_examples": len(train_data),
         "val_examples": len(val_data),
     }
-    _write_json(os.path.join(out_dir, "train_summary.json"), summary)
+    _write(_write_json, os.path.join(out_dir, "train_summary.json"), summary)
     _write_header(out_dir, "train", args, 1)
     print(f"train: best epoch {result.best_epoch} "
           f"val_loss {result.best_val_loss:.6f} -> {model_path}")
@@ -313,7 +328,7 @@ def _enhance_one(model, stats, coded: AudioBuffer) -> AudioBuffer:
 def _enhance_worker(model, stats, fmt: str, paths: tuple[str, str]) -> str:
     in_path, out_path = paths
     coded = band_limit(read_wav(in_path))
-    write_wav(out_path, _enhance_one(model, stats, coded), fmt)
+    _write(write_wav, out_path, _enhance_one(model, stats, coded), fmt)
     return out_path
 
 
@@ -365,15 +380,15 @@ def cmd_eval(args) -> int:
     table = [
         [i, r[0]] + [_fmt(v) for v in r[1:]] for i, r in enumerate(rows)
     ]
-    _write_csv(os.path.join(out_dir, "eval_utterances.csv"),
-               ["index", "clean", *EVAL_COLUMNS], table)
+    _write(_write_csv, os.path.join(out_dir, "eval_utterances.csv"),
+           ["index", "clean", *EVAL_COLUMNS], table)
     values = np.array([r[1:] for r in rows], dtype=np.float64)
     means = values.mean(axis=0)
     summary_rows = [[f"mean_{name}", _fmt(v)]
                     for name, v in zip(EVAL_COLUMNS, means)]
     summary_rows.append(["utterances", str(len(rows))])
-    _write_csv(os.path.join(out_dir, "eval_summary.csv"),
-               ["metric", "value"], summary_rows)
+    _write(_write_csv, os.path.join(out_dir, "eval_summary.csv"),
+           ["metric", "value"], summary_rows)
     _write_header(out_dir, "eval", args, _pool_size(args.jobs, entries))
     print(f"eval: lsd {means[0]:.3f} -> {means[1]:.3f} dB "
           f"(improvement {means[2]:.3f}) over {len(rows)} utterances")
@@ -385,7 +400,7 @@ def cmd_eval(args) -> int:
 
 def _degrade_worker(profile, fmt: str, paths: tuple[str, str]) -> str:
     in_path, out_path = paths
-    write_wav(out_path, surrogate_code(load_clean(in_path), profile), fmt)
+    _write(write_wav, out_path, surrogate_code(load_clean(in_path), profile), fmt)
     return out_path
 
 

@@ -65,9 +65,8 @@ def analyze_pair(clean: AudioBuffer, coded: AudioBuffer) -> UtterancePair:
 
 
 def input_stats(pairs: list[UtterancePair]) -> NormStats:
-    """Normalization statistics over the degraded features of a split."""
-    if not pairs:
-        raise DataError("cannot compute stats from an empty split")
+    """Normalization statistics over the degraded features of a split; an
+    empty split raises DataError."""
     return compute_norm_stats([p.coded_logmag for p in pairs])
 
 

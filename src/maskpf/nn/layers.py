@@ -227,6 +227,15 @@ class ScaledSigmoid(Layer):
         return gy * MASK_SCALE * self._sig * (1.0 - self._sig)
 
 
+def dropout_mask(rng: np.random.Generator, rate: float, shape: tuple[int, ...],
+                 dtype) -> np.ndarray:
+    """An inverted-dropout mask of `shape`: 0 with probability `rate`, else
+    1 / (1 - rate). It is drawn in float64 and cast to dtype, so every dtype
+    consumes the same stream."""
+    keep = 1.0 - rate
+    return ((rng.random(shape) < keep) / keep).astype(dtype, copy=False)
+
+
 class Dropout(Layer):
     """Inverted dropout. It holds a fixed placeholder stream until
     `reseed`; `build_model` always reseeds."""
@@ -245,10 +254,7 @@ class Dropout(Layer):
         if not train or self.rate == 0.0:
             self._mask = None
             return x
-        keep = 1.0 - self.rate
-        # Drawn in float64 and cast, so every dtype consumes the same stream.
-        self._mask = ((self.rng.random(x.shape) < keep) / keep).astype(
-            x.dtype, copy=False)
+        self._mask = dropout_mask(self.rng, self.rate, x.shape, x.dtype)
         return x * self._mask
 
     def backward(self, gy):
@@ -453,11 +459,3 @@ def collect(named_layers: list[tuple[str, Layer]],
     return {f"{name}.{key}": arr
             for name, layer in named_layers
             for key, arr in getattr(layer, method)().items()}
-
-
-def zero_grads(layers: list[Layer]) -> None:
-    """Set every grads() array of the layers to zero. A backward pass
-    writes its gradients whatever they held, so training never needs it."""
-    for layer in layers:
-        for g in layer.grads().values():
-            g[...] = 0.0

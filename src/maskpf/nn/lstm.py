@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
-from .layers import Layer, require_train_forward, glorot_uniform, sigmoid
+from .layers import Layer, dropout_mask, glorot_uniform, require_train_forward, sigmoid
 
 
 def orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -78,15 +78,8 @@ class Lstm(Layer):
         if d != self.n_in:
             raise ConfigError(f"expected input width {self.n_in}, got {d}")
         h = self.n_units
-        # Masks are drawn in float64 and cast, so every dtype consumes the
-        # same random stream: the input mask here, the recurrent one in
-        # `recur`.
-        if train and self.dropout > 0.0:
-            keep = 1.0 - self.dropout
-            mx = ((self.rng.random((n, d)) < keep) / keep).astype(x.dtype, copy=False)
-        else:
-            mx = None
-        self._mx = mx
+        mx = self._mx = (dropout_mask(self.rng, self.dropout, (n, d), x.dtype)
+                         if train and self.dropout > 0.0 else None)
         # Time-major input, dropped out once; its projection is one GEMM and
         # only the recurrent product stays inside the time loop.
         xs = x.transpose(1, 0, 2) if mx is None else x.transpose(1, 0, 2) * mx
@@ -113,12 +106,8 @@ class Lstm(Layer):
         t_len, n, _ = ax.shape
         h = self.n_units
         dtype = ax.dtype
-        if train and self.recurrent_dropout > 0.0:
-            keep = 1.0 - self.recurrent_dropout
-            mh = ((self.rng.random((n, h)) < keep) / keep).astype(dtype, copy=False)
-        else:
-            mh = None
-        self._mh = mh
+        mh = self._mh = (dropout_mask(self.rng, self.recurrent_dropout, (n, h), dtype)
+                         if train and self.recurrent_dropout > 0.0 else None)
         if out is None:
             out = np.empty((t_len, n, h), dtype)
         if train:

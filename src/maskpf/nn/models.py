@@ -38,7 +38,6 @@ reconstructible from the layer shapes alone).
 
 from __future__ import annotations
 
-import copy
 import functools
 import os
 import threading
@@ -64,7 +63,6 @@ from .layers import (
     collect,
     elu,
     sigmoid,
-    zero_grads,
 )
 from .lstm import Lstm
 
@@ -228,18 +226,6 @@ def _run_split(tasks: list, parallel: bool) -> list:
     return [first] + [helper.result() for helper in helpers]
 
 
-def _twin_layer(layer: Layer) -> Layer:
-    """A shallow copy of layer that shares its parameter and running-
-    statistic arrays but writes gradient arrays of its own. Each pass
-    rebinds the arrays it saves, so the two keep their own from then on."""
-    twin = copy.copy(layer)
-    grads = {id(g) for g in layer.grads().values()}
-    for attr, value in list(vars(twin).items()):
-        if id(value) in grads:
-            setattr(twin, attr, np.zeros_like(value))
-    return twin
-
-
 # Guards every model's free list of workspaces (`Model._works`).
 _WORKS_LOCK = threading.Lock()
 
@@ -314,7 +300,8 @@ class Model:
         """Set every grads() array to zero. `backward` writes every one of
         them, so training does not call this; it stays because the
         benchmark's tracer (`perfbench/tracing.py`) wraps it by name."""
-        zero_grads([layer for _, layer in self._layers()])
+        for g in self.grads().values():
+            g[...] = 0.0
 
     def reseed(self, seed: int) -> None:
         rng = np.random.default_rng(seed)
@@ -545,14 +532,16 @@ class CedModel(Model):
 
     Training splits every batch of N > 1 windows into fixed halves, the
     first ceil(N/2) windows and the rest, whatever the thread count. This
-    model runs the first half on the calling thread; its twin (`_twin`),
-    whose layers share this model's parameter and running-statistic arrays
-    but keep gradients and saved arrays of their own, runs the second on a
-    worker thread when `infer_threads()` allows two, else after the first
-    on the calling thread. Each batch norm normalizes each half over that
-    half's own windows ("ghost" batch norm, Hoffer, Hubara & Soudry, arXiv
-    1705.08741), and its running statistics then take one step toward the
-    whole batch's mean and variance, merged from both halves' moments
+    model runs the first half on the calling thread; its twin (`_twin`)
+    runs the second on a worker thread when `infer_threads()` allows two,
+    else after the first on the calling thread. The twin is built by this
+    class's constructor, like any model, so it has gradients and saved
+    arrays of its own; its layers then take this model's parameter and
+    running-statistic arrays.
+    Each batch norm normalizes each half over that half's own windows
+    ("ghost" batch norm, Hoffer, Hubara & Soudry, arXiv 1705.08741), and
+    its running statistics then take one step toward the whole batch's
+    mean and variance, merged from both halves' moments
     (`BatchNorm.update_running`). `backward` runs the halves back the same
     way and adds the twin's gradients to this model's, first half plus
     second half, so `grads()` holds the whole batch's. Outputs, gradients
@@ -621,15 +610,12 @@ class CedModel(Model):
 
     @functools.cached_property
     def _twin(self) -> CedModel:
-        """The model that runs the second half of a training batch: a copy
-        whose layers share this model's parameter and running-statistic
-        arrays and keep gradients and saved arrays of their own."""
-        twin = copy.copy(self)
-        twin.enc = [(name,) + tuple(map(_twin_layer, layers))
-                    for name, *layers in self.enc]
-        twin.dec = [(name,) + tuple(map(_twin_layer, layers))
-                    for name, *layers in self.dec]
-        twin.head, twin.sig = _twin_layer(self.head), _twin_layer(self.sig)
+        """The model that runs the second half of a training batch: a model
+        of the same shape whose layers hold this model's state() arrays,
+        each under the attribute its key names."""
+        twin = CedModel(self.n_bins, self.dtype)
+        for (_, mine), (_, its) in zip(self._layers(), twin._layers()):
+            vars(its).update(mine.state())
         return twin
 
     def _run(self, x, train):

@@ -8,7 +8,6 @@ from __future__ import annotations
 import json
 import os
 
-import numpy as np
 import pytest
 
 from maskpf.audio_io import write_wav

@@ -7,13 +7,11 @@ and dominates the runtime; everything else finishes in seconds.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
 import numpy as np
 
-from maskpf.audio_io import write_wav
 from maskpf.cli import main as cli_main
 from maskpf.degrade import PRESETS, surrogate_code
 from maskpf.dsp import (

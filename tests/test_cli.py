@@ -625,6 +625,30 @@ def test_negative_seed_exits_2_without_a_traceback(tmp_path, manifest_path,
     assert "--seed" in run.stderr
 
 
+def test_an_unusable_output_location_exits_2_without_a_traceback(
+        tmp_path, corpus_dir, capsys):
+    """An --out-dir that is a file or lies under one, and an output file
+    whose path is a directory, are configuration errors naming the path.
+    The last runs in a child process, whose stderr would show a
+    traceback."""
+    argv = ["degrade", "--preset", "q_low", *clean_wavs(corpus_dir, 1)]
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out_dir in (blocker, blocker / "sub"):
+        assert main([*argv, "--out-dir", str(out_dir)]) == 2
+        assert f"cannot use output directory {out_dir}:" in capsys.readouterr().err
+    taken = tmp_path / "out" / "utt00.coded.wav"
+    taken.mkdir(parents=True)
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(maskpf.__file__))}
+    run = subprocess.run(
+        [sys.executable, "-m", "maskpf.cli", *argv, "--out-dir", str(taken.parent)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 2, run.stderr
+    assert "Traceback" not in run.stderr
+    assert f"maskpf degrade: error: cannot write {taken}:" in run.stderr
+
+
 def test_the_cli_loads_no_scipy_and_one_openblas():
     """A fresh process that imports the CLI holds numpy alone: no scipy
     module, so one FFT library and at most one OpenBLAS, whose thread

@@ -9,7 +9,7 @@ from maskpf.features import analyze_pair, build_dataset, infer_mask, input_stats
 from maskpf.nn.models import CONTEXT_FRAMES, build_model, pad_context, window_inputs
 from maskpf.nn.train import Dataset
 from maskpf.degrade import PRESETS, surrogate_code
-from maskpf.dsp import band_limit, level_normalize, stft
+from maskpf.dsp import band_limit, level_normalize
 from maskpf.synth import synth_utterance
 
 from helpers_windows import model_inputs

@@ -17,8 +17,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from helpers_grad import model_grad_check
 from helpers_windows import model_inputs
 import maskpf
+from maskpf.dsp import NormStats
 from maskpf.errors import ConfigError, DataError
 from maskpf.nn.adam import Adam
+from maskpf.nn.io import load_model, save_model
 from maskpf.nn import models
 from maskpf.nn.layers import BN_MOMENTUM, BatchNorm
 from maskpf.nn.lstm import Lstm
@@ -26,12 +28,14 @@ from maskpf.nn.models import (
     CONTEXT_FRAMES,
     MASK_SCALE,
     MODEL_KINDS,
+    N_BINS,
     REFERENCE_PARAM_COUNTS,
     CedModel,
     build_model,
     empty_model,
     window_inputs,
 )
+from maskpf.nn.train import TrainConfig
 
 # Largest gap allowed between two float32 masks, or a float32 and a float64
 # mask, for the same weights: a few float32 ulps of a gain in (0, 2).
@@ -752,6 +756,38 @@ def test_ced_running_statistics_are_the_whole_batch(monkeypatch, n):
                                    rtol=0, atol=1e-12)
         assert np.shares_memory(bn.gamma, twin_bn.gamma)
         assert not np.shares_memory(bn.ggamma, twin_bn.ggamma)
+
+
+def test_the_ced_twin_shares_every_state_array_and_nothing_else(tmp_path):
+    """Every layer of the twin holds the model's state() arrays, so it reads
+    values restored in place (as `EarlyStopping.restore` does) and a model
+    file's weights, and keeps gradient arrays of its own."""
+
+    def check(model, values):
+        twin = model._twin
+        state, twin_state = model.state(), twin.state()
+        assert list(twin_state) == list(state)
+        for name, arr in state.items():
+            assert np.shares_memory(arr, twin_state[name]), name
+            np.testing.assert_array_equal(twin_state[name], values[name])
+        mine = list(state.values()) + list(model.grads().values())
+        assert list(twin.grads()) == list(model.grads())
+        for name, g in twin.grads().items():
+            assert not any(np.shares_memory(g, arr) for arr in mine), name
+
+    model = build_model("ced", seed=31, dtype=np.float32)
+    twin = model._twin  # built before the restore, as in training
+    rng = np.random.default_rng(157)
+    best = {name: np.abs(rng.standard_normal(arr.shape)).astype(np.float32)
+            for name, arr in model.state().items()}
+    model.load_state(best)
+    check(model, best)
+    assert model._twin is twin
+    path = str(tmp_path / "ced.mpf1")
+    save_model(path, model, NormStats(np.zeros(N_BINS), np.ones(N_BINS)),
+               TrainConfig(kind="ced"))
+    loaded, _, _ = load_model(path)
+    check(loaded, best)
 
 
 class _NoPool:

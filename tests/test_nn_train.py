@@ -17,7 +17,7 @@ from maskpf.dsp import AudioBuffer, NormStats, band_limit, level_normalize
 from maskpf.nn import models, train as train_module
 from maskpf.nn.adam import BLOCK, Adam
 from maskpf.nn.io import load_model, save_model
-from maskpf.nn.loss import LOSS_EPS, logmag_mse
+from maskpf.nn.loss import logmag_mse
 from maskpf.features import analyze_pair, build_dataset, input_stats
 from maskpf.nn.models import MODEL_KINDS, build_model
 from maskpf.nn.train import (
